@@ -100,20 +100,27 @@ pub struct AutoFormulaConfig {
     /// read-only serving of small corpora (no scatter overhead).
     pub n_shards: usize,
     /// Sheets a serving shard's mutable delta segment may accumulate
-    /// before background compaction folds it into the sealed base.
-    /// Larger values amortize compaction over more writes but lengthen
-    /// the delta scan added to every query on that shard. `0` disables
-    /// delta segments entirely: every `add_workbook` grows the base
-    /// synchronously (the pre-shard behavior — O(shard) per write).
+    /// before the background compactor *seals* it: moves it, uncopied,
+    /// onto the end of the shard's list of immutable runs, then merges
+    /// the last two runs while the newer has at least as many sheets as
+    /// the older (a fixed size-tiered rule — each sheet is re-copied
+    /// O(log n) times and the loaded base only once the additions rival
+    /// it). This is also the size of the smallest run, so larger values
+    /// mean fewer runs for a query to scan but a longer delta clone on
+    /// every write. `0` disables delta segments entirely: every
+    /// `add_workbook` grows the shard's one run synchronously (the
+    /// pre-shard behavior — O(shard) per write).
     pub delta_max_sheets: usize,
     /// Write-path backpressure: when a shard's delta reaches
     /// `delta_max_sheets * backpressure_factor` sheets — the background
-    /// compactor is wedged or can't keep up — `add_workbook` folds the
-    /// delta into the base *inline* (synchronous O(shard) compaction)
-    /// instead of letting the delta grow without bound and regress every
-    /// query on that shard toward the O(corpus) scan. `0` disables the
-    /// fallback (deltas may grow unboundedly while the compactor is down).
-    /// Not persisted in artifacts — a runtime serving knob.
+    /// compactor is wedged or can't keep up — `add_workbook` seals the
+    /// delta and applies the merge rule *inline*, under the shard's
+    /// writer lock, instead of letting the delta grow without bound and
+    /// regress every query on that shard toward the O(corpus) scan. The
+    /// stall is the cost of the merges the rule asks for at that moment,
+    /// usually a few deltas' worth of sheets. `0` disables the fallback
+    /// (deltas may grow unboundedly while the compactor is down). Not
+    /// persisted in artifacts — a runtime serving knob.
     pub backpressure_factor: usize,
 }
 

@@ -106,6 +106,15 @@ impl VecTable {
         self.store.push(v);
     }
 
+    /// Append row `i` of `src` (an exact row is copied once, straight
+    /// from `src`; a quantized one is dequantized and re-quantized).
+    pub(crate) fn push_row_of(&mut self, src: &VecTable, i: usize) {
+        match src.row_f32(i) {
+            Some(row) => self.push(row),
+            None => self.push(&src.row_owned(i)),
+        }
+    }
+
     /// Row `i` as a borrowed slice — exact (`f32`) tables only. Quantized
     /// tables have no f32 image in memory; use [`VecTable::row_owned`] or
     /// the fused [`VecTable::l2_sq`].
@@ -457,8 +466,8 @@ impl ReferenceIndex {
     /// make one dequantize/requantize round trip, which the affine int8
     /// codec reproduces up to float rounding).
     ///
-    /// This is the merge primitive: compaction absorbs a delta segment
-    /// into its base shard with it, and a sharded artifact is folded back
+    /// This is the merge primitive: compaction merges a sealed run into
+    /// its older neighbour with it, and a sharded artifact is folded back
     /// into one index by appending sheets in global order.
     pub fn append_sheet_from(&mut self, src: &ReferenceIndex, src_sheet_idx: usize) {
         self.coarse.add(&src.coarse.vector_owned(src_sheet_idx));
@@ -470,15 +479,6 @@ impl ReferenceIndex {
                 .vector_owned(src_sheet_idx);
             fs.add(&sig);
         }
-        self.append_sheet_tables_from(src, src_sheet_idx);
-    }
-
-    /// Everything [`ReferenceIndex::append_sheet_from`] does *except* the
-    /// ANN inserts — [`ReferenceIndex::split`] batch-builds the per-shard
-    /// ANN indexes up front (IVF trains its quantizer on the shard's
-    /// vectors, HNSW gets its deterministic batch construction) and then
-    /// appends only the tables through here.
-    fn append_sheet_tables_from(&mut self, src: &ReferenceIndex, src_sheet_idx: usize) {
         let new_si = self.keys.len();
         self.keys.push(src.keys[src_sheet_idx]);
         self.meta.push(src.meta[src_sheet_idx].clone());
@@ -500,7 +500,7 @@ impl ReferenceIndex {
             let entry = &src.regions[rid];
             let param_start = self.param_vecs.rows();
             for pi in 0..entry.params.len() {
-                self.param_vecs.push(&src.param_vecs.row_owned(entry.param_start + pi));
+                self.param_vecs.push_row_of(&src.param_vecs, entry.param_start + pi);
             }
             self.regions_by_sheet[new_si].push(self.regions.len());
             self.regions.push(RegionEntry {
@@ -510,19 +510,19 @@ impl ReferenceIndex {
                 params: entry.params.clone(),
                 param_start,
             });
-            self.region_vecs.push(&src.region_vecs.row_owned(rid));
+            self.region_vecs.push_row_of(&src.region_vecs, rid);
             if let Some(dst) = self.coarse_region_vecs.as_mut() {
                 let sv = src
                     .coarse_region_vecs
                     .as_ref()
                     .expect("source index built with coarse region vectors");
-                dst.push(&sv.row_owned(rid));
+                dst.push_row_of(sv, rid);
             }
         }
     }
 
     /// Fold every sheet of `src` into `self`, in `src`'s sheet order
-    /// (compaction: base shard absorbs its delta segment).
+    /// (compaction: the older of two runs absorbs the newer).
     pub fn absorb(&mut self, src: &ReferenceIndex) {
         for si in 0..src.n_sheets() {
             self.append_sheet_from(src, si);
@@ -532,11 +532,18 @@ impl ReferenceIndex {
     /// Partition into `n_shards` indexes by the per-sheet `assignment`
     /// (`assignment[si]` names the shard of sheet `si`; the caller owns
     /// the routing function). Each shard's ANN indexes are batch-built
-    /// over its vectors, and sheets keep their relative (global) order
-    /// within a shard — the property that makes a sharded Flat
-    /// scatter-gather bit-identical to the unsharded scan.
+    /// over its vectors (IVF trains its quantizer on the shard's vectors,
+    /// HNSW gets its deterministic batch construction), and sheets keep
+    /// their relative (global) order within a shard — the property that
+    /// makes a sharded Flat scatter-gather bit-identical to the unsharded
+    /// scan.
+    ///
+    /// Consumes `self` and distributes it one table at a time, dropping
+    /// each source table before the next is copied, so a cold start never
+    /// holds the loaded index *and* a full set of shard copies (the two
+    /// fine tables are nearly all of an index's bytes).
     pub fn split(
-        &self,
+        self,
         cfg: &AutoFormulaConfig,
         assignment: &[usize],
         n_shards: usize,
@@ -544,29 +551,84 @@ impl ReferenceIndex {
         assert_eq!(assignment.len(), self.n_sheets(), "one shard per sheet");
         assert!(n_shards > 0, "at least one shard");
         debug_assert!(assignment.iter().all(|&s| s < n_shards));
-        let mut coarse_data: Vec<Vec<f32>> = vec![Vec::new(); n_shards];
-        let mut sig_data: Option<Vec<Vec<f32>>> =
-            self.fine_sheets.as_ref().map(|_| vec![Vec::new(); n_shards]);
-        for (si, &s) in assignment.iter().enumerate() {
-            coarse_data[s].extend(self.coarse.vector_owned(si));
-            if let Some(sd) = sig_data.as_mut() {
-                let fs = self.fine_sheets.as_ref().expect("checked above");
-                sd[s].extend(fs.vector_owned(si));
+        let mut parts: Vec<ReferenceIndex> = (0..n_shards).map(|_| self.empty_like(cfg)).collect();
+        let ReferenceIndex {
+            keys,
+            meta,
+            coarse,
+            fine_sheets,
+            regions,
+            region_vecs,
+            param_vecs,
+            coarse_region_vecs,
+            regions_by_sheet,
+            fine_cache,
+            build_seconds: _,
+        } = self;
+
+        let ann_parts = |src: &dyn VectorIndex| -> Vec<Box<dyn VectorIndex>> {
+            let mut data: Vec<Vec<f32>> = vec![Vec::new(); n_shards];
+            for (si, &s) in assignment.iter().enumerate() {
+                data[s].extend(src.vector_owned(si));
+            }
+            data.iter().map(|d| build_ann_index(cfg, src.dim(), d)).collect()
+        };
+        for (part, ann) in parts.iter_mut().zip(ann_parts(&*coarse)) {
+            part.coarse = ann;
+        }
+        if let Some(fs) = fine_sheets.as_deref() {
+            for (part, ann) in parts.iter_mut().zip(ann_parts(fs)) {
+                part.fine_sheets = Some(ann);
             }
         }
-        let mut parts: Vec<ReferenceIndex> = (0..n_shards)
-            .map(|s| {
-                let mut part = self.empty_like(cfg);
-                part.coarse = build_ann_index(cfg, self.coarse.dim(), &coarse_data[s]);
-                if let Some(sd) = sig_data.as_ref() {
-                    let dim = self.fine_sheets.as_ref().expect("checked above").dim();
-                    part.fine_sheets = Some(build_ann_index(cfg, dim, &sd[s]));
-                }
-                part
-            })
-            .collect();
-        for (si, &s) in assignment.iter().enumerate() {
-            parts[s].append_sheet_tables_from(self, si);
+        drop((coarse, fine_sheets));
+
+        // Light fields first. `order` is every source region id in the
+        // row order of the shard tables (sheet by sheet, region by
+        // region), with the shard that receives it.
+        let mut cache_sheets = fine_cache.map(|c| c.sheets.into_iter());
+        let mut order: Vec<(usize, usize)> = Vec::with_capacity(regions.len());
+        for (si, ((key, sheet_meta), rids)) in
+            keys.into_iter().zip(meta).zip(&regions_by_sheet).enumerate()
+        {
+            let s = assignment[si];
+            let part = &mut parts[s];
+            let new_si = part.keys.len();
+            part.keys.push(key);
+            part.meta.push(sheet_meta);
+            if let (Some(dst), Some(src)) = (part.fine_cache.as_mut(), cache_sheets.as_mut()) {
+                dst.sheets.push(src.next().expect("fine cache parallel to keys"));
+            }
+            let mut local = Vec::with_capacity(rids.len());
+            for &rid in rids {
+                let param_start = part.regions.last().map_or(0, |e| e.param_start + e.params.len());
+                local.push(part.regions.len());
+                part.regions.push(RegionEntry {
+                    sheet_idx: new_si,
+                    param_start,
+                    ..regions[rid].clone()
+                });
+                order.push((s, rid));
+            }
+            part.regions_by_sheet.push(local);
+        }
+
+        for &(s, rid) in &order {
+            parts[s].region_vecs.push_row_of(&region_vecs, rid);
+        }
+        drop(region_vecs);
+        for &(s, rid) in &order {
+            let entry = &regions[rid];
+            for pi in 0..entry.params.len() {
+                parts[s].param_vecs.push_row_of(&param_vecs, entry.param_start + pi);
+            }
+        }
+        drop(param_vecs);
+        if let Some(src) = coarse_region_vecs {
+            for &(s, rid) in &order {
+                let dst = parts[s].coarse_region_vecs.as_mut();
+                dst.expect("empty_like mirrors the optional tables").push_row_of(&src, rid);
+            }
         }
         parts
     }
@@ -951,7 +1013,7 @@ mod tests {
         for n_shards in [1usize, 2, 3, 4] {
             let assignment: Vec<usize> =
                 (0..idx.n_sheets()).map(|si| (idx.keys[si].workbook + si) % n_shards).collect();
-            let shards = idx.split(cfg, &assignment, n_shards);
+            let shards = idx.clone().split(cfg, &assignment, n_shards);
             // Per-shard list of global sheet ids, in shard-local order.
             let mut globals: Vec<Vec<usize>> = vec![Vec::new(); n_shards];
             for (si, &s) in assignment.iter().enumerate() {
@@ -991,7 +1053,7 @@ mod tests {
         let idx = ReferenceIndex::build(&embedder, &corpus.workbooks, &members, opts);
         let n_shards = 3usize;
         let assignment: Vec<usize> = (0..idx.n_sheets()).map(|si| si % n_shards).collect();
-        let shards = idx.split(&model.cfg, &assignment, n_shards);
+        let shards = idx.clone().split(&model.cfg, &assignment, n_shards);
         assert_eq!(shards.iter().map(|s| s.n_sheets()).sum::<usize>(), idx.n_sheets());
         assert_eq!(shards.iter().map(|s| s.n_regions()).sum::<usize>(), idx.n_regions());
 

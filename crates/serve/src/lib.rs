@@ -12,13 +12,18 @@
 //!   `Flat` backend the merged result is **bit-identical** to the
 //!   unsharded scan, ties included, because sheets keep their global
 //!   order inside each shard.
-//! * **Delta segments.** Each shard is a sealed *base* plus a small
+//! * **Sealed runs and a delta.** Each shard is an ascending list of
+//!   immutable sealed *runs* (the loaded base is run 0) plus a small
 //!   mutable *delta* (always `Flat`-backed, so it stays exact).
 //!   [`ServeHandle::add_workbook`] clones and grows only the delta —
-//!   O(delta), not O(corpus/N) — and a background compactor folds deltas
-//!   into their base once they reach
-//!   [`AutoFormulaConfig::delta_max_sheets`]. Queries scan base + delta
-//!   and merge, so writes are cheap and reads never miss fresh sheets.
+//!   O(delta), not O(corpus/N). Once the delta reaches
+//!   [`AutoFormulaConfig::delta_max_sheets`] a background compactor
+//!   *seals* it — moves it onto the end of the list, no table copy — and
+//!   then merges the last two runs while the newer has at least as many
+//!   sheets as the older (size-tiered: a sheet is re-copied O(log n)
+//!   times, the base only once additions rival it). Merges are built off
+//!   the writer lock. Queries scan every run plus the delta and merge,
+//!   so writes are cheap and reads never miss fresh sheets.
 //! * **Per-shard left-right epochs, lock-free readers.** Every shard's
 //!   state sits in a two-slot left-right structure: readers acquire it
 //!   with two atomic counter operations and *never block* — not on other
@@ -48,8 +53,8 @@
 //!   panic or injected error it restarts with capped exponential backoff
 //!   ([`ServeStats::compactor_restarts`] counts incidents), and if a
 //!   wedged compactor lets a delta reach `delta_max_sheets ×
-//!   backpressure_factor`, the write path falls back to synchronous
-//!   inline compaction instead of unbounded delta growth. Fault injection
+//!   backpressure_factor`, the write path seals and merges inline
+//!   instead of letting the delta grow without bound. Fault injection
 //!   for all of this lives behind the `failpoints` cargo feature
 //!   (`af_core::failpoint`).
 //!
@@ -89,8 +94,8 @@
 pub mod protocol;
 
 use crate::protocol::{
-    compact_warranted, delta_disposition, should_signal_compactor, DeltaDisposition, EpochCore,
-    HealthCore, LeftRightCore,
+    compact_warranted, delta_disposition, should_merge, should_signal_compactor, DeltaDisposition,
+    EpochCore, HealthCore, LeftRightCore,
 };
 use af_ann::{merge_neighbors, Neighbor};
 use af_check::StdFamily;
@@ -100,7 +105,7 @@ use af_core::fail_point;
 use af_core::features::WindowOrigin;
 use af_core::index::{coarse_window, ReferenceIndex, SheetKey, SheetMeta};
 use af_core::pipeline::{AutoFormula, PipelineVariant, PredictOptions, Prediction};
-use af_core::SheetEmbedding;
+use af_core::{SheetEmbedder, SheetEmbedding};
 use af_grid::{CellRef, Sheet, Workbook};
 use bytes::Bytes;
 use std::marker::PhantomData;
@@ -214,22 +219,51 @@ impl<T> Drop for LeftRight<T> {
 
 // ----------------------------------------------------------- shard state
 
-/// The immutable published state of one shard: a sealed base segment plus
-/// a small delta segment, each paired with the *global* sheet ids its
-/// local ids map to (strictly ascending — the property the bit-identical
-/// merge rests on).
+/// One segment of a shard: an index paired with the *global* sheet id of
+/// each of its local sheet ids (strictly ascending — the property the
+/// bit-identical merge rests on). Immutable once published.
+#[derive(Clone)]
+struct Run {
+    index: ReferenceIndex,
+    globals: Vec<usize>,
+}
+
+impl Run {
+    fn n_sheets(&self) -> usize {
+        self.globals.len()
+    }
+
+    /// Index one more sheet under `global` (greater than every global
+    /// already here).
+    fn push(&mut self, embedder: &SheetEmbedder<'_>, sheet: &Sheet, key: SheetKey, global: usize) {
+        self.index.add_sheet(embedder, sheet, key);
+        self.globals.push(global);
+    }
+
+    /// `older` followed by `newer` as one run — the only table copy
+    /// compaction ever makes, and it copies nothing but the two runs
+    /// being merged. The result keeps `older`'s ANN backend.
+    fn merged(older: &Run, newer: &Run) -> Run {
+        let mut run = older.clone();
+        run.index.absorb(&newer.index);
+        run.globals.extend_from_slice(&newer.globals);
+        run
+    }
+}
+
+/// The immutable published state of one shard: sealed runs plus a small
+/// delta. Across `runs` and then `delta`, globals are strictly ascending
+/// and never overlap — every sheet of a later segment was added after
+/// every sheet of an earlier one.
 struct ShardState {
-    /// Sealed segment. `Arc`-shared across publishes: growing the delta or
-    /// compacting a *different* shard never copies it.
-    base: Arc<ReferenceIndex>,
-    /// Global sheet id of each base-local sheet id, strictly ascending.
-    base_globals: Arc<Vec<usize>>,
+    /// Sealed runs, oldest first; never empty. Run 0 is the loaded base
+    /// (possibly HNSW/IVF) until the merge rule folds it. `Arc`-shared
+    /// across publishes: a write or a merge never copies a run it does
+    /// not touch.
+    runs: Vec<Arc<Run>>,
     /// Mutable segment, always `Flat`-backed (exact). Cloned — O(delta) —
-    /// on every write to this shard.
-    delta: ReferenceIndex,
-    /// Global sheet id of each delta-local sheet id, strictly ascending,
-    /// every entry greater than every base global.
-    delta_globals: Vec<usize>,
+    /// on every write to this shard; sealing moves the `Arc` onto `runs`.
+    delta: Arc<Run>,
     /// When this state was published (drives the
     /// [`ServeStats::youngest_snapshot_age`] /
     /// [`ServeStats::oldest_snapshot_age`] pair).
@@ -237,27 +271,48 @@ struct ShardState {
 }
 
 impl ShardState {
-    fn sealed(
-        base: ReferenceIndex,
-        base_globals: Vec<usize>,
-        delta_cfg: &AutoFormulaConfig,
-    ) -> ShardState {
-        let delta = base.empty_like(delta_cfg);
-        ShardState {
-            base: Arc::new(base),
-            base_globals: Arc::new(base_globals),
-            delta,
-            delta_globals: Vec::new(),
-            published_at: Instant::now(),
+    /// Every non-empty segment, oldest first: the runs, then the delta.
+    fn segments(&self) -> impl Iterator<Item = &Run> {
+        let all = self.runs.iter().chain(std::iter::once(&self.delta));
+        all.map(|run| &**run).filter(|run| run.n_sheets() > 0)
+    }
+
+    fn sealed_sheets(&self) -> usize {
+        self.runs.iter().map(|r| r.n_sheets()).sum()
+    }
+
+    /// This state with the delta moved onto the end of the run list and
+    /// `empty_delta` in its place. No table is copied.
+    fn sealed(&self, empty_delta: &Arc<Run>) -> ShardState {
+        let mut runs = self.runs.clone();
+        runs.push(Arc::clone(&self.delta));
+        ShardState { runs, delta: Arc::clone(empty_delta), published_at: Instant::now() }
+    }
+
+    /// Where the merge rule ([`should_merge`]) wants the next merge: the
+    /// position of the older of the last two runs, `None` once the rule
+    /// holds.
+    fn merge_due(&self) -> Option<usize> {
+        let [.., prev, last] = self.runs.as_slice() else { return None };
+        should_merge(last.n_sheets(), prev.n_sheets()).then(|| self.runs.len() - 2)
+    }
+
+    /// This state with runs `at` and `at + 1` replaced by `merged`.
+    fn with_merged(&self, at: usize, merged: Run) -> ShardState {
+        let mut runs = self.runs.clone();
+        runs.splice(at..at + 2, [Arc::new(merged)]);
+        ShardState { runs, delta: Arc::clone(&self.delta), published_at: Instant::now() }
+    }
+
+    /// Seal the delta and merge until the rule holds, synchronously — the
+    /// whole compaction in one step, for a caller that already holds the
+    /// writer lock (the backpressure path).
+    fn compacted(&self, empty_delta: &Arc<Run>) -> ShardState {
+        let mut state = self.sealed(empty_delta);
+        while let Some(at) = state.merge_due() {
+            state = state.with_merged(at, Run::merged(&state.runs[at], &state.runs[at + 1]));
         }
-    }
-
-    fn n_sheets(&self) -> usize {
-        self.base.n_sheets() + self.delta.n_sheets()
-    }
-
-    fn n_regions(&self) -> usize {
-        self.base.n_regions() + self.delta.n_regions()
+        state
     }
 }
 
@@ -299,8 +354,8 @@ struct Counters {
     /// Compactor supervision incidents: each panic or injected error that
     /// forced a backoff-and-restart of the compaction loop.
     compactor_restarts: AtomicU64,
-    /// Writes that fell back to synchronous inline compaction because the
-    /// delta hit the backpressure threshold.
+    /// Writes that sealed and merged inline because the delta hit the
+    /// backpressure threshold.
     inline_compactions: AtomicU64,
     /// Per-shard queries that actually scanned the shard (sized to
     /// `n_shards` at construction; quarantined/skipped shards don't
@@ -353,8 +408,9 @@ pub struct ServeStats {
     /// Compactor supervision incidents (panic or injected error, each
     /// followed by a capped-exponential-backoff restart of the loop).
     pub compactor_restarts: u64,
-    /// Writes that compacted inline because the shard's delta reached the
-    /// backpressure threshold (`delta_max_sheets × backpressure_factor`).
+    /// Writes that sealed and merged inline because the shard's delta
+    /// reached the backpressure threshold (`delta_max_sheets ×
+    /// backpressure_factor`).
     pub inline_compactions: u64,
     /// Per-shard detail, indexed by shard id (`len() == n_shards`).
     pub shards: Vec<ShardStats>,
@@ -366,9 +422,13 @@ pub struct ServeStats {
 pub struct ShardStats {
     /// Shard index (0-based, `< n_shards`).
     pub shard: usize,
-    /// Sheets in the compacted base segment.
+    /// Sheets in sealed runs (the loaded base and everything compacted
+    /// since).
     pub base_sheets: usize,
-    /// Sheets waiting in the delta segment (not yet compacted).
+    /// Sealed runs those sheets are spread over — O(log) of the sheets
+    /// added since load under the size-tiered merge rule.
+    pub sealed_runs: usize,
+    /// Sheets waiting in the delta segment (not yet sealed).
     pub delta_sheets: usize,
     /// Epoch at which the shard was quarantined; `None` when healthy.
     pub quarantined_since: Option<u64>,
@@ -434,47 +494,75 @@ struct Shared {
     delta_max: usize,
     /// Inline-compaction threshold: when a delta reaches
     /// `delta_max × backpressure_factor` sheets the write path stops
-    /// waiting for the (evidently wedged) compactor and folds the delta
+    /// waiting for the (evidently wedged) compactor and seals the delta
     /// itself. `None` disables the fallback.
     backpressure_at: Option<usize>,
-    /// The config delta segments are built with (`Flat` backend — exact).
-    delta_cfg: AutoFormulaConfig,
+    /// The delta every shard starts from and returns to when its delta is
+    /// sealed: no sheets, `Flat` backend (exact), the index's optional
+    /// structures and codecs.
+    empty_delta: Arc<Run>,
     /// Wakes the compactor with the index of a shard whose delta is full.
     /// `None` when `delta_max == 0` (no compactor thread).
     compact_tx: Option<mpsc::Sender<usize>>,
 }
 
 impl Shared {
-    /// Fold `shard`'s delta into its base and publish the compacted state.
-    /// Runs on the compactor thread; holds the shard's writer lock for the
-    /// duration (an `add_workbook` targeting this shard waits, others
-    /// proceed). An `Err` is only ever an injected fault (the
-    /// `serve::compact` failpoint); the supervisor treats it like a panic.
+    /// Seal `shard`'s delta if it is full, then merge runs until the rule
+    /// holds. Runs on the compactor thread. An `Err` is only ever an
+    /// injected fault (the `serve::compact` failpoint); the supervisor
+    /// treats it like a panic.
     fn compact(&self, shard: usize) -> Result<(), af_core::failpoint::Injected> {
-        let cell = &self.shards[shard].state;
-        let guard = cell.write_lock();
-        let cur = cell.read();
-        // Re-check under the lock: a racing compaction signal may already
-        // have been served.
-        if !compact_warranted(cur.delta.n_sheets(), self.delta_max) {
-            return Ok(());
-        }
-        // The failpoint sits before any cloning so an injected panic or
-        // error leaves the published state untouched (the writer lock
-        // unlocks on unwind; parking_lot mutexes do not poison).
+        // The failpoint sits before any build so an injected panic or
+        // error leaves the published state untouched; so does a panic
+        // mid-merge, which unwinds before the swap (parking_lot mutexes
+        // unlock on unwind without poisoning).
         fail_point!("serve::compact", Err);
-        // How deep the delta got before this compaction drained it — the
-        // backlog gauge a wedged compactor shows up in first.
-        af_obs::observe!("serve::compact_backlog", cur.delta.n_sheets());
-        let compacting = af_obs::span!("serve::compact", shard = shard);
-        let mut base = (*cur.base).clone();
-        base.absorb(&cur.delta);
-        let mut globals = (*cur.base_globals).clone();
-        globals.extend_from_slice(&cur.delta_globals);
-        cell.publish(Arc::new(ShardState::sealed(base, globals, &self.delta_cfg)));
-        compacting.end();
-        drop(guard);
+        self.seal_full_delta(shard);
+        while self.merge_once(shard) {}
         Ok(())
+    }
+
+    /// Move `shard`'s delta onto the end of its run list if it has reached
+    /// `delta_max`. Copies nothing; holds the writer lock for one publish.
+    fn seal_full_delta(&self, shard: usize) {
+        let cell = &self.shards[shard].state;
+        let _guard = cell.write_lock();
+        let cur = cell.read();
+        // Re-check under the lock: a racing signal or an inline
+        // compaction may already have sealed this delta.
+        if compact_warranted(cur.delta.n_sheets(), self.delta_max) {
+            // How deep the delta got before it was sealed — the backlog
+            // gauge a wedged compactor shows up in first.
+            af_obs::observe!("serve::compact_backlog", cur.delta.n_sheets());
+            cell.publish(Arc::new(cur.sealed(&self.empty_delta)));
+        }
+    }
+
+    /// One step of the merge rule on `shard`: `false` once the rule holds.
+    /// The merge is built off the writer lock from the immutable `Arc`s
+    /// and swapped in under it, so an `add_workbook` targeting this shard
+    /// never waits on a table copy.
+    fn merge_once(&self, shard: usize) -> bool {
+        let cell = &self.shards[shard].state;
+        let cur = cell.read();
+        let Some(at) = cur.merge_due() else { return false };
+        let _merging = af_obs::span!("serve::compact", shard = shard);
+        let (older, newer) = (&cur.runs[at], &cur.runs[at + 1]);
+        let merged = Run::merged(older, newer);
+        let _guard = cell.write_lock();
+        let now = cell.read();
+        // Writers only replace the delta, so the runs read off the lock
+        // are normally still in place; an inline compaction may have
+        // merged them itself, in which case this build is dropped and the
+        // caller evaluates the rule afresh.
+        let in_place = matches!(
+            now.runs.get(at..at + 2),
+            Some([a, b]) if Arc::ptr_eq(a, older) && Arc::ptr_eq(b, newer)
+        );
+        if in_place {
+            cell.publish(Arc::new(now.with_merged(at, merged)));
+        }
+        true
     }
 
     fn quarantine(&self, shard: usize) {
@@ -517,8 +605,8 @@ pub struct Snapshot {
     counters: Arc<Counters>,
 }
 
-/// One scannable segment of a snapshot: a shard's base or delta index,
-/// with the mapping from segment-local sheet ids to global ids.
+/// One scannable segment of a snapshot — a sealed run or a delta — with
+/// the shard that owns it.
 struct Segment<'a> {
     index: &'a ReferenceIndex,
     globals: &'a [usize],
@@ -529,36 +617,20 @@ impl Snapshot {
     /// Every non-empty segment, quarantined shards included — persistence
     /// ([`Snapshot::keys`], [`Snapshot::merged`]) must never lose a
     /// quarantined shard's data; only the query path excludes them.
-    fn segments(&self) -> Vec<Segment<'_>> {
-        let mut v = Vec::with_capacity(self.shards.len() * 2);
-        for (shard, st) in self.shards.iter().enumerate() {
-            if st.base.n_sheets() > 0 {
-                v.push(Segment { index: &st.base, globals: &st.base_globals, shard });
-            }
-            if st.delta.n_sheets() > 0 {
-                v.push(Segment { index: &st.delta, globals: &st.delta_globals, shard });
-            }
-        }
-        v
+    fn segments(&self) -> impl Iterator<Item = Segment<'_>> {
+        self.shards.iter().enumerate().flat_map(|(shard, st)| {
+            st.segments().map(move |run| Segment {
+                index: &run.index,
+                globals: &run.globals,
+                shard,
+            })
+        })
     }
 
     /// The segment owning `global`, plus the segment-local sheet id.
     fn locate(&self, global: usize) -> Option<(Segment<'_>, usize)> {
-        for (shard, st) in self.shards.iter().enumerate() {
-            if let Ok(local) = st.base_globals.binary_search(&global) {
-                return Some((
-                    Segment { index: &st.base, globals: &st.base_globals, shard },
-                    local,
-                ));
-            }
-            if let Ok(local) = st.delta_globals.binary_search(&global) {
-                return Some((
-                    Segment { index: &st.delta, globals: &st.delta_globals, shard },
-                    local,
-                ));
-            }
-        }
-        None
+        self.segments()
+            .find_map(|seg| seg.globals.binary_search(&global).ok().map(|local| (seg, local)))
     }
 
     /// Quarantine `shard` (sticky; cleared only by
@@ -570,15 +642,15 @@ impl Snapshot {
 
     /// Sheets indexed in this snapshot, across every shard and segment.
     pub fn n_sheets(&self) -> usize {
-        self.shards.iter().map(|s| s.n_sheets()).sum()
+        self.segments().map(|seg| seg.index.n_sheets()).sum()
     }
 
     /// Formula regions indexed in this snapshot.
     pub fn n_regions(&self) -> usize {
-        self.shards.iter().map(|s| s.n_regions()).sum()
+        self.segments().map(|seg| seg.index.n_regions()).sum()
     }
 
-    /// Sheets currently sitting in delta segments (not yet compacted),
+    /// Sheets currently sitting in delta segments (not yet sealed),
     /// across every shard. Observability for the backpressure path.
     pub fn n_delta_sheets(&self) -> usize {
         self.shards.iter().map(|s| s.delta.n_sheets()).sum()
@@ -613,7 +685,7 @@ impl Snapshot {
     /// global order.
     pub fn similar_sheets(&self, coarse_query: &[f32], k: usize) -> Vec<Neighbor> {
         merge_neighbors(
-            self.segments().iter().map(|seg| {
+            self.segments().map(|seg| {
                 seg.index
                     .similar_sheets(coarse_query, k)
                     .into_iter()
@@ -711,7 +783,7 @@ impl Snapshot {
         let embedder = self.system.embedder();
         // Declared before the stage spans so it drops (and records) last.
         let _query = af_obs::span!("serve::predict");
-        let segments = self.segments();
+        let segments: Vec<Segment<'_>> = self.segments().collect();
         // Per-query shard exclusion, seeded from the sticky quarantine
         // flags; a mid-query panic adds to it (and to the shared flags).
         let mut excluded: Vec<bool> = self.health.iter().map(|h| h.is_quarantined()).collect();
@@ -720,8 +792,8 @@ impl Snapshot {
 
         // ---- S1: scatter, globalize, merge ----
         // Results are collected per segment (tagged with the owning shard)
-        // so a delta-segment panic can still retract its shard's base hits
-        // before the merge — a quarantined shard contributes nothing.
+        // so a panic in one segment can still retract its shard's other
+        // segments' hits before the merge — a quarantined shard contributes nothing.
         let mut per_seg: Vec<(usize, Vec<Neighbor>)> = Vec::with_capacity(segments.len());
         let s1 = af_obs::span!("serve::s1_scan");
         for seg in &segments {
@@ -928,16 +1000,13 @@ impl Snapshot {
         // by global id so the merged index is the canonical ordering.
         let mut rows: Vec<(usize, u32, &ReferenceIndex, usize)> =
             Vec::with_capacity(self.n_sheets());
-        for (shard_idx, st) in self.shards.iter().enumerate() {
-            for (local, &g) in st.base_globals.iter().enumerate() {
-                rows.push((g, shard_idx as u32, &st.base, local));
-            }
-            for (local, &g) in st.delta_globals.iter().enumerate() {
-                rows.push((g, shard_idx as u32, &st.delta, local));
+        for seg in self.segments() {
+            for (local, &g) in seg.globals.iter().enumerate() {
+                rows.push((g, seg.shard as u32, seg.index, local));
             }
         }
         rows.sort_by_key(|&(g, _, _, _)| g);
-        let proto = &self.shards[0].base;
+        let proto = &self.shards[0].delta.index;
         let mut merged = proto.empty_like(cfg);
         let mut assignment = Vec::with_capacity(rows.len());
         for &(_, shard, index, local) in &rows {
@@ -1006,11 +1075,17 @@ impl ServeHandle {
             let assignment: Vec<usize> = layout.assignment.iter().map(|&s| s as usize).collect();
             index.split(&cfg, &assignment, n_shards)
         };
+        let empty_delta =
+            Arc::new(Run { index: bases[0].empty_like(&delta_cfg), globals: Vec::new() });
         let shards: Vec<Shard> = bases
             .into_iter()
             .zip(globals)
-            .map(|(base, g)| Shard {
-                state: LeftRight::new(Arc::new(ShardState::sealed(base, g, &delta_cfg))),
+            .map(|(index, globals)| Shard {
+                state: LeftRight::new(Arc::new(ShardState {
+                    runs: vec![Arc::new(Run { index, globals })],
+                    delta: Arc::clone(&empty_delta),
+                    published_at: Instant::now(),
+                })),
                 health: Arc::new(ShardHealth::new()),
             })
             .collect();
@@ -1031,7 +1106,7 @@ impl ServeHandle {
             delta_max: cfg.delta_max_sheets,
             backpressure_at: (cfg.delta_max_sheets > 0 && cfg.backpressure_factor > 0)
                 .then(|| cfg.delta_max_sheets * cfg.backpressure_factor),
-            delta_cfg,
+            empty_delta,
             compact_tx,
         });
         let join = compact_rx.map(|rx| {
@@ -1102,11 +1177,11 @@ impl ServeHandle {
     /// (v3 `SHARDS` section) when serving sharded.
     pub fn to_artifact(&self) -> Bytes {
         let snap = self.snapshot();
-        // Unsharded with an empty delta: save the base as-is (no merge
+        // Unsharded and fully merged: save the one run as-is (no merge
         // copy, and an approximate ANN graph round-trips bit-for-bit).
         if let [only] = snap.shards.as_slice() {
-            if only.delta.n_sheets() == 0 {
-                return snap.system.save(&only.base);
+            if let ([run], 0) = (only.runs.as_slice(), only.delta.n_sheets()) {
+                return snap.system.save(&run.index);
             }
         }
         let (merged, layout) = snap.merged();
@@ -1166,7 +1241,8 @@ impl ServeHandle {
                 let health = &self.shared.shards[shard].health;
                 ShardStats {
                     shard,
-                    base_sheets: st.base.n_sheets(),
+                    base_sheets: st.sealed_sheets(),
+                    sealed_runs: st.runs.len(),
                     delta_sheets: st.delta.n_sheets(),
                     quarantined_since: health.is_quarantined().then(|| health.since_epoch()),
                     // ordering: Relaxed — stats reads are independent
@@ -1334,71 +1410,58 @@ impl ServeHandle {
     /// their snapshot, new queries see the new sheets. Full deltas are
     /// handed to the background compactor. Returns the new epoch.
     pub fn add_workbook(&self, workbook: &Workbook) -> u64 {
+        let shared = &*self.shared;
         // ordering: Relaxed — a unique-id allocator; nothing is published
         // through it (the sheets become visible via the shard publish).
-        let id = self.shared.next_workbook_id.fetch_add(1, Ordering::Relaxed);
-        let embedder = self.shared.system.embedder();
-        let n_shards = self.shared.shards.len();
+        let id = shared.next_workbook_id.fetch_add(1, Ordering::Relaxed);
+        let embedder = shared.system.embedder();
         for (si, sheet) in workbook.sheets.iter().enumerate() {
             let key = SheetKey { workbook: id, sheet: si };
-            let publish = af_obs::span!("serve::delta_publish", shard = shard_of(key, n_shards));
-            let cell = &self.shared.shards[shard_of(key, n_shards)].state;
+            let shard = shard_of(key, shared.shards.len());
+            let cell = &shared.shards[shard].state;
+            // Time spent queued behind another writer or a compactor swap
+            // is its own site, so `serve::delta_publish` is the work only.
+            let waiting = af_obs::span!("serve::write_lock_wait", shard = shard);
             let guard = cell.write_lock();
-            // Allocate the global id under the shard lock so per-shard
-            // global lists stay strictly ascending.
+            waiting.end();
+            let publish = af_obs::span!("serve::delta_publish", shard = shard);
+            // Allocate the global id under the shard lock so globals stay
+            // strictly ascending along the shard's segments.
             // ordering: Relaxed — uniqueness comes from RMW atomicity;
             // strict per-shard ascent comes from allocating under the
             // shard's writer lock, whose edges order the allocations.
-            let global = self.shared.next_global.fetch_add(1, Ordering::Relaxed);
+            let global = shared.next_global.fetch_add(1, Ordering::Relaxed);
             let cur = cell.read();
-            let new = if self.shared.delta_max == 0 {
-                // Deltas disabled: grow the base synchronously (O(shard)).
-                let mut base = (*cur.base).clone();
-                base.add_sheet(&embedder, sheet, key);
-                let mut globals = (*cur.base_globals).clone();
-                globals.push(global);
-                ShardState {
-                    base: Arc::new(base),
-                    base_globals: Arc::new(globals),
-                    delta: cur.delta.clone(),
-                    delta_globals: cur.delta_globals.clone(),
-                    published_at: Instant::now(),
+            let mut runs = cur.runs.clone();
+            let mut delta = Arc::clone(&cur.delta);
+            match runs.last_mut() {
+                // Deltas disabled: grow the (only) run synchronously —
+                // O(shard) per write.
+                Some(last) if shared.delta_max == 0 => {
+                    let mut run = (**last).clone();
+                    run.push(&embedder, sheet, key, global);
+                    *last = Arc::new(run);
                 }
-            } else {
-                let mut delta = cur.delta.clone();
-                delta.add_sheet(&embedder, sheet, key);
-                let mut delta_globals = cur.delta_globals.clone();
-                delta_globals.push(global);
-                let grown = ShardState {
-                    base: Arc::clone(&cur.base),
-                    base_globals: Arc::clone(&cur.base_globals),
-                    delta,
-                    delta_globals,
-                    published_at: Instant::now(),
-                };
-                if delta_disposition(grown.delta.n_sheets(), self.shared.backpressure_at)
-                    == DeltaDisposition::CompactInline
-                {
-                    // Backpressure: the delta has outgrown the compactor
-                    // (wedged, or simply outpaced). Fold it into the base
-                    // inline — one synchronous O(shard) write beats every
-                    // query on this shard degrading toward O(corpus).
-                    // ordering: Relaxed — observability counter.
-                    self.shared.counters.inline_compactions.fetch_add(1, Ordering::Relaxed);
-                    let stall =
-                        af_obs::span!("serve::inline_compact", shard = shard_of(key, n_shards));
-                    let mut base = (*grown.base).clone();
-                    base.absorb(&grown.delta);
-                    let mut globals = (*grown.base_globals).clone();
-                    globals.extend_from_slice(&grown.delta_globals);
-                    let sealed = ShardState::sealed(base, globals, &self.shared.delta_cfg);
-                    stall.end();
-                    sealed
-                } else {
-                    grown
+                _ => {
+                    let mut run = (*delta).clone();
+                    run.push(&embedder, sheet, key, global);
+                    delta = Arc::new(run);
                 }
-            };
-            let signal = should_signal_compactor(new.delta.n_sheets(), self.shared.delta_max);
+            }
+            let mut new = ShardState { runs, delta, published_at: Instant::now() };
+            if delta_disposition(new.delta.n_sheets(), shared.backpressure_at)
+                == DeltaDisposition::CompactInline
+            {
+                // Backpressure: the delta has outgrown the compactor
+                // (wedged, or simply outpaced). Seal and merge it here —
+                // one synchronous compaction beats every query on this
+                // shard degrading toward O(corpus).
+                // ordering: Relaxed — observability counter.
+                shared.counters.inline_compactions.fetch_add(1, Ordering::Relaxed);
+                let _stall = af_obs::span!("serve::inline_compact", shard = shard);
+                new = new.compacted(&shared.empty_delta);
+            }
+            let signal = should_signal_compactor(new.delta.n_sheets(), shared.delta_max);
             // An injected panic here aborts the write *before* the publish:
             // the writer lock unwinds clean and readers keep the previous
             // state — no torn shard.
@@ -1407,14 +1470,14 @@ impl ServeHandle {
             drop(guard);
             publish.end();
             if signal {
-                if let Some(tx) = &self.shared.compact_tx {
-                    let _ = tx.send(shard_of(key, n_shards));
+                if let Some(tx) = &shared.compact_tx {
+                    let _ = tx.send(shard);
                 }
             }
         }
         // ordering: Relaxed — independent stats counter, publishes nothing.
-        self.shared.counters.adds.fetch_add(1, Ordering::Relaxed);
-        self.shared.epoch.advance()
+        shared.counters.adds.fetch_add(1, Ordering::Relaxed);
+        shared.epoch.advance()
     }
 }
 
@@ -1499,70 +1562,183 @@ mod tests {
         }
     }
 
+    /// Two snapshots answer `queries` identically: S1 ids and score bits,
+    /// and every field of the prediction.
+    fn assert_snapshots_agree(
+        a: &Snapshot,
+        b: &Snapshot,
+        queries: &[(&Sheet, CellRef)],
+        ctx: &str,
+    ) {
+        assert_coherent(b);
+        assert_eq!(a.keys(), b.keys(), "{ctx}");
+        let k = a.system.cfg().k_sheets;
+        for &(sheet, target) in queries {
+            let emb = a.system.embedder().embed_sheet(sheet, false);
+            let ha = a.similar_sheets(&emb.coarse, k);
+            let hb = b.similar_sheets(&emb.coarse, k);
+            assert_eq!(ha.len(), hb.len(), "{ctx}");
+            for (x, y) in ha.iter().zip(&hb) {
+                assert_eq!(x.id, y.id, "{ctx}");
+                assert_eq!(x.dist.to_bits(), y.dist.to_bits(), "{ctx}");
+            }
+            let pa = a.predict_with(sheet, target, PipelineVariant::Full);
+            let pb = b.predict_with(sheet, target, PipelineVariant::Full);
+            match (pa, pb) {
+                (Some(x), Some(y)) => {
+                    assert_eq!(x.formula, y.formula, "{ctx}");
+                    assert_eq!(x.s2_distance.to_bits(), y.s2_distance.to_bits(), "{ctx}");
+                    assert_eq!(x.reference_sheet, y.reference_sheet, "{ctx}");
+                    assert_eq!(x.reference_sheet_idx, y.reference_sheet_idx, "{ctx}");
+                    assert_eq!(x.reference_cell, y.reference_cell, "{ctx}");
+                }
+                (None, None) => {}
+                (x, y) => panic!("{ctx}: {x:?} vs {y:?}"),
+            }
+        }
+    }
+
+    /// Sheet counts of every shard's sealed runs, oldest first.
+    fn run_sizes(snap: &Snapshot) -> Vec<Vec<usize>> {
+        snap.shards.iter().map(|st| st.runs.iter().map(|r| r.n_sheets()).collect()).collect()
+    }
+
     #[test]
     fn sharded_serving_is_bit_identical_to_unsharded() {
+        // The test plays compactor itself, one step at a time, so every
+        // intermediate layout a reader could catch — sealed but not yet
+        // merged, half-way up a merge cascade — is compared, and the run
+        // lists are the same on every run of the test.
+        const SEAL_AT: usize = 2;
         let corpus = OrgSpec::pge(Scale::Tiny).generate();
-        let base_cfg = AutoFormulaConfig::test_tiny();
+        // A delta capacity the test never reaches: no compactor signal,
+        // no backpressure.
+        let base_cfg =
+            AutoFormulaConfig { delta_max_sheets: 1 << 20, ..AutoFormulaConfig::test_tiny() };
         let af = system_with(base_cfg);
         let members: Vec<usize> = (0..4).collect();
         let index = af.build_index(&corpus.workbooks, &members, IndexOptions::default());
         let queries = query_targets(&corpus, 0);
-        assert!(!queries.is_empty());
+        assert!(queries.len() >= 3);
 
         for n_shards in [1usize, 2, 4, 7] {
             let cfg = AutoFormulaConfig { n_shards, ..base_cfg };
             let plain = ServeHandle::new(system_with(base_cfg), index.clone());
             let sharded = ServeHandle::new(system_with(cfg), index.clone());
-            // Twice: once over the sealed bases, once after growth has
-            // populated delta segments on both sides.
-            for round in 0..2 {
-                let (a, b) = (plain.snapshot(), sharded.snapshot());
-                assert_coherent(&b);
-                assert_eq!(a.keys(), b.keys(), "{n_shards} shards, round {round}");
-                for &(sheet, target) in &queries {
-                    let emb = a.system.embedder().embed_sheet(sheet, false);
-                    let ha = a.similar_sheets(&emb.coarse, base_cfg.k_sheets);
-                    let hb = b.similar_sheets(&emb.coarse, base_cfg.k_sheets);
-                    assert_eq!(ha.len(), hb.len(), "{n_shards} shards, round {round}");
-                    for (x, y) in ha.iter().zip(&hb) {
-                        assert_eq!(x.id, y.id, "{n_shards} shards, round {round}");
-                        assert_eq!(
-                            x.dist.to_bits(),
-                            y.dist.to_bits(),
-                            "{n_shards} shards, round {round}"
-                        );
+            let ctx = |what: &str| format!("{n_shards} shards, {what}");
+            assert_snapshots_agree(
+                &plain.snapshot(),
+                &sharded.snapshot(),
+                &queries,
+                &ctx("as loaded"),
+            );
+
+            let loaded: Vec<usize> = run_sizes(&sharded.snapshot()).iter().map(|r| r[0]).collect();
+            let added = |snap: &Snapshot| -> Vec<usize> {
+                snap.shards
+                    .iter()
+                    .zip(&loaded)
+                    .map(|(st, l)| st.sealed_sheets() + st.delta.n_sheets() - l)
+                    .collect()
+            };
+            // How many merges deep each run of each shard is (the test's
+            // own book-keeping: a seal is 0, a merge one more than the
+            // deeper of its inputs).
+            let mut depths: Vec<Vec<usize>> = vec![vec![0]; n_shards];
+            let mut most_runs = 0usize;
+            let mut deepest_merge = 0usize;
+            let mut reloaded_multi_run = false;
+            let mut steps = 0usize;
+            // Grow until every shard has taken more than four deltas'
+            // worth of sheets, cycling through the unindexed workbooks
+            // (a repeat is a new workbook with byte-identical sheets:
+            // distance ties, broken by global id).
+            let arrivals = corpus.workbooks[4..].iter().cycle().take(400);
+            for wb in arrivals {
+                if added(&sharded.snapshot()).iter().all(|&n| n > 4 * SEAL_AT) {
+                    break;
+                }
+                plain.add_workbook(wb);
+                sharded.add_workbook(wb);
+                for shard in 0..n_shards {
+                    let cell = &sharded.shared.shards[shard].state;
+                    if cell.read().delta.n_sheets() < SEAL_AT {
+                        continue;
                     }
-                    let pa = a.predict_with(sheet, target, PipelineVariant::Full);
-                    let pb = b.predict_with(sheet, target, PipelineVariant::Full);
-                    match (pa, pb) {
-                        (Some(x), Some(y)) => {
-                            assert_eq!(x.formula, y.formula);
-                            assert_eq!(x.s2_distance.to_bits(), y.s2_distance.to_bits());
-                            assert_eq!(x.reference_sheet, y.reference_sheet);
-                            assert_eq!(x.reference_sheet_idx, y.reference_sheet_idx);
-                            assert_eq!(x.reference_cell, y.reference_cell);
+                    {
+                        let _guard = cell.write_lock();
+                        cell.publish(Arc::new(cell.read().sealed(&sharded.shared.empty_delta)));
+                    }
+                    depths[shard].push(0);
+                    loop {
+                        // A few queries per layout, all of them in turn.
+                        let some: Vec<_> =
+                            (0..3).map(|i| queries[(steps * 3 + i) % queries.len()]).collect();
+                        steps += 1;
+                        let snap = sharded.snapshot();
+                        let sizes = run_sizes(&snap);
+                        assert_snapshots_agree(
+                            &plain.snapshot(),
+                            &snap,
+                            &some,
+                            &ctx(&format!("{sizes:?}")),
+                        );
+                        assert_eq!(sizes[shard].len(), depths[shard].len());
+                        most_runs = most_runs.max(sizes[shard].len());
+                        if !sharded.shared.merge_once(shard) {
+                            break;
                         }
-                        (None, None) => {}
-                        (x, y) => panic!("{n_shards} shards, round {round}: {x:?} vs {y:?}"),
+                        // Nobody else compacts: it merged the last two.
+                        let inputs = depths[shard].split_off(sizes[shard].len() - 2);
+                        depths[shard].push(inputs[0].max(inputs[1]) + 1);
+                        deepest_merge = deepest_merge.max(inputs[0].max(inputs[1]) + 1);
                     }
                 }
-                if round == 0 {
-                    for wb in [4usize, 5] {
-                        plain.add_workbook(&corpus.workbooks[wb]);
-                        sharded.add_workbook(&corpus.workbooks[wb]);
-                    }
+                // Once, from a state with several runs in a shard: the
+                // artifact of a multi-run state reloads to the same
+                // global order and the same answers.
+                let snap = sharded.snapshot();
+                if !reloaded_multi_run && snap.shards.iter().any(|st| st.runs.len() >= 3) {
+                    reloaded_multi_run = true;
+                    let reloaded = ServeHandle::from_artifact(&sharded.to_artifact()).unwrap();
+                    assert_eq!(reloaded.n_shards(), n_shards);
+                    let what = ctx(&format!("reloaded from {:?}", run_sizes(&snap)));
+                    assert_snapshots_agree(
+                        &plain.snapshot(),
+                        &reloaded.snapshot(),
+                        &queries,
+                        &what,
+                    );
                 }
             }
+            let (a, b) = (plain.snapshot(), sharded.snapshot());
+            assert!(
+                added(&b).iter().all(|&n| n > 4 * SEAL_AT),
+                "{n_shards} shards: {:?}",
+                added(&b)
+            );
+            assert!(most_runs >= 3, "{n_shards} shards: never more than {most_runs} runs");
+            assert!(deepest_merge >= 2, "{n_shards} shards: no merge of an already merged run");
+            assert!(reloaded_multi_run, "{n_shards} shards: no multi-run state was saved");
+            for sizes in run_sizes(&b) {
+                assert!(
+                    sizes.windows(2).all(|w| w[0] > w[1]),
+                    "merge rule holds at rest: {sizes:?}"
+                );
+            }
+            assert_snapshots_agree(&a, &b, &queries, &ctx("at rest"));
         }
     }
 
     #[test]
     fn background_compaction_folds_deltas_without_changing_results() {
-        // delta_max_sheets = 1: every added sheet fills its shard's delta,
-        // so the compactor runs after every write.
+        // delta_max_sheets = 1: every added sheet fills its shard's delta
+        // and signals the compactor. Backpressure is off, so however far
+        // the compactor falls behind, every seal and merge is its own.
         let compacting = AutoFormulaConfig {
             n_shards: 2,
             delta_max_sheets: 1,
+            backpressure_factor: 0,
             ..AutoFormulaConfig::test_tiny()
         };
         // Reference: same shards, deltas disabled (synchronous base growth).
@@ -1573,33 +1749,50 @@ mod tests {
         };
         let (handle, corpus) = handle_over_with(compacting, 3);
         let (reference, _) = handle_over_with(synchronous, 3);
-        for wb in 3..6 {
-            handle.add_workbook(&corpus.workbooks[wb]);
-            reference.add_workbook(&corpus.workbooks[wb]);
+        let sheets_before = handle.n_sheets();
+        // More than four deltas' worth of sheets for each shard.
+        let mut adds = 0u64;
+        for wb in &corpus.workbooks[3..15] {
+            handle.add_workbook(wb);
+            reference.add_workbook(wb);
+            adds += 1;
+            // Whatever the compactor is in the middle of, a reader sees a
+            // coherent shard.
+            assert_coherent(&handle.snapshot());
         }
-        // Compaction is asynchronous; wait for the deltas to drain.
+        let added: usize = corpus.workbooks[3..15].iter().map(|wb| wb.sheets.len()).sum();
+        assert!(added > 2 * 4 * 2, "only {added} sheets added");
+        // Compaction is asynchronous; wait for it to come to rest: every
+        // delta sealed, and the merge rule satisfied on every shard.
         let deadline = Instant::now() + Duration::from_secs(30);
         loop {
             let snap = handle.snapshot();
             assert_coherent(&snap);
-            if snap.shards.iter().all(|s| s.delta.n_sheets() == 0) {
+            if snap.shards.iter().all(|s| s.delta.n_sheets() == 0 && s.merge_due().is_none()) {
                 break;
             }
-            assert!(Instant::now() < deadline, "compactor never drained the deltas");
+            assert!(Instant::now() < deadline, "compactor never came to rest");
             std::thread::yield_now();
         }
         // Compaction republishes shard states but is epoch-neutral.
-        assert_eq!(handle.epoch(), 3);
-        // And content-neutral: the compacted server answers exactly like
-        // the synchronously-grown one.
-        let (a, b) = (handle.snapshot(), reference.snapshot());
-        assert_eq!(a.keys(), b.keys());
-        for (sheet, target) in query_targets(&corpus, 0).into_iter().take(8) {
-            let pa = a.predict_with(sheet, target, PipelineVariant::Full);
-            let pb = b.predict_with(sheet, target, PipelineVariant::Full);
-            assert_eq!(pa.as_ref().map(|p| &p.formula), pb.as_ref().map(|p| &p.formula));
-            assert_eq!(pa.map(|p| p.s2_distance.to_bits()), pb.map(|p| p.s2_distance.to_bits()));
+        assert_eq!(handle.epoch(), adds);
+        // Nothing was lost or duplicated on the way up the tiers.
+        let stats = handle.stats();
+        assert_eq!(stats.inline_compactions, 0);
+        assert_eq!(
+            stats.shards.iter().map(|s| s.base_sheets).sum::<usize>(),
+            sheets_before + added
+        );
+        for sizes in run_sizes(&handle.snapshot()) {
+            assert!(sizes.windows(2).all(|w| w[0] > w[1]), "merge rule holds at rest: {sizes:?}");
         }
+        // And content-neutral: the compacted server answers exactly like
+        // the synchronously-grown one, as does its artifact reloaded.
+        let queries: Vec<_> = query_targets(&corpus, 0).into_iter().take(8).collect();
+        let b = reference.snapshot();
+        assert_snapshots_agree(&b, &handle.snapshot(), &queries, "compacted");
+        let reloaded = ServeHandle::from_artifact(&handle.to_artifact()).expect("artifact loads");
+        assert_snapshots_agree(&b, &reloaded.snapshot(), &queries, "compacted, reloaded");
     }
 
     #[test]
@@ -1683,15 +1876,8 @@ mod tests {
         let reloaded = ServeHandle::from_artifact(&bytes).expect("sharded artifact loads");
         // The stored layout re-splits into the same shards.
         assert_eq!(reloaded.shared.shards.len(), 3);
-        let (a, b) = (handle.snapshot(), reloaded.snapshot());
-        assert_coherent(&b);
-        assert_eq!(a.keys(), b.keys());
-        for (sheet, target) in query_targets(&corpus, 0).into_iter().take(8) {
-            let pa = a.predict_with(sheet, target, PipelineVariant::Full);
-            let pb = b.predict_with(sheet, target, PipelineVariant::Full);
-            assert_eq!(pa.as_ref().map(|p| &p.formula), pb.as_ref().map(|p| &p.formula));
-            assert_eq!(pa.map(|p| p.s2_distance.to_bits()), pb.map(|p| p.s2_distance.to_bits()));
-        }
+        let queries: Vec<_> = query_targets(&corpus, 0).into_iter().take(8).collect();
+        assert_snapshots_agree(&handle.snapshot(), &reloaded.snapshot(), &queries, "reloaded");
     }
 
     #[test]
@@ -2051,20 +2237,13 @@ mod tests {
         }
         // Every write folded its delta inline; nothing is left pending.
         let snap = handle.snapshot();
-        assert_coherent(&snap);
         assert_eq!(snap.n_delta_sheets(), 0);
         let stats = handle.stats();
         assert!(stats.inline_compactions > 0, "threshold of 1 must trigger inline folds");
         // And the inline-compacted server answers exactly like the
         // synchronously-grown one.
-        let b = reference.snapshot();
-        assert_eq!(snap.keys(), b.keys());
-        for (sheet, target) in query_targets(&corpus, 0).into_iter().take(8) {
-            let pa = snap.predict_with(sheet, target, PipelineVariant::Full);
-            let pb = b.predict_with(sheet, target, PipelineVariant::Full);
-            assert_eq!(pa.as_ref().map(|p| &p.formula), pb.as_ref().map(|p| &p.formula));
-            assert_eq!(pa.map(|p| p.s2_distance.to_bits()), pb.map(|p| p.s2_distance.to_bits()));
-        }
+        let queries: Vec<_> = query_targets(&corpus, 0).into_iter().take(8).collect();
+        assert_snapshots_agree(&reference.snapshot(), &snap, &queries, "compacted inline");
     }
 
     #[test]

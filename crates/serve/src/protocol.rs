@@ -320,9 +320,9 @@ impl<F: Family> Default for HealthCore<F> {
 pub enum DeltaDisposition {
     /// Publish the grown delta as-is.
     Grow,
-    /// The delta reached the backpressure threshold: fold it into the
-    /// base inline before publishing (one synchronous O(shard) write
-    /// beats every query degrading toward O(corpus)).
+    /// The delta reached the backpressure threshold: seal it and merge
+    /// runs inline before publishing (one synchronous compaction beats
+    /// every query degrading toward O(corpus)).
     CompactInline,
 }
 
@@ -336,7 +336,7 @@ pub fn delta_disposition(delta_sheets: usize, backpressure_at: Option<usize>) ->
 
 /// The compactor's re-check under the writer lock: a racing compaction
 /// (inline or a previous signal) may already have sealed the delta, in
-/// which case the handoff is a no-op. `delta_max` of zero behaves as one
+/// which case the seal is a no-op. `delta_max` of zero behaves as one
 /// (a compactor signaled at all means deltas are enabled).
 pub fn compact_warranted(delta_sheets: usize, delta_max: usize) -> bool {
     delta_sheets >= delta_max.max(1)
@@ -345,4 +345,67 @@ pub fn compact_warranted(delta_sheets: usize, delta_max: usize) -> bool {
 /// After a publish: should the compactor be signaled for this shard?
 pub fn should_signal_compactor(delta_sheets: usize, delta_max: usize) -> bool {
     delta_max > 0 && delta_sheets >= delta_max.max(1)
+}
+
+/// The merge rule, applied to the last two sealed runs of a shard until
+/// it no longer holds: merge them while the newer (`last`) has at least
+/// as many sheets as the older (`prev`). This is the logarithmic method —
+/// run sizes end up strictly decreasing, so a shard holds O(log n) runs,
+/// each sheet is re-copied O(log n) times, and a large base is copied
+/// only once the sheets added since rival it. A fixed function on
+/// purpose, not a knob.
+pub fn should_merge(last_sheets: usize, prev_sheets: usize) -> bool {
+    last_sheets >= prev_sheets
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Seal a run of `sealed` sheets onto `runs` and merge until the rule
+    /// holds, exactly as the compactor does.
+    fn seal(mut runs: Vec<usize>, sealed: usize) -> Vec<usize> {
+        runs.push(sealed);
+        while let [.., prev, last] = runs[..] {
+            if !should_merge(last, prev) {
+                break;
+            }
+            runs.truncate(runs.len() - 2);
+            runs.push(prev + last);
+        }
+        runs
+    }
+
+    #[test]
+    fn equal_runs_merge_and_a_large_base_is_left_alone() {
+        assert_eq!(seal(vec![16], 16), [32]);
+        assert_eq!(seal(vec![284, 32, 16], 16), [284, 64]);
+        assert_eq!(seal(vec![284, 64], 16), [284, 64, 16]);
+    }
+
+    #[test]
+    fn an_empty_base_is_merged_away_by_the_first_seal() {
+        assert_eq!(seal(vec![0], 16), [16]);
+    }
+
+    #[test]
+    fn the_base_is_copied_only_once_additions_rival_it() {
+        let mut runs = vec![284];
+        for added in (16..=512).step_by(16) {
+            runs = seal(runs, 16);
+            assert!(runs.windows(2).all(|w| w[0] > w[1]), "sizes strictly decreasing: {runs:?}");
+            assert_eq!(runs[0] == 284, added < 512, "after {added} added sheets: {runs:?}");
+        }
+        assert_eq!(runs, [284 + 512]);
+    }
+
+    #[test]
+    fn thresholds_gate_the_seal_and_the_signal() {
+        assert!(compact_warranted(16, 16) && !compact_warranted(15, 16));
+        assert!(compact_warranted(1, 0), "delta_max 0 behaves as 1");
+        assert!(should_signal_compactor(16, 16) && !should_signal_compactor(16, 0));
+        assert_eq!(delta_disposition(63, Some(64)), DeltaDisposition::Grow);
+        assert_eq!(delta_disposition(64, Some(64)), DeltaDisposition::CompactInline);
+        assert_eq!(delta_disposition(1 << 20, None), DeltaDisposition::Grow);
+    }
 }

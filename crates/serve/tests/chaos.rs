@@ -8,7 +8,8 @@
 //! * snapshots stay coherent (no torn shard states) and epochs monotone
 //!   under faults racing concurrent writes;
 //! * a wedged compactor is restarted with backoff and the write path falls
-//!   back to inline compaction instead of unbounded delta growth;
+//!   back to sealing its delta inline instead of unbounded delta growth; a
+//!   compactor that panics leaves the published run list untouched;
 //! * artifact saves are atomic — a fault mid-write leaves the previous
 //!   artifact loadable.
 //!
@@ -206,14 +207,19 @@ fn wedged_compactor_restarts_and_backpressure_bounds_deltas() {
     for wb in 2..6 {
         handle.add_workbook(&corpus.workbooks[wb]);
     }
-    // Writes kept landing; deltas stayed bounded by the backpressure
-    // threshold (1 × 3) instead of growing with every add.
-    let snap = handle.snapshot();
+    // Writes kept landing, and with nobody else to do it the writer that
+    // brought a delta to the backpressure threshold (1 × 3) sealed it
+    // inline: every delta stays under the threshold instead of growing
+    // with every add, and no sheet went missing on the way into the runs.
     assert_eq!(handle.epoch(), 4);
-    assert!(
-        snap.n_delta_sheets() <= 3 * 2,
-        "deltas must stay under the per-shard backpressure threshold, saw {}",
-        snap.n_delta_sheets()
+    let stats = handle.stats();
+    assert!(stats.inline_compactions > 0, "the wedge must end in an inline seal");
+    for shard in &stats.shards {
+        assert!(shard.delta_sheets < 3, "delta over the backpressure threshold: {shard:?}");
+    }
+    assert_eq!(
+        stats.shards.iter().map(|s| s.base_sheets + s.delta_sheets).sum::<usize>(),
+        handle.n_sheets()
     );
     // The supervisor counted at least one failed attempt (the compactor
     // may still be inside its first backoff, so don't demand more).
@@ -247,10 +253,18 @@ fn wedged_compactor_restarts_and_backpressure_bounds_deltas() {
 fn publish_panic_aborts_the_write_without_tearing_state() {
     let _l = chaos_lock();
     let _g = ChaosGuard::quiet();
-    let cfg = AutoFormulaConfig { n_shards: 2, ..AutoFormulaConfig::test_tiny() };
+    // Every write fills its delta and signals the compactor; with the
+    // backpressure path off, only the compactor can change a run list.
+    let cfg = AutoFormulaConfig {
+        n_shards: 2,
+        delta_max_sheets: 1,
+        backpressure_factor: 0,
+        ..AutoFormulaConfig::test_tiny()
+    };
     let (handle, corpus) = handle_over(cfg, 2);
     let sheets_before = handle.n_sheets();
     let epoch_before = handle.epoch();
+    let layout_before = handle.stats().shards;
 
     failpoint::arm("serve::delta_publish", FailAction::Panic);
     let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -265,8 +279,38 @@ fn publish_panic_aborts_the_write_without_tearing_state() {
     assert_eq!(handle.n_sheets(), sheets_before);
     let (sheet, at) = query_targets(&corpus, 0)[0];
     assert!(!handle.predict_with(sheet, at, PipelineVariant::Full).degraded);
+
+    // The same holds one step later. The compactor panics at its fail
+    // point, before it seals or builds anything (a panic further in, mid-
+    // merge, unwinds before the swap just the same): the published run
+    // lists stay exactly as loaded and the new sheets stay served from
+    // the deltas.
+    failpoint::arm("serve::compact", FailAction::Panic);
     handle.add_workbook(&corpus.workbooks[2]);
-    assert!(handle.n_sheets() > sheets_before);
+    let added = handle.n_sheets() - sheets_before;
+    assert_eq!(added, corpus.workbooks[2].sheets.len());
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while handle.stats().compactor_restarts == 0 {
+        assert!(Instant::now() < deadline, "the compactor never hit its fail point");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let stats = handle.stats();
+    for (now, before) in stats.shards.iter().zip(&layout_before) {
+        assert_eq!((now.sealed_runs, now.base_sheets), (1, before.base_sheets), "{now:?}");
+    }
+    assert_eq!(stats.shards.iter().map(|s| s.delta_sheets).sum::<usize>(), added);
+    assert!(!handle.predict_with(sheet, at, PipelineVariant::Full).degraded);
+
+    // Disarmed, the supervised retry seals what the panics left behind.
+    failpoint::clear("serve::compact");
+    while handle.snapshot().n_delta_sheets() > 0 {
+        assert!(Instant::now() < deadline, "compactor never sealed the deltas");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(
+        handle.stats().shards.iter().map(|s| s.base_sheets).sum::<usize>(),
+        sheets_before + added
+    );
 }
 
 #[test]

@@ -11,19 +11,22 @@
 //! * publish never loses an acquired guard (a pinned payload is never
 //!   retired — checked with shadow-refcounted `CheckArc` payloads);
 //! * epochs are monotone;
-//! * quarantine is sticky, and its epoch is visible with its flag.
+//! * quarantine is sticky, and its epoch is visible with its flag;
+//! * a run merge built off the writer lock and swapped in under it after
+//!   an identity re-check loses no concurrent append or seal.
 //!
-//! Two committed negative controls prove the checker has teeth:
+//! Three committed negative controls prove the checker has teeth:
 //! `LeftRightCore<_, false>` demotes the four store-buffering-critical
 //! orderings to `Release`/`Acquire` (the relaxation the proof sketch in
-//! `protocol`'s docs says is unsound), and an undisciplined writer skips
-//! the writer lock. The checker must *fail* both with a replayable
-//! schedule — a green run on the real protocol therefore means the
-//! checker looked where these bugs live.
+//! `protocol`'s docs says is unsound), an undisciplined writer skips
+//! the writer lock, and a compactor swaps in a state derived from its
+//! off-lock read without re-reading under the lock. The checker must
+//! *fail* all three with a replayable schedule — a green run on the real
+//! protocol therefore means the checker looked where these bugs live.
 
 use af_check::{model, model_expect_failure, thread, CheckArc, CheckFamily, Model};
-use af_serve::protocol::{EpochCore, HealthCore, LeftRightCore};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use af_serve::protocol::{should_merge, EpochCore, HealthCore, LeftRightCore};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -252,6 +255,176 @@ fn handoff_without_writer_lock_loses_writes() {
         assert_eq!(fin, 2, "lost update: {fin}");
     });
     assert!(v.message.contains("lost update"), "unexpected violation: {v}");
+}
+
+// ------------------------------------------------------------ run lists
+//
+// The compactor's off-lock merge (`Shared::compact`) over model-world
+// shard states: a published state is a list of sealed runs — each an
+// identity (what `Arc::ptr_eq` compares in production) and a sheet
+// count — plus the delta's sheet count. Tokens index an append-only
+// table of such states (pure storage behind a std mutex, never held
+// across a modeled operation).
+
+#[derive(Clone, Debug)]
+struct RunList {
+    runs: Vec<(u32, usize)>,
+    delta: usize,
+}
+
+impl RunList {
+    fn sheets(&self) -> usize {
+        self.runs.iter().map(|&(_, n)| n).sum::<usize>() + self.delta
+    }
+
+    /// Position of the older of the last two runs when the merge rule
+    /// wants them merged.
+    fn merge_due(&self) -> Option<usize> {
+        let [.., (_, prev), (_, last)] = self.runs[..] else { return None };
+        should_merge(last, prev).then(|| self.runs.len() - 2)
+    }
+
+    fn with_merged(&self, at: usize, merged: (u32, usize)) -> RunList {
+        let mut next = self.clone();
+        next.runs.splice(at..at + 2, [merged]);
+        next
+    }
+}
+
+struct RunTable {
+    states: Mutex<Vec<RunList>>,
+    next_run: AtomicU32,
+}
+
+/// The delta capacity of the model writers: the second append seals.
+const MODEL_DELTA_MAX: usize = 2;
+
+impl RunTable {
+    /// A table whose token 0 is a base of 8 sheets, two sealed runs of 2
+    /// — a merge of the last two is due — and `delta` sheets in the delta.
+    fn with_a_merge_due(delta: usize) -> RunTable {
+        let start = RunList { runs: vec![(0, 8), (1, 2), (2, 2)], delta };
+        RunTable { states: Mutex::new(vec![start]), next_run: AtomicU32::new(3) }
+    }
+
+    fn mint(&self, st: RunList) -> usize {
+        let mut states = self.states.lock().unwrap();
+        states.push(st);
+        states.len() - 1
+    }
+
+    fn get(&self, token: usize) -> RunList {
+        self.states.lock().unwrap()[token].clone()
+    }
+
+    /// A new run of `sheets` sheets, with an identity no other run has.
+    fn run(&self, sheets: usize) -> (u32, usize) {
+        (self.next_run.fetch_add(1, Ordering::Relaxed), sheets)
+    }
+
+    /// `add_workbook` for one sheet: under the writer lock, append to the
+    /// delta; a full delta is sealed and merged inline (the backpressure
+    /// path — the one writer-side transition that changes the run list).
+    fn write(&self, lr: &LeftRightCore<CheckFamily>) {
+        let guard = lr.write_lock();
+        let mut st = self.get(lr.read(|tok| tok));
+        st.delta += 1;
+        if st.delta >= MODEL_DELTA_MAX {
+            st.runs.push(self.run(st.delta));
+            st.delta = 0;
+            while let Some(at) = st.merge_due() {
+                let merged = self.run(st.runs[at].1 + st.runs[at + 1].1);
+                st = st.with_merged(at, merged);
+            }
+        }
+        lr.publish(|| self.mint(st.clone()), |_| {});
+        drop(guard);
+    }
+
+    /// The compactor's off-lock half: read the published state and, when
+    /// a merge is due, build it. Returns what it read, where the merge
+    /// goes, and the merged run.
+    fn plan_merge(
+        &self,
+        lr: &LeftRightCore<CheckFamily>,
+    ) -> Option<(RunList, usize, (u32, usize))> {
+        let cur = self.get(lr.read(|tok| tok));
+        let at = cur.merge_due()?;
+        let merged = self.run(cur.runs[at].1 + cur.runs[at + 1].1);
+        Some((cur, at, merged))
+    }
+
+    /// The compactor's locked half: re-read, re-check that the two runs
+    /// it merged are still in place, swap. `recheck = false` is the
+    /// negative control: it swaps in the state derived from the off-lock
+    /// read instead.
+    fn swap_merged(
+        &self,
+        lr: &LeftRightCore<CheckFamily>,
+        (cur, at, merged): (RunList, usize, (u32, usize)),
+        recheck: bool,
+    ) {
+        let guard = lr.write_lock();
+        let now = if recheck { self.get(lr.read(|tok| tok)) } else { cur.clone() };
+        if now.runs.get(at..at + 2) == Some(&cur.runs[at..at + 2]) {
+            lr.publish(|| self.mint(now.with_merged(at, merged)), |_| {});
+        }
+        drop(guard);
+    }
+}
+
+/// One compactor merge against `writers` one-sheet writes; the delta
+/// starts just empty enough that the write landing last fills and seals
+/// it. The compactor's off-lock read and build run before the writers
+/// start, so every write falls in the window the re-check guards —
+/// between that read and the swap — or after the swap. (A write *before*
+/// the read needs no guarding: the compactor then plans from the newer
+/// state. The read itself racing a publish is the left-right tests'.)
+fn merge_swap_scenario(writers: usize, recheck: bool) {
+    let table = Arc::new(RunTable::with_a_merge_due(MODEL_DELTA_MAX - writers));
+    let lr = Arc::new(LeftRightCore::<CheckFamily>::new(0, 0));
+    let before = table.get(0).sheets();
+    let plan = table.plan_merge(&lr).expect("a merge is due at the start");
+    let writers: Vec<_> = (0..writers)
+        .map(|_| {
+            let (lr2, t2) = (Arc::clone(&lr), Arc::clone(&table));
+            thread::spawn(move || t2.write(&lr2))
+        })
+        .collect();
+    table.swap_merged(&lr, plan, recheck);
+    let written = writers.len();
+    for w in writers {
+        w.join();
+    }
+    let fin = table.get(lr.read(|tok| tok));
+    assert_eq!(fin.sheets(), before + written, "a write was lost in the merge swap: {fin:?}");
+    let mut ids: Vec<u32> = fin.runs.iter().map(|&(id, _)| id).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    assert_eq!(ids.len(), fin.runs.len(), "a run appears twice: {fin:?}");
+}
+
+/// The compactor reads two runs off the writer lock and builds their
+/// merge; writers then append to the delta and seal it (merging inline,
+/// possibly the very runs the compactor read); the compactor re-reads
+/// under the lock, re-checks that its two runs are still in place, and
+/// only then swaps. No interleaving loses a sheet.
+#[test]
+fn merge_swap_off_lock_loses_no_write() {
+    // One sealing writer against the compactor: small enough to exhaust.
+    let report = Model::new().check(|| merge_swap_scenario(1, true)).expect("no write lost");
+    assert!(report.exhausted, "only {} interleavings explored", report.interleavings);
+    // An appending writer as well: bounded exploration of the larger tree.
+    model(|| merge_swap_scenario(2, true));
+}
+
+/// Negative control: the same compactor without the re-read under the
+/// lock publishes a state derived from its stale off-lock read, and the
+/// checker finds the seal it overwrote.
+#[test]
+fn merge_swap_without_recheck_loses_a_seal() {
+    let v = model_expect_failure(|| merge_swap_scenario(1, false));
+    assert!(v.message.contains("lost in the merge swap"), "unexpected violation: {v}");
 }
 
 /// Epochs are monotone: any observer that reads the epoch twice sees a
