@@ -7,7 +7,7 @@ use af_ann::{FlatIndex, HnswIndex, HnswParams, VectorIndex};
 use af_baselines::mondrian::{detect_regions, sheet_distance};
 use af_core::features::{raw_window, WindowOrigin};
 use af_core::index::IndexOptions;
-use af_core::pipeline::{AutoFormula, PipelineVariant};
+use af_core::pipeline::{search_parameter, AutoFormula, PipelineVariant};
 use af_core::{AutoFormulaConfig, TrainingOptions};
 use af_corpus::organization::{OrgSpec, Scale};
 use af_corpus::split::{split, SplitKind};
@@ -98,6 +98,41 @@ fn bench_predict(c: &mut Criterion) {
     });
 }
 
+/// The S3 kernels at the default geometry (40×8 window, 8 floats a cell,
+/// d = 3): one fine-window gather, and one parameter's neighbourhood
+/// search — 49 candidates, so ns per candidate is the figure ÷ 49.
+fn bench_fine_gather(c: &mut Criterion) {
+    let corpus = OrgSpec::pge(Scale::Tiny).generate();
+    let featurizer = CellFeaturizer::new(Arc::new(SbertSim::new(16)), FeatureMask::FULL);
+    let cfg = AutoFormulaConfig::default();
+    let model = af_core::RepresentationModel::new(featurizer.dim(), cfg);
+    let embedder = af_core::SheetEmbedder::new(&model, &featurizer);
+    let sheet = &corpus.workbooks[0].sheets[0];
+    let emb = embedder.embed_sheet(sheet, false);
+    let (target, _) = sheet.formulas().next().expect("a formula cell");
+    c.bench_function("fine_window_40x8", |b| {
+        b.iter(|| {
+            black_box(embedder.fine_window(&emb, sheet, WindowOrigin::Centered(black_box(target))))
+        })
+    });
+    let ref_vec = embedder.fine_window(&emb, sheet, WindowOrigin::Centered(target));
+    // Parameter and formula cell coincide: the search is anchored on the
+    // target itself.
+    let ref_formula = target.offset(2, 1).expect("in bounds");
+    c.bench_function("s3_search_parameter_d3", |b| {
+        b.iter(|| {
+            black_box(search_parameter(
+                &cfg,
+                &emb,
+                black_box(&ref_vec),
+                ref_formula,
+                ref_formula,
+                target,
+            ))
+        })
+    });
+}
+
 fn config() -> Criterion {
     Criterion::default()
         .sample_size(20)
@@ -108,6 +143,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_parse, bench_featurize, bench_ann, bench_mondrian, bench_predict
+    targets = bench_parse, bench_featurize, bench_fine_gather, bench_ann, bench_mondrian, bench_predict
 }
 criterion_main!(benches);

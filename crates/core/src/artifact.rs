@@ -42,16 +42,15 @@
 //! [`ArtifactError`], never panic.
 
 use crate::config::{AnnBackend, AutoFormulaConfig};
-use crate::index::{
-    FineCache, ReferenceIndex, RegionEntry, SheetFineCells, SheetKey, SheetMeta, VecTable,
-};
+use crate::embedder::{FineGather, SheetFineCells};
+use crate::features::WindowOrigin;
+use crate::index::{FineCache, ReferenceIndex, RegionEntry, SheetKey, SheetMeta, VecTable};
 use crate::model::RepresentationModel;
 use crate::pipeline::AutoFormula;
 use af_ann::{CodecError, HnswParams, IvfParams};
 use af_embed::FeaturizerCodecError;
 use af_grid::{CellRef, ViewWindow};
 use af_nn::serialize::SnapshotError;
-use af_nn::tensor::l2_normalize;
 use af_store::{Codec, StoreError, StoreSink, VectorStore};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
@@ -608,173 +607,20 @@ fn as_byte_view(v: &[f32]) -> &[u8] {
     unsafe { std::slice::from_raw_parts(v.as_ptr().cast::<u8>(), std::mem::size_of_val(v)) }
 }
 
-/// Per-sheet gather state, built once per sheet and reused across every
-/// window gathered from it: the sorted cell refs, an optional contiguous
-/// f32 image of the cache rows (exact codec — skips the per-row dynamic
-/// dispatch), and a row → refs-range index so a window row costs one
-/// range lookup plus a short in-row scan instead of a binary search per
-/// slot. This is what makes a compact load cheap on a single core.
-struct SheetGatherCtx<'a> {
-    sheet: &'a SheetFineCells,
-    flat: Option<&'a [f32]>,
-    /// `row_ranges[r]` is the `[start, end)` range of `sheet.refs` lying
-    /// on sheet row `r`. `None` for degenerate layouts whose max row is
-    /// far larger than the cell count (the index would be mostly empty);
-    /// those fall back to binary search per window row.
-    row_ranges: Option<Vec<(u32, u32)>>,
-}
-
-impl<'a> SheetGatherCtx<'a> {
-    fn new(sheet: &'a SheetFineCells) -> SheetGatherCtx<'a> {
-        let refs = &sheet.refs;
-        let flat = sheet.vecs.store().as_f32_slice();
-        let max_row = refs.last().map(|r| r.row as usize).unwrap_or(0);
-        let row_ranges = (max_row <= refs.len() * 16 + 1024).then(|| {
-            let mut ranges = vec![(0u32, 0u32); max_row + 1];
-            let mut i = 0usize;
-            while i < refs.len() {
-                let (row, start) = (refs[i].row, i);
-                while i < refs.len() && refs[i].row == row {
-                    i += 1;
-                }
-                ranges[row as usize] = (start as u32, i as u32);
-            }
-            ranges
-        });
-        SheetGatherCtx { sheet, flat, row_ranges }
-    }
-
-    /// The `[start, end)` range of `sheet.refs` on sheet row `r` (empty
-    /// when the row holds no stored cells).
-    fn row_range(&self, r: u32) -> (usize, usize) {
-        match &self.row_ranges {
-            Some(ranges) => {
-                ranges.get(r as usize).map_or((0, 0), |&(s, e)| (s as usize, e as usize))
-            }
-            None => {
-                let refs = &self.sheet.refs;
-                let lo = refs.partition_point(|x| x.row < r);
-                let hi = lo + refs[lo..].partition_point(|x| x.row == r);
-                (lo, hi)
-            }
-        }
-    }
-}
-
-/// Gather the fine window centered at `center` from a sheet's cell cache —
-/// the artifact-side mirror of `SheetEmbedder::fine_window`, byte for
-/// byte: window slots depend only on stored-cell presence and the
-/// top/left sheet edge, so the cache (sorted refs + vectors), the two
-/// constant rows, and the window geometry reproduce the build-time gather
-/// exactly; under the `f32` codec the reconstructed tables are
-/// bit-identical to the fat layout's.
-///
-/// Slots past the top/left sheet edge get the `invalid` row; in-bounds
-/// slots default to the `empty` row, and the stored cells on each window
-/// row — found via [`SheetGatherCtx::row_range`] — overwrite their slots.
-/// The final values per slot are exactly the old one-binary-search-per-
-/// slot gather's, just computed row-wise: each window row is at most two
-/// whole-row copies from the pre-tiled blank rows plus one short copy per
-/// stored cell.
-fn gather_window(
-    window: ViewWindow,
-    fine_cell_dim: usize,
-    ctx: &SheetGatherCtx<'_>,
-    blanks: &BlankRows,
-    center: CellRef,
-    out: &mut [f32],
-) {
-    let (or, oc) = window.centered_origin(center);
-    let f8 = fine_cell_dim;
-    let cols = window.cols as usize;
-    let refs = &ctx.sheet.refs;
-    let interior = or >= 0 && oc >= 0;
-    if interior {
-        // No out-of-bounds slots anywhere: blanket the whole window in
-        // one copy; stored cells overwrite below.
-        out.copy_from_slice(&blanks.empty_window);
-    }
-    for dr in 0..window.rows as i64 {
-        let r = or + dr;
-        let row_out = &mut out[dr as usize * cols * f8..][..cols * f8];
-        if r < 0 {
-            row_out.copy_from_slice(&blanks.invalid_row);
-            continue;
-        }
-        let n_invalid = ((-oc).max(0) as usize).min(cols);
-        if !interior {
-            row_out[..n_invalid * f8].copy_from_slice(&blanks.invalid_row[..n_invalid * f8]);
-            row_out[n_invalid * f8..].copy_from_slice(&blanks.empty_row[n_invalid * f8..]);
-        }
-        let (lo, hi) = ctx.row_range(r as u32);
-        let c0 = oc + n_invalid as i64;
-        let start = lo + refs[lo..hi].partition_point(|x| (x.col as i64) < c0);
-        let mut j = start;
-        while j < hi {
-            let col = refs[j].col as i64;
-            if col >= oc + cols as i64 {
-                break;
-            }
-            match ctx.flat {
-                Some(flat) => {
-                    // Consecutive columns are consecutive cache rows, so a
-                    // densely stored stretch of the sheet row lands as one
-                    // copy instead of one per cell.
-                    let max_run = ((oc + cols as i64 - col) as usize).min(hi - j);
-                    let mut run = 1usize;
-                    while run < max_run && refs[j + run].col as i64 == col + run as i64 {
-                        run += 1;
-                    }
-                    row_out[(col - oc) as usize * f8..][..run * f8]
-                        .copy_from_slice(&flat[j * f8..(j + run) * f8]);
-                    j += run;
-                }
-                None => {
-                    let dst = &mut row_out[(col - oc) as usize * f8..][..f8];
-                    ctx.sheet.vecs.store().row_into(j, dst);
-                    j += 1;
-                }
-            }
-        }
-    }
-    l2_normalize(out);
-}
-
-/// The constant window rows, pre-tiled to full window width (and the
-/// all-blank window to full window size) so blank stretches are one
-/// `memcpy` instead of one per cell slot.
-struct BlankRows {
-    /// `cols` repetitions of the in-bounds blank-cell vector.
-    empty_row: Vec<f32>,
-    /// `cols` repetitions of the out-of-bounds vector.
-    invalid_row: Vec<f32>,
-    /// `rows × cols` repetitions of the blank-cell vector — the whole
-    /// window image of an interior window before cells are placed.
-    empty_window: Vec<f32>,
-}
-
-impl BlankRows {
-    fn new(rows: usize, cols: usize, empty: &[f32], invalid: &[f32]) -> BlankRows {
-        BlankRows {
-            empty_row: empty.repeat(cols),
-            invalid_row: invalid.repeat(cols),
-            empty_window: empty.repeat(rows * cols),
-        }
-    }
-}
-
 /// Rebuild the fat region/parameter tables from a compact fine cache (one
 /// gather+normalize pass over every region and parameter window).
 ///
 /// The gather is the dominant cost of a compact load (historically
-/// ~190 ms at `AF_SCALE=small`), attacked from two directions, both
-/// bit-identical to the original slot-at-a-time pass (pinned by
+/// ~190 ms at `AF_SCALE=small`), attacked from two directions. Every
+/// window comes out of the [`FineGather`] the index build filled the fat
+/// tables with, so under the `f32` codec the rebuilt tables are
+/// bit-identical to them (pinned by
 /// `compact_layout_is_bit_identical_under_f32`):
 ///
-/// * **Cheaper windows** — per-sheet [`SheetGatherCtx`] (row-range index
-///   and contiguous-f32 fast path), whole-row/whole-window blank tiling
-///   ([`BlankRows`]), run-coalesced cell copies, duplicate-center reuse,
-///   and huge-page backing for the output tables.
+/// * **Cheaper windows** — one [`FineGather`] per sheet (row-range index,
+///   contiguous-f32 fast path, pre-tiled blank rows, run-coalesced cell
+///   copies), duplicate-center reuse, and huge-page backing for the
+///   output tables.
 /// * **Parallel fill** — every window is independent: region `i` owns
 ///   row `i` of the region table and rows `param_start ..
 ///   param_start + params.len()` of the parameter table, so workers
@@ -788,7 +634,7 @@ fn reconstruct_fine_tables(
     cache: &FineCache,
 ) -> (VecTable, VecTable) {
     let fine_dim = cfg.fine_dim();
-    let f8 = cfg.fine_cell_dim;
+    let cols = cfg.window.cols as usize;
     let total_params = regions.last().map(|e| e.param_start + e.params.len()).unwrap_or(0);
     let mut region_flat = vec![0.0f32; regions.len() * fine_dim];
     let mut param_flat = vec![0.0f32; total_params * fine_dim];
@@ -797,19 +643,12 @@ fn reconstruct_fine_tables(
     af_store::advise(as_byte_view(&region_flat), af_store::Advice::HugePage);
     af_store::advise(as_byte_view(&param_flat), af_store::Advice::HugePage);
 
-    let blanks = BlankRows::new(
-        cfg.window.rows as usize,
-        cfg.window.cols as usize,
-        &cache.empty,
-        &cache.invalid,
-    );
-    let blanks = &blanks;
     let fill = |chunk: &[RegionEntry], region_out: &mut [f32], param_out: &mut [f32]| {
         let param_base = chunk.first().map(|e| e.param_start).unwrap_or(0);
-        // Region entries arrive grouped by sheet, so the per-sheet gather
-        // context (row index + f32 fast path) is rebuilt only on sheet
-        // changes and amortized over every window on that sheet.
-        let mut ctx: Option<(usize, SheetGatherCtx<'_>)> = None;
+        // Region entries arrive grouped by sheet, so the per-sheet
+        // gatherer is rebuilt only on sheet changes and amortized over
+        // every window on that sheet.
+        let mut ctx: Option<(usize, FineGather<'_>)> = None;
         // The same window center recurs across entries (~25% of windows
         // at small scale are parameter cells shared between regions);
         // identical inputs gather to identical rows, so later occurrences
@@ -821,7 +660,7 @@ fn reconstruct_fine_tables(
                          slot: usize,
                          center: CellRef,
                          sheet_idx: usize,
-                         sg: &SheetGatherCtx<'_>,
+                         sg: &FineGather<'_>,
                          region_out: &mut [f32],
                          param_out: &mut [f32]| {
             let src = seen.get(&(sheet_idx, center)).copied();
@@ -840,14 +679,16 @@ fn reconstruct_fine_tables(
                 }
                 None => {
                     let dst = &mut out[dst_lo..dst_lo + fine_dim];
-                    gather_window(cfg.window, f8, sg, blanks, center, dst);
+                    sg.window(cfg.window, WindowOrigin::Centered(center), dst);
                     seen.insert((sheet_idx, center), (target_param, slot));
                 }
             }
         };
         for (i, entry) in chunk.iter().enumerate() {
             if ctx.as_ref().map(|&(si, _)| si) != Some(entry.sheet_idx) {
-                ctx = Some((entry.sheet_idx, SheetGatherCtx::new(&cache.sheets[entry.sheet_idx])));
+                let cells = &cache.sheets[entry.sheet_idx];
+                let sg = FineGather::new(cells, &cache.empty, &cache.invalid, cols);
+                ctx = Some((entry.sheet_idx, sg));
             }
             let sg = &ctx.as_ref().expect("context just built").1;
             place(false, i, entry.cell, entry.sheet_idx, sg, region_out, param_out);

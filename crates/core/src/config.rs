@@ -39,8 +39,9 @@ impl AnnBackend {
     }
 }
 
-/// All tunables in one place. Defaults are the laptop-scale settings
-/// documented in DESIGN.md (the paper's full-scale values in comments).
+/// All tunables in one place. Defaults are the laptop-scale settings (the
+/// paper's full-scale values in comments); the window geometry and what it
+/// costs every stage are in ARCHITECTURE.md §1.1, "The fine gather".
 #[derive(Debug, Clone, Copy)]
 pub struct AutoFormulaConfig {
     /// View window (paper: 100×10; scaled default 40×8).

@@ -1,28 +1,62 @@
-//! Inference-time sheet embedding with per-cell caching.
+//! Inference-time sheet embedding with per-cell caching, and the one fine
+//! gather every window in the system is assembled by.
 //!
 //! Both branches share the per-cell reduction, and the fine branch is
 //! per-cell too — so a sheet's cells are pushed through the model **once**,
-//! after which *any* window embedding (S2 region, S3 candidate cell) is a
-//! cache gather plus an L2 normalization. This is what makes the online
-//! S3 neighborhood search cheap.
+//! into a [`SheetEmbedding`]: the stored cells' references sorted row-major
+//! beside one flat table of their fine vectors, plus the two constant
+//! vectors of a blank and of an out-of-bounds slot. After that *any* window
+//! embedding is a `FineGather::rect` — a few row-wise copies out of that
+//! table, no model and no hashing — plus an L2 normalization. S2 gathers
+//! the target's window once; S3 gathers one patch per parameter that
+//! covers all `(2d+1)²` candidate windows and slides over it (see
+//! ARCHITECTURE.md, "The fine gather"). The index build and the compact
+//! artifact load fill their region tables through the same function, which
+//! is why a reference window and a query window over equal cells have
+//! equal bits.
 
 use crate::config::AutoFormulaConfig;
 use crate::features::{raw_window, WindowOrigin};
+use crate::index::VecTable;
 use crate::model::RepresentationModel;
 use af_embed::CellFeaturizer;
-use af_grid::{CellRef, FxHashMap, Sheet, WindowSlot};
+use af_grid::{CellRef, Sheet, ViewWindow, WindowSlot};
 use af_nn::tensor::l2_normalize;
 use af_nn::Tensor;
+use af_store::{DenseStore, VectorStore};
+use std::fmt;
+
+/// One sheet's stored cells and their fine vectors, sorted row-major —
+/// everything a window gather needs (window slots depend only on cell
+/// *presence* and the top/left edge, never on cell contents). A query
+/// sheet's embedding holds one; the index retains one per reference sheet
+/// for the compact artifact layout.
+#[derive(Clone)]
+pub(crate) struct SheetFineCells {
+    pub(crate) refs: Vec<CellRef>,
+    /// `refs.len()` rows of `fine_cell_dim`, unnormalized.
+    pub(crate) vecs: VecTable,
+}
+
+impl fmt::Debug for SheetFineCells {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "SheetFineCells({} cells × {})", self.refs.len(), self.vecs.dim())
+    }
+}
 
 /// Cached embeddings for one sheet.
 #[derive(Debug, Clone)]
 pub struct SheetEmbedding {
     /// Coarse sheet-level embedding (`M_c`, unit norm).
     pub coarse: Vec<f32>,
-    /// Per-stored-cell fine vectors (`fine_cell_dim` each, unnormalized).
-    fine_cells: FxHashMap<CellRef, Vec<f32>>,
-    /// Constant fine vector of an in-bounds blank cell.
-    fine_empty: Vec<f32>,
+    /// Fine vector of every stored cell.
+    pub(crate) fine: SheetFineCells,
+    /// Fine vector of an in-bounds blank cell (constant across sheets —
+    /// the featurizer's empty-cell row through the model).
+    pub(crate) fine_empty: Vec<f32>,
+    /// Fine vector of an out-of-bounds window slot (constant across
+    /// sheets — the zero feature row through the model).
+    pub(crate) fine_invalid: Vec<f32>,
     /// Optional fine embedding of the top-left window (used by the
     /// fine-only ablation as a sheet signature).
     pub fine_topleft: Option<Vec<f32>>,
@@ -30,33 +64,155 @@ pub struct SheetEmbedding {
 
 impl SheetEmbedding {
     pub fn n_cached_cells(&self) -> usize {
-        self.fine_cells.len()
+        self.fine.refs.len()
     }
 
-    /// The per-cell fine cache in stable (row-major cell) order, without
-    /// the invalid-slot sentinel — what the compact artifact fine-store
-    /// persists instead of per-region windows.
-    pub(crate) fn fine_cell_entries(&self) -> Vec<(CellRef, &[f32])> {
-        let mut entries: Vec<(CellRef, &[f32])> = self
-            .fine_cells
-            .iter()
-            .filter(|(at, _)| **at != INVALID_KEY)
-            .map(|(at, v)| (*at, v.as_slice()))
-            .collect();
-        entries.sort_unstable_by_key(|(at, _)| *at);
-        entries
+    /// A gatherer over this sheet for rectangles of up to `cols` columns.
+    pub(crate) fn gather(&self, cols: usize) -> FineGather<'_> {
+        FineGather::new(&self.fine, &self.fine_empty, &self.fine_invalid, cols)
+    }
+}
+
+/// The fine gather: copies any rectangle of window slots out of one
+/// sheet's [`SheetFineCells`]. Built once per sheet (or per query stage)
+/// and reused for every rectangle gathered from it: an optional contiguous
+/// f32 image of the cell rows (exact codec — skips the per-row dynamic
+/// dispatch), a row → `refs`-range index so a rectangle row costs one
+/// range lookup plus a short in-row scan instead of a search per slot, and
+/// the two constant vectors pre-tiled so a blank stretch is one `memcpy`
+/// instead of one per slot.
+pub(crate) struct FineGather<'a> {
+    cells: &'a SheetFineCells,
+    flat: Option<&'a [f32]>,
+    /// `row_ranges[r]` is the `[start, end)` range of `cells.refs` lying
+    /// on sheet row `r`. `None` for degenerate layouts whose max row is
+    /// far larger than the cell count (the index would be mostly empty);
+    /// those fall back to binary search per rectangle row.
+    row_ranges: Option<Vec<(u32, u32)>>,
+    /// `cols` repetitions of the blank-cell vector: any prefix is a blank
+    /// stretch of a rectangle row.
+    empty: Vec<f32>,
+    /// `cols` repetitions of the out-of-bounds vector.
+    invalid: Vec<f32>,
+}
+
+impl<'a> FineGather<'a> {
+    /// `cols` is the widest rectangle [`FineGather::rect`] will be asked
+    /// for.
+    pub(crate) fn new(
+        cells: &'a SheetFineCells,
+        empty: &[f32],
+        invalid: &[f32],
+        cols: usize,
+    ) -> FineGather<'a> {
+        let refs = &cells.refs;
+        let max_row = refs.last().map(|r| r.row as usize).unwrap_or(0);
+        let row_ranges = (max_row <= refs.len() * 16 + 1024).then(|| {
+            let mut ranges = vec![(0u32, 0u32); max_row + 1];
+            let mut i = 0usize;
+            while i < refs.len() {
+                let (row, start) = (refs[i].row, i);
+                while i < refs.len() && refs[i].row == row {
+                    i += 1;
+                }
+                ranges[row as usize] = (start as u32, i as u32);
+            }
+            ranges
+        });
+        FineGather {
+            cells,
+            flat: cells.vecs.store().as_f32_slice(),
+            row_ranges,
+            empty: empty.repeat(cols),
+            invalid: invalid.repeat(cols),
+        }
     }
 
-    /// Fine vector of an in-bounds blank cell (constant across sheets —
-    /// the featurizer's empty-cell row through the model).
-    pub(crate) fn fine_empty(&self) -> &[f32] {
-        &self.fine_empty
+    /// The `[start, end)` range of `cells.refs` on virtual row `r` (empty
+    /// when the row holds no stored cells — always so past `u32::MAX`,
+    /// where no cell can be stored).
+    fn row_range(&self, r: i64) -> (usize, usize) {
+        let Ok(r) = u32::try_from(r) else { return (0, 0) };
+        match &self.row_ranges {
+            Some(ranges) => {
+                ranges.get(r as usize).map_or((0, 0), |&(s, e)| (s as usize, e as usize))
+            }
+            None => {
+                let refs = &self.cells.refs;
+                let lo = refs.partition_point(|x| x.row < r);
+                let hi = lo + refs[lo..].partition_point(|x| x.row == r);
+                (lo, hi)
+            }
+        }
     }
 
-    /// Fine vector of an out-of-bounds window slot (constant across
-    /// sheets — the zero feature row through the model).
-    pub(crate) fn fine_invalid(&self) -> &[f32] {
-        &self.fine_cells[&INVALID_KEY]
+    /// Fill `out` (`rows × cols × fine_cell_dim`, row-major over slots)
+    /// with the per-cell fine vectors of the rectangle whose top-left slot
+    /// sits at the signed virtual coordinate `origin`. Coordinates are
+    /// compared as `i64`, so nothing wraps: slots above or left of the
+    /// sheet get the `invalid` vector, every other slot the `empty` vector
+    /// unless a stored cell sits there. Unnormalized.
+    ///
+    /// Each rectangle row is two copies from the pre-tiled blank rows plus
+    /// one copy per run of adjacent stored cells (consecutive columns are
+    /// consecutive table rows).
+    pub(crate) fn rect(&self, origin: (i64, i64), rows: usize, cols: usize, out: &mut [f32]) {
+        let f8 = self.cells.vecs.dim();
+        assert_eq!(out.len(), rows * cols * f8, "output holds the rectangle");
+        assert!(cols * f8 <= self.empty.len(), "gatherer tiled for narrower rectangles");
+        if out.is_empty() {
+            return;
+        }
+        let (or, oc) = origin;
+        let refs = &self.cells.refs;
+        let n_invalid = ((-oc).max(0) as usize).min(cols);
+        let c_end = oc + cols as i64;
+        for (dr, row_out) in out.chunks_exact_mut(cols * f8).enumerate() {
+            let r = or + dr as i64;
+            if r < 0 {
+                row_out.copy_from_slice(&self.invalid[..cols * f8]);
+                continue;
+            }
+            let (left, right) = row_out.split_at_mut(n_invalid * f8);
+            left.copy_from_slice(&self.invalid[..left.len()]);
+            right.copy_from_slice(&self.empty[..right.len()]);
+            let (lo, hi) = self.row_range(r);
+            let c0 = oc + n_invalid as i64;
+            let mut j = lo + refs[lo..hi].partition_point(|x| (x.col as i64) < c0);
+            while j < hi {
+                let col = refs[j].col as i64;
+                if col >= c_end {
+                    break;
+                }
+                let at = (col - oc) as usize * f8;
+                match self.flat {
+                    Some(flat) => {
+                        let max_run = ((c_end - col) as usize).min(hi - j);
+                        let mut run = 1usize;
+                        while run < max_run && refs[j + run].col as i64 == col + run as i64 {
+                            run += 1;
+                        }
+                        row_out[at..at + run * f8].copy_from_slice(&flat[j * f8..(j + run) * f8]);
+                        j += run;
+                    }
+                    None => {
+                        self.cells.vecs.store().row_into(j, &mut row_out[at..at + f8]);
+                        j += 1;
+                    }
+                }
+            }
+        }
+    }
+
+    /// The fine embedding of one view window: gather its rectangle, then
+    /// L2-normalize the stack.
+    pub(crate) fn window(&self, window: ViewWindow, origin: WindowOrigin, out: &mut [f32]) {
+        let origin = match origin {
+            WindowOrigin::TopLeft => (0, 0),
+            WindowOrigin::Centered(c) => window.centered_origin(c),
+        };
+        self.rect(origin, window.rows as usize, window.cols as usize, out);
+        l2_normalize(out);
     }
 }
 
@@ -94,6 +250,7 @@ impl<'a> SheetEmbedder<'a> {
         let _batch = af_obs::span!("embed::batch", n = sheets.len());
         let fd = self.featurizer.dim();
         let cd = self.model.cfg.cell_dim;
+        let f8 = self.model.cfg.fine_cell_dim;
 
         // Batch: every sheet's stored cells back to back, then the shared
         // blank-cell constant and the shared invalid-slot constant.
@@ -128,18 +285,9 @@ impl<'a> SheetEmbedder<'a> {
 
         sheets
             .iter()
-            .enumerate()
-            .map(|(si, sheet)| {
-                let refs = &refs_per[si];
-                let base = offsets[si];
-                let mut fine_cells = FxHashMap::default();
-                fine_cells.reserve(refs.len());
-                for (i, at) in refs.iter().enumerate() {
-                    fine_cells.insert(*at, fine.row(base + i).to_vec());
-                }
-                let fine_empty = fine.row(empty_row).to_vec();
-                let fine_invalid = fine.row(invalid_row).to_vec();
-
+            .zip(refs_per)
+            .zip(offsets)
+            .map(|((sheet, refs), base)| {
                 // Coarse: gather reduced vectors over the top-left window.
                 let window = self.model.cfg.window;
                 let n_cells = window.n_cells();
@@ -159,14 +307,21 @@ impl<'a> SheetEmbedder<'a> {
                 let coarse =
                     self.model.coarse_from_reduced(Tensor::new(vec![n_cells, cd], gathered));
 
-                let mut emb = SheetEmbedding { coarse, fine_cells, fine_empty, fine_topleft: None };
-                // The fine-window gather path needs the invalid constant;
-                // it lives in the map under a sentinel key no real cell
-                // can occupy.
-                emb.fine_cells.insert(INVALID_KEY, fine_invalid);
+                // The sheet's rows of `fine` are already in `refs` order:
+                // one slice copy is the whole per-cell table.
+                let rows = fine.data[base * f8..(base + refs.len()) * f8].to_vec();
+                let mut emb = SheetEmbedding {
+                    coarse,
+                    fine: SheetFineCells {
+                        refs,
+                        vecs: VecTable::from_store(DenseStore::from_f32_rows(f8, rows)),
+                    },
+                    fine_empty: fine.row(empty_row).to_vec(),
+                    fine_invalid: fine.row(invalid_row).to_vec(),
+                    fine_topleft: None,
+                };
                 if with_fine_topleft {
-                    let v = self.fine_window(&emb, sheet, WindowOrigin::TopLeft);
-                    emb.fine_topleft = Some(v);
+                    emb.fine_topleft = Some(self.fine_window(&emb, sheet, WindowOrigin::TopLeft));
                 }
                 emb
             })
@@ -174,36 +329,17 @@ impl<'a> SheetEmbedder<'a> {
     }
 
     /// Fine embedding of a window over an embedded sheet: gather per-cell
-    /// vectors and L2-normalize the stack.
+    /// vectors and L2-normalize the stack. `emb` holds every stored cell of
+    /// the sheet it was embedded from, so the sheet itself is not read.
     pub fn fine_window(
         &self,
         emb: &SheetEmbedding,
-        sheet: &Sheet,
+        _sheet: &Sheet,
         origin: WindowOrigin,
     ) -> Vec<f32> {
-        let f8 = self.model.cfg.fine_cell_dim;
         let window = self.model.cfg.window;
-        let n_cells = window.n_cells();
-        let mut out = vec![0.0f32; n_cells * f8];
-        let invalid = &emb.fine_cells[&INVALID_KEY];
-        let mut fill = |slots: &mut dyn Iterator<Item = WindowSlot<'_>>| {
-            for (i, slot) in slots.enumerate() {
-                let dst = &mut out[i * f8..(i + 1) * f8];
-                match slot {
-                    WindowSlot::Cell(at, _) => match emb.fine_cells.get(&at) {
-                        Some(v) => dst.copy_from_slice(v),
-                        None => dst.copy_from_slice(&emb.fine_empty),
-                    },
-                    WindowSlot::EmptyCell(_) => dst.copy_from_slice(&emb.fine_empty),
-                    WindowSlot::Invalid => dst.copy_from_slice(invalid),
-                }
-            }
-        };
-        match origin {
-            WindowOrigin::TopLeft => fill(&mut window.top_left(sheet)),
-            WindowOrigin::Centered(c) => fill(&mut window.centered(sheet, c)),
-        }
-        l2_normalize(&mut out);
+        let mut out = vec![0.0f32; self.model.cfg.fine_dim()];
+        emb.gather(window.cols as usize).window(window, origin, &mut out);
         out
     }
 
@@ -226,15 +362,12 @@ impl<'a> SheetEmbedder<'a> {
     }
 }
 
-/// Sentinel key for the invalid-slot constant (no real cell can sit at
-/// `u32::MAX` in generated corpora).
-const INVALID_KEY: CellRef = CellRef { row: u32::MAX, col: u32::MAX };
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use af_embed::{FeatureMask, SbertSim};
     use af_grid::Cell;
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     fn setup() -> (RepresentationModel, CellFeaturizer, Sheet) {
@@ -256,7 +389,7 @@ mod tests {
         let (model, feat, sheet) = setup();
         let e = SheetEmbedder::new(&model, &feat);
         let emb = e.embed_sheet(&sheet, false);
-        assert_eq!(emb.n_cached_cells(), sheet.len() + 1, "+1 invalid sentinel");
+        assert_eq!(emb.n_cached_cells(), sheet.len());
         let norm: f32 = emb.coarse.iter().map(|v| v * v).sum::<f32>().sqrt();
         assert!((norm - 1.0).abs() < 1e-4);
     }
@@ -329,5 +462,153 @@ mod tests {
         let a = e.embed_sheet(&sheet, false);
         let b = e.embed_sheet(&sheet.clone(), false);
         assert_eq!(a.coarse, b.coarse);
+    }
+
+    /// The definition the gather is held to: one slot at a time, each
+    /// looked up on its own. Signed virtual coordinates, nothing wraps.
+    fn naive_rect(
+        sheet: &Sheet,
+        emb: &SheetEmbedding,
+        (or, oc): (i64, i64),
+        rows: usize,
+        cols: usize,
+    ) -> Vec<f32> {
+        let mut out = Vec::new();
+        for r in (0..rows as i64).map(|dr| or + dr) {
+            for c in (0..cols as i64).map(|dc| oc + dc) {
+                let stored = match (u32::try_from(r), u32::try_from(c)) {
+                    (Ok(r), Ok(c)) => {
+                        Some(CellRef::new(r, c)).filter(|at| sheet.get(*at).is_some())
+                    }
+                    _ => None,
+                };
+                out.extend_from_slice(match stored {
+                    Some(at) => emb.fine.vecs.row(emb.fine.refs.binary_search(&at).unwrap()),
+                    None if r < 0 || c < 0 => &emb.fine_invalid,
+                    None => &emb.fine_empty,
+                });
+            }
+        }
+        out
+    }
+
+    /// A sheet with cells at `ats` and an embedding of it whose vectors are
+    /// distinct per cell and per lane — the gather never looks at values,
+    /// so no model is needed to hold it to the oracle.
+    fn fake_embedding(ats: &[CellRef], f8: usize) -> (Sheet, SheetEmbedding) {
+        let mut sheet = Sheet::new("p");
+        for &at in ats {
+            sheet.set(at, Cell::new(1.0));
+        }
+        let mut refs: Vec<CellRef> = sheet.iter().map(|(at, _)| at).collect();
+        refs.sort_unstable();
+        let rows: Vec<f32> = (0..refs.len() * f8).map(|i| 1.0 + i as f32).collect();
+        let emb = SheetEmbedding {
+            coarse: Vec::new(),
+            fine: SheetFineCells {
+                refs,
+                vecs: VecTable::from_store(DenseStore::from_f32_rows(f8, rows)),
+            },
+            fine_empty: (0..f8).map(|k| -0.5 - k as f32).collect(),
+            fine_invalid: (0..f8).map(|k| -100.0 - k as f32).collect(),
+            fine_topleft: None,
+        };
+        (sheet, emb)
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn gather_matches_the_slot_at_a_time_oracle(
+            cells in prop::collection::vec((0u32..30, 0u32..14), 0..80),
+            far in 0u32..3,
+            blank in 0u32..8,
+            tiny: bool,
+            d in 0usize..4,
+            origin in (-9i64..34, -9i64..16),
+            near_far: bool,
+        ) {
+            // test_tiny's row segment is 5 × 4 = 20 floats (not a multiple
+            // of the 8 kernel lanes), the default's 8 × 8 = 64.
+            let cfg = if tiny { AutoFormulaConfig::test_tiny() } else { AutoFormulaConfig::default() };
+            // One case in eight is a sheet with nothing in it.
+            let keep = if blank == 0 { 0 } else { cells.len() };
+            let mut ats: Vec<CellRef> =
+                cells[..keep].iter().map(|&(r, c)| CellRef::new(r, c)).collect();
+            // One case in three adds a row so far down that the row index
+            // is given up for the binary-search fallback.
+            let far_row = 4_000_000 + far;
+            if far == 0 && blank != 0 {
+                ats.extend((0..6).map(|c| CellRef::new(far_row, 2 * c)));
+            }
+            let (sheet, emb) = fake_embedding(&ats, cfg.fine_cell_dim);
+            let (rows, cols) = (cfg.window.rows as usize, cfg.window.cols as usize);
+            let origin = if near_far { (far_row as i64 - 5 + origin.0, origin.1) } else { origin };
+            // Window-sized and S3-patch-sized rectangles from one gatherer.
+            let gather = emb.gather(cols + 2 * d);
+            for (rows, cols) in [(rows, cols), (rows + 2 * d, cols + 2 * d)] {
+                let mut out = vec![f32::NAN; rows * cols * cfg.fine_cell_dim];
+                gather.rect(origin, rows, cols, &mut out);
+                prop_assert_eq!(
+                    bits(&out),
+                    bits(&naive_rect(&sheet, &emb, origin, rows, cols)),
+                    "{}x{} at {:?}", rows, cols, origin
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cell_at_u32_max_does_not_displace_the_invalid_constant() {
+        // The out-of-bounds constant used to live in the cell map under
+        // (u32::MAX, u32::MAX); a real cell there overwrote it for every
+        // window of the sheet.
+        let (model, feat, mut sheet) = setup();
+        let e = SheetEmbedder::new(&model, &feat);
+        let before = e.embed_sheet(&sheet, false);
+        sheet.set(CellRef::new(u32::MAX, u32::MAX), Cell::new("corner"));
+        let emb = e.embed_sheet(&sheet, false);
+        assert_eq!(emb.n_cached_cells(), sheet.len());
+        assert_eq!(emb.fine_invalid, before.fine_invalid);
+        // A window clipped at the top-left corner: slot 0 is out of bounds.
+        let window = model.cfg.window;
+        let (rows, cols) = (window.rows as usize, window.cols as usize);
+        let origin = window.centered_origin(CellRef::new(0, 0));
+        let mut raw = vec![0.0f32; model.cfg.fine_dim()];
+        emb.gather(cols).rect(origin, rows, cols, &mut raw);
+        assert_eq!(raw[..model.cfg.fine_cell_dim], emb.fine_invalid[..]);
+        assert_eq!(bits(&raw), bits(&naive_rect(&sheet, &emb, origin, rows, cols)));
+        // And the far corner cell is found where it is stored.
+        let origin = (u32::MAX as i64 - 1, u32::MAX as i64 - 1);
+        emb.gather(cols).rect(origin, rows, cols, &mut raw);
+        assert_eq!(bits(&raw), bits(&naive_rect(&sheet, &emb, origin, rows, cols)));
+        let corner = emb.fine.vecs.row(emb.n_cached_cells() - 1);
+        assert_eq!(raw[(cols + 1) * model.cfg.fine_cell_dim..][..corner.len()], *corner);
+    }
+
+    #[test]
+    fn window_at_the_bottom_edge_does_not_wrap_to_the_top() {
+        // Virtual rows past u32::MAX used to be cast to u32 and read rows
+        // 0.. of the sheet. setup() stores cells in rows 0–8, columns A–B.
+        let (model, feat, sheet) = setup();
+        let e = SheetEmbedder::new(&model, &feat);
+        let emb = e.embed_sheet(&sheet, false);
+        let f8 = model.cfg.fine_cell_dim;
+        let window = model.cfg.window;
+        let (rows, cols) = (window.rows as usize, window.cols as usize);
+        let origin = window.centered_origin(CellRef::new(u32::MAX - 3, 0));
+        assert!(origin.0 + rows as i64 > u32::MAX as i64 + 1, "window hangs past the last row");
+        let mut raw = vec![0.0f32; model.cfg.fine_dim()];
+        emb.gather(cols).rect(origin, rows, cols, &mut raw);
+        for (i, slot) in raw.chunks_exact(f8).enumerate() {
+            let want =
+                if (i % cols) as i64 + origin.1 < 0 { &emb.fine_invalid } else { &emb.fine_empty };
+            assert_eq!(slot, &want[..], "slot {i} holds no stored cell");
+        }
     }
 }

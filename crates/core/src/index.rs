@@ -10,7 +10,7 @@
 //! process.
 
 use crate::config::{AnnBackend, AutoFormulaConfig};
-use crate::embedder::{SheetEmbedder, SheetEmbedding};
+use crate::embedder::{SheetEmbedder, SheetEmbedding, SheetFineCells};
 use crate::features::WindowOrigin;
 use af_ann::{FlatIndex, HnswIndex, IvfFlatIndex, VectorIndex};
 use af_formula::{parse_formula, Template};
@@ -163,16 +163,6 @@ pub(crate) struct FineCache {
     pub(crate) invalid: Vec<f32>,
     /// One entry per indexed sheet, parallel to [`ReferenceIndex::keys`].
     pub(crate) sheets: Vec<SheetFineCells>,
-}
-
-/// One sheet's stored cells and their fine vectors, sorted row-major —
-/// everything a window gather needs (window slots depend only on cell
-/// *presence* and the top/left edge, never on cell contents).
-#[derive(Clone)]
-pub(crate) struct SheetFineCells {
-    pub(crate) refs: Vec<CellRef>,
-    /// `refs.len()` rows of `fine_cell_dim`.
-    pub(crate) vecs: VecTable,
 }
 
 impl FineCache {
@@ -328,7 +318,7 @@ impl ReferenceIndex {
         };
         // Region provenance: every formula cell, with its template
         // parameters and their precomputed reference-side embeddings.
-        for (si, (key, emb)) in keys.iter().zip(&embeddings).enumerate() {
+        for (si, (key, emb)) in keys.iter().zip(embeddings).enumerate() {
             let sheet = &workbooks[key.workbook].sheets[key.sheet];
             index.meta.push(sheet_meta(sheet));
             index.regions_by_sheet.push(Vec::new());
@@ -342,49 +332,48 @@ impl ReferenceIndex {
     /// Capture one sheet's formula regions (entry `sheet_idx` of
     /// `regions_by_sheet` must already exist). Shared by the batch build
     /// and the incremental [`ReferenceIndex::add_workbook`] so the two
-    /// paths cannot drift.
+    /// paths cannot drift. Takes the embedding by value: its per-cell
+    /// table, already sorted row-major, becomes the sheet's fine cache
+    /// as it is.
     fn index_sheet_regions(
         &mut self,
         embedder: &SheetEmbedder<'_>,
-        emb: &SheetEmbedding,
+        emb: SheetEmbedding,
         sheet: &Sheet,
         sheet_idx: usize,
     ) {
-        if let Some(cache) = self.fine_cache.as_mut() {
-            if cache.empty.is_empty() {
-                // Constant across sheets: captured from the first one.
-                cache.empty = emb.fine_empty().to_vec();
-                cache.invalid = emb.fine_invalid().to_vec();
-            }
-            debug_assert_eq!(cache.sheets.len(), sheet_idx, "cache parallel to keys");
-            let entries = emb.fine_cell_entries();
-            let mut refs = Vec::with_capacity(entries.len());
-            let mut vecs = VecTable::new(embedder.cfg().fine_cell_dim);
-            for (at, v) in entries {
-                refs.push(at);
-                vecs.push(v);
-            }
-            cache.sheets.push(SheetFineCells { refs, vecs });
-        }
+        let window = embedder.cfg().window;
+        let gather = emb.gather(window.cols as usize);
+        let mut vec = vec![0.0f32; embedder.cfg().fine_dim()];
         let mut locs: Vec<(CellRef, String)> =
             sheet.formulas().map(|(at, f)| (at, f.to_string())).collect();
         locs.sort_by_key(|(at, _)| *at);
         for (cell, formula) in locs {
-            let vec = embedder.fine_window(emb, sheet, WindowOrigin::Centered(cell));
             let params = match parse_formula(&formula) {
                 Ok(expr) => Template::extract(&expr).1,
                 Err(_) => Vec::new(),
             };
             let param_start = self.param_vecs.rows();
             for &cr in &params {
-                self.param_vecs.push(&embedder.fine_window(emb, sheet, WindowOrigin::Centered(cr)));
+                gather.window(window, WindowOrigin::Centered(cr), &mut vec);
+                self.param_vecs.push(&vec);
             }
+            gather.window(window, WindowOrigin::Centered(cell), &mut vec);
+            self.region_vecs.push(&vec);
             self.regions_by_sheet[sheet_idx].push(self.regions.len());
             self.regions.push(RegionEntry { sheet_idx, cell, formula, params, param_start });
-            self.region_vecs.push(&vec);
             if let Some(cvecs) = self.coarse_region_vecs.as_mut() {
                 cvecs.push(&coarse_window(embedder, sheet, cell));
             }
+        }
+        if let Some(cache) = self.fine_cache.as_mut() {
+            if cache.empty.is_empty() {
+                // Constant across sheets: captured from the first one.
+                cache.empty = emb.fine_empty;
+                cache.invalid = emb.fine_invalid;
+            }
+            debug_assert_eq!(cache.sheets.len(), sheet_idx, "cache parallel to keys");
+            cache.sheets.push(emb.fine);
         }
     }
 
@@ -428,7 +417,7 @@ impl ReferenceIndex {
             idx.add(emb.fine_topleft.as_ref().expect("signature computed"));
         }
         self.regions_by_sheet.push(Vec::new());
-        self.index_sheet_regions(embedder, &emb, sheet, sheet_idx);
+        self.index_sheet_regions(embedder, emb, sheet, sheet_idx);
     }
 
     /// An empty index with the same shape as `self`: same optional

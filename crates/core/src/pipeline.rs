@@ -7,10 +7,10 @@ use crate::features::WindowOrigin;
 use crate::index::{coarse_window, IndexOptions, ReferenceIndex, SheetKey};
 use crate::model::RepresentationModel;
 use crate::training::{train_model, TrainReport, TrainingOptions};
-use af_ann::l2_sq;
 use af_embed::CellFeaturizer;
 use af_formula::{parse_formula, Template};
 use af_grid::{CellRef, Sheet, Workbook};
+use af_nn::tensor::l2_sq_normalized;
 
 /// Pipeline ablation variants (Fig. 14).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -225,20 +225,20 @@ impl AutoFormula {
     /// the identical adaptation: `rid` is local to `index` (one shard or
     /// delta segment), and the returned
     /// [`Prediction::reference_sheet_idx`] is local too — sharded callers
-    /// re-base it to their global sheet numbering.
+    /// re-base it to their global sheet numbering. The query sheet is read
+    /// through `emb` alone (it holds every stored cell's fine vector).
     #[allow(clippy::too_many_arguments)]
     pub fn adapt_region(
         &self,
         index: &ReferenceIndex,
         emb: &SheetEmbedding,
-        sheet: &Sheet,
+        _sheet: &Sheet,
         target: CellRef,
         rid: usize,
         dist: f32,
         variant: PipelineVariant,
     ) -> Option<Prediction> {
         let cfg = self.cfg();
-        let embedder = self.embedder();
         let entry = &index.regions[rid];
         let expr = parse_formula(&entry.formula).ok()?;
         let (template, ref_params) = Template::extract(&expr);
@@ -257,9 +257,8 @@ impl AutoFormula {
             let m = match variant {
                 PipelineVariant::CoarseOnly => offset_map(cr, entry.cell, target),
                 _ => search_parameter(
-                    &embedder,
+                    cfg,
                     emb,
-                    sheet,
                     // Exact tables lend the row zero-copy (the default
                     // serving path); quantized tables dequantize once
                     // per parameter.
@@ -273,9 +272,8 @@ impl AutoFormula {
                     cr,
                     entry.cell,
                     target,
-                    cfg.neighborhood_d,
-                    cfg.s3_anchor_lambda,
-                ),
+                )
+                .map(|(cell, _)| cell),
             };
             mapped.push(m?);
         }
@@ -300,20 +298,28 @@ fn offset_map(ref_param: CellRef, ref_formula: CellRef, target: CellRef) -> Opti
 }
 
 /// S3 local search: score the `(2d+1)²` cells around the offset-mapped
-/// location by fine-region similarity to the reference parameter's region,
-/// and return the best (Algorithm 2 lines 26–32).
-#[allow(clippy::too_many_arguments)]
-fn search_parameter(
-    embedder: &SheetEmbedder<'_>,
-    target_emb: &crate::embedder::SheetEmbedding,
-    target_sheet: &Sheet,
+/// location by fine-region similarity to the reference parameter's region
+/// `ref_vec`, and return the best with its score (Algorithm 2 lines
+/// 26–32; `d` is [`AutoFormulaConfig::neighborhood_d`]).
+///
+/// Neighbouring candidate windows share all but one row or column, so the
+/// `(rows+2d) × (cols+2d)` patch they jointly cover is gathered **once**;
+/// each candidate's window is then `rows` row segments of the patch,
+/// copied into one scratch buffer and scored against `ref_vec` with the
+/// fused normalize-and-distance kernel — the values and the summation
+/// order of gathering, normalizing and measuring each window on its own.
+pub fn search_parameter(
+    cfg: &AutoFormulaConfig,
+    target_emb: &SheetEmbedding,
     ref_vec: &[f32],
     ref_param: CellRef,
     ref_formula: CellRef,
     target: CellRef,
-    d: i64,
-    anchor_lambda: f32,
-) -> Option<CellRef> {
+) -> Option<(CellRef, f32)> {
+    let d = cfg.neighborhood_d;
+    if d < 0 {
+        return None;
+    }
     let anchor = offset_map(ref_param, ref_formula, target).or_else(|| {
         // Clip into the sheet when the offset runs off the top/left.
         let dr = ref_param.row as i64 - ref_formula.row as i64;
@@ -323,18 +329,29 @@ fn search_parameter(
             (target.col as i64 + dc).max(0) as u32,
         ))
     })?;
+    let (rows, cols) = (cfg.window.rows as usize, cfg.window.cols as usize);
+    let (patch_rows, patch_cols) = (rows + 2 * d as usize, cols + 2 * d as usize);
+    let f8 = cfg.fine_cell_dim;
+    let (or, oc) = cfg.window.centered_origin(anchor);
+    let mut patch = vec![0.0f32; patch_rows * patch_cols * f8];
+    target_emb.gather(patch_cols).rect((or - d, oc - d), patch_rows, patch_cols, &mut patch);
+    let mut window = vec![0.0f32; rows * cols * f8];
     let mut best: Option<(CellRef, f32)> = None;
     for dr in -d..=d {
         for dc in -d..=d {
             let Some(cand) = anchor.offset(dr, dc) else { continue };
-            let v = embedder.fine_window(target_emb, target_sheet, WindowOrigin::Centered(cand));
-            let dist = l2_sq(ref_vec, &v) + anchor_lambda * (dr.abs() + dc.abs()) as f32;
+            let (top, left) = ((dr + d) as usize, (dc + d) as usize);
+            for (i, row) in window.chunks_exact_mut(cols * f8).enumerate() {
+                row.copy_from_slice(&patch[((top + i) * patch_cols + left) * f8..][..cols * f8]);
+            }
+            let dist = l2_sq_normalized(ref_vec, &window)
+                + cfg.s3_anchor_lambda * (dr.abs() + dc.abs()) as f32;
             if best.is_none_or(|(_, bd)| dist < bd) {
                 best = Some((cand, dist));
             }
         }
     }
-    best.map(|(c, _)| c)
+    best
 }
 
 #[cfg(test)]
@@ -344,6 +361,7 @@ mod tests {
     use af_corpus::split::{split, SplitKind};
     use af_corpus::testcase::{masked_sheet, sample_test_cases};
     use af_embed::{FeatureMask, SbertSim};
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     fn trained_system(corpus: &af_corpus::OrgCorpus) -> AutoFormula {
@@ -466,5 +484,87 @@ mod tests {
         let target = sheet.formulas().next().map(|(at, _)| at).unwrap();
         let masked = masked_sheet(sheet, target);
         assert!(af.predict(&index, &masked, target).is_none());
+    }
+
+    /// S3 as it was before the patch: gather, normalize and measure each
+    /// of the `(2d+1)²` candidate windows on its own.
+    fn naive_search(
+        embedder: &SheetEmbedder<'_>,
+        cfg: &AutoFormulaConfig,
+        emb: &SheetEmbedding,
+        sheet: &Sheet,
+        ref_vec: &[f32],
+        anchor: CellRef,
+    ) -> Option<(CellRef, f32)> {
+        let d = cfg.neighborhood_d;
+        let mut best: Option<(CellRef, f32)> = None;
+        for dr in -d..=d {
+            for dc in -d..=d {
+                let Some(cand) = anchor.offset(dr, dc) else { continue };
+                let v = embedder.fine_window(emb, sheet, WindowOrigin::Centered(cand));
+                let dist = af_ann::l2_sq(ref_vec, &v)
+                    + cfg.s3_anchor_lambda * (dr.abs() + dc.abs()) as f32;
+                if best.is_none_or(|(_, bd)| dist < bd) {
+                    best = Some((cand, dist));
+                }
+            }
+        }
+        best
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn patch_search_matches_the_window_by_window_loop(
+            cells in prop::collection::vec((0u32..24, 0u32..10, 0u32..4), 1..90),
+            tiny: bool,
+            d_sel in 0usize..3,
+            target in (0u32..20, 0u32..9),
+            ref_formula in (0u32..12, 0u32..9),
+            ref_param in (0u32..12, 0u32..9),
+            probe in (0u32..24, 0u32..10),
+        ) {
+            let base = if tiny { AutoFormulaConfig::test_tiny() } else { AutoFormulaConfig::default() };
+            let cfg = AutoFormulaConfig { neighborhood_d: [0, 1, 3][d_sel], ..base };
+            let featurizer = CellFeaturizer::new(Arc::new(SbertSim::new(16)), FeatureMask::FULL);
+            let model = RepresentationModel::new(featurizer.dim(), cfg);
+            let embedder = SheetEmbedder::new(&model, &featurizer);
+            let mut sheet = Sheet::new("q");
+            for &(r, c, kind) in &cells {
+                let cell = match kind {
+                    0 => af_grid::Cell::new(format!("label {r}")),
+                    _ => af_grid::Cell::new((r * 7 + c * kind) as f64),
+                };
+                sheet.set(CellRef::new(r, c), cell);
+            }
+            let emb = embedder.embed_sheet(&sheet, false);
+            // Any unit vector will do for the reference side; another
+            // window of the same sheet keeps the distances close together.
+            let ref_vec = embedder.fine_window(
+                &emb,
+                &sheet,
+                WindowOrigin::Centered(CellRef::new(probe.0, probe.1)),
+            );
+            let (target, ref_formula, ref_param) = (
+                CellRef::new(target.0, target.1),
+                CellRef::new(ref_formula.0, ref_formula.1),
+                CellRef::new(ref_param.0, ref_param.1),
+            );
+            // Small targets under large negative offsets: the anchor is
+            // clipped to row/col 0 and `anchor.offset` drops candidates.
+            let anchor = CellRef::new(
+                (target.row as i64 + ref_param.row as i64 - ref_formula.row as i64).max(0) as u32,
+                (target.col as i64 + ref_param.col as i64 - ref_formula.col as i64).max(0) as u32,
+            );
+            let got = search_parameter(&cfg, &emb, &ref_vec, ref_param, ref_formula, target);
+            let want = naive_search(&embedder, &cfg, &emb, &sheet, &ref_vec, anchor);
+            prop_assert_eq!(
+                got.map(|(c, dist)| (c, dist.to_bits())),
+                want.map(|(c, dist)| (c, dist.to_bits())),
+                "d={} anchor={:?}", cfg.neighborhood_d, anchor
+            );
+            prop_assert!(got.is_some(), "the anchor itself is always a candidate");
+        }
     }
 }

@@ -59,8 +59,8 @@ impl Sheet {
         let mut rows = 0;
         let mut cols = 0;
         for r in cells.keys() {
-            rows = rows.max(r.row + 1);
-            cols = cols.max(r.col + 1);
+            rows = rows.max(r.row.saturating_add(1));
+            cols = cols.max(r.col.saturating_add(1));
         }
         (rows, cols)
     }
@@ -83,7 +83,10 @@ impl Sheet {
             return;
         }
         if let Some((rows, cols)) = self.extent {
-            self.extent = Some((rows.max(at.row + 1), cols.max(at.col + 1)));
+            // Saturating: a cell in the last row or column is storable,
+            // its extent just cannot be one past it.
+            self.extent =
+                Some((rows.max(at.row.saturating_add(1)), cols.max(at.col.saturating_add(1))));
         }
         self.cells.insert(at, cell);
     }

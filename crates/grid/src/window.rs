@@ -78,7 +78,9 @@ impl ViewWindow {
 }
 
 impl Default for ViewWindow {
-    /// The scaled-down default (paper §5.1 uses 100×10; see DESIGN.md).
+    /// A scaled-down stand-alone default (paper §5.1 uses 100×10). The
+    /// system's own window is `AutoFormulaConfig::window`, 40×8 by default
+    /// — see ARCHITECTURE.md §1.1, "The fine gather".
     fn default() -> Self {
         ViewWindow::new(50, 10)
     }

@@ -6,6 +6,7 @@
 
 use std::fmt;
 
+use crate::kernel::l2_sq_scaled;
 pub use crate::kernel::{dot, l2_sq, matmul_xwt};
 
 /// A dense row-major tensor. Shapes follow the usual conventions:
@@ -120,18 +121,34 @@ impl fmt::Display for Tensor {
     }
 }
 
+/// Norm at or below which [`l2_normalize`] leaves a vector unscaled.
+const NORMALIZE_EPS: f32 = 1e-12;
+
 /// In-place L2 normalization; returns the original norm. Vectors with norm
 /// below `eps` are left unchanged (and the norm returned is the true norm).
 pub fn l2_normalize(v: &mut [f32]) -> f32 {
-    const EPS: f32 = 1e-12;
     let norm = dot(v, v).sqrt();
-    if norm > EPS {
+    if norm > NORMALIZE_EPS {
         let inv = 1.0 / norm;
         for x in v.iter_mut() {
             *x *= inv;
         }
     }
     norm
+}
+
+/// `l2_sq(a, b̂)` where `b̂` is `b` after [`l2_normalize`], without writing
+/// `b̂`: the same norm, the same reciprocal and the same rounded products
+/// summed in the same lane order, so the result is bit-identical to
+/// normalizing a copy of `b` first. S3 scores every candidate window of a
+/// neighbourhood this way from one scratch buffer.
+pub fn l2_sq_normalized(a: &[f32], b: &[f32]) -> f32 {
+    let norm = dot(b, b).sqrt();
+    if norm > NORMALIZE_EPS {
+        l2_sq_scaled(a, b, 1.0 / norm)
+    } else {
+        l2_sq(a, b)
+    }
 }
 
 #[cfg(test)]

@@ -4,8 +4,9 @@
 //! `batch == 0` / `in_dim == 0` matmul shapes.
 
 use af_nn::kernel::{
-    axpy, dot, l2_sq, matmul_xwt, shifted_plane_axpy, shifted_plane_copy, sum, LANES,
+    axpy, dot, l2_sq, l2_sq_scaled, matmul_xwt, shifted_plane_axpy, shifted_plane_copy, sum, LANES,
 };
+use af_nn::tensor::{l2_normalize, l2_sq_normalized};
 use proptest::prelude::*;
 
 const TOL: f32 = 1e-4;
@@ -41,6 +42,29 @@ proptest! {
         // A distance is never negative and is zero against itself.
         prop_assert!(l2_sq(&a, &b) >= 0.0);
         prop_assert_eq!(l2_sq(&a, &a), 0.0);
+    }
+
+    #[test]
+    fn fused_normalized_distance_has_the_bits_of_normalize_then_l2_sq(
+        n in len_with_remainders(),
+        tiny in 0usize..4,
+        seed in 0u64..1000,
+    ) {
+        // `n` covers len = 0 and every remainder; one case in four shrinks
+        // `b` until its norm is at or under the threshold, where
+        // `l2_normalize` leaves the vector as it is.
+        let (a, mut b) = two_vecs(n, seed);
+        if tiny == 0 {
+            b.iter_mut().for_each(|x| *x *= 1e-14);
+        }
+        let mut unit = b.clone();
+        let norm = l2_normalize(&mut unit);
+        prop_assert_eq!(unit == b, norm <= 1e-12, "scaled exactly when the norm is over EPS");
+        prop_assert_eq!(l2_sq_normalized(&a, &b).to_bits(), l2_sq(&a, &unit).to_bits(), "n={}", n);
+        // The kernel alone: scaling in flight equals scaling in place.
+        let scale = 0.37f32;
+        let scaled: Vec<f32> = b.iter().map(|x| x * scale).collect();
+        prop_assert_eq!(l2_sq_scaled(&a, &b, scale).to_bits(), l2_sq(&a, &scaled).to_bits());
     }
 
     #[test]
