@@ -6,7 +6,7 @@
 use af_ann::{FlatIndex, HnswIndex, HnswParams, VectorIndex};
 use af_baselines::mondrian::{detect_regions, sheet_distance};
 use af_core::features::{raw_window, WindowOrigin};
-use af_core::index::IndexOptions;
+use af_core::index::{IndexOptions, StripScratch};
 use af_core::pipeline::{search_parameter, AutoFormula, PipelineVariant};
 use af_core::{AutoFormulaConfig, TrainingOptions};
 use af_corpus::organization::{OrgSpec, Scale};
@@ -98,9 +98,11 @@ fn bench_predict(c: &mut Criterion) {
     });
 }
 
-/// The S3 kernels at the default geometry (40×8 window, 8 floats a cell,
-/// d = 3): one fine-window gather, and one parameter's neighbourhood
-/// search — 49 candidates, so ns per candidate is the figure ÷ 49.
+/// The S2/S3 kernels at the default geometry (40×8 window, 8 floats a
+/// cell, d = 3): one fine-window gather; one parameter's neighbourhood
+/// search — 49 candidates, so ns per candidate is the figure ÷ 49; and
+/// one candidate sheet's S2 scan off gathered strips — 44 regions (the
+/// benchmark's mean a sheet) in two columns, so ns per region is ÷ 44.
 fn bench_fine_gather(c: &mut Criterion) {
     let corpus = OrgSpec::pge(Scale::Tiny).generate();
     let featurizer = CellFeaturizer::new(Arc::new(SbertSim::new(16)), FeatureMask::FULL);
@@ -129,6 +131,30 @@ fn bench_fine_gather(c: &mut Criterion) {
                 ref_formula,
                 target,
             ))
+        })
+    });
+
+    let mut ledger = af_grid::Sheet::new("ledger");
+    for r in 0..30u32 {
+        for col in 0..4u32 {
+            ledger.set(af_grid::CellRef::new(r, col), af_grid::Cell::new((r * 4 + col) as f64));
+        }
+        for col in [4u32, 5].into_iter().filter(|&col| col == 4 || r < 14) {
+            let formula = format!("SUM(A{0}:D{0})", r + 1);
+            ledger
+                .set(af_grid::CellRef::new(r, col), af_grid::Cell::new(0.0).with_formula(formula));
+        }
+    }
+    let mut wb = af_grid::Workbook::new("w");
+    wb.push_sheet(ledger);
+    let index = af_core::ReferenceIndex::build(&embedder, &[wb], &[0], IndexOptions::default());
+    assert_eq!(index.regions_of_sheet(0).len(), 44);
+    let mut scratch = StripScratch::default();
+    c.bench_function("s2_sheet_strip", |b| {
+        b.iter(|| {
+            black_box(
+                index.sheet_region_distances(0, black_box(&ref_vec), None, &mut scratch).len(),
+            )
         })
     });
 }

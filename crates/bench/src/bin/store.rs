@@ -1,7 +1,7 @@
 //! `cargo run --release -p af-bench --bin store` — measure the vector-
 //! storage subsystem at the current `AF_SCALE`: artifact size, load time,
 //! flat-backend recall, and end-to-end prediction agreement for every
-//! codec × layout variant, plus the mmap cold start. Results land in
+//! codec, plus the mmap cold start. Results land in
 //! `BENCH_store.json` (pass an output path as the first argument to write
 //! elsewhere).
 
@@ -17,19 +17,14 @@ fn main() {
              {} prediction queries; mmap cold start {:.2} ms",
             r.n_sheets, r.n_regions, r.k, r.recall_queries, r.prediction_queries, r.mmap_load_ms
         );
-        println!(
-            "compact reconstruction: {:.2} ms serial -> {:.2} ms across all cores",
-            r.compact_reconstruct_serial_ms, r.compact_reconstruct_parallel_ms
-        );
         print_table(
-            "storage variants",
-            &["codec", "layout", "MiB", "vs f32", "load (ms)", "recall@10", "pred agree"],
+            "storage codecs",
+            &["codec", "MiB", "vs f32", "load (ms)", "recall@10", "pred agree"],
             &r.variants
                 .iter()
                 .map(|v| {
                     vec![
                         v.codec.to_string(),
-                        if v.compact { "compact".into() } else { "fat".into() },
                         format!("{:.2}", v.artifact_bytes as f64 / (1024.0 * 1024.0)),
                         format!("{:.3}", v.ratio_vs_f32),
                         format!("{:.2}", v.load_ms),
@@ -45,26 +40,22 @@ fn main() {
         // Committed fidelity floors for the PQ codec: the smoke job runs
         // this binary, so a regression in PQ recall or end-to-end
         // prediction agreement fails CI loudly instead of silently
-        // shipping a worse artifact format. The fat fine tables train
-        // even on the tiny corpus (one row per region/parameter), so fat
-        // PQ is lossy at every scale; with only ~17 prediction queries at
-        // tiny each S2 near-tie flip costs ~6% agreement, so the full
-        // floor only applies once the query set is large enough to make
-        // it meaningful.
+        // shipping a worse artifact format. With only ~17 prediction
+        // queries at tiny each S2 near-tie flip costs ~6% agreement, so
+        // the full floor only applies once the query set is large enough
+        // to make it meaningful.
         const PQ_RECALL_FLOOR: f64 = 0.95;
         let pq_agreement_floor: f64 = if r.prediction_queries >= 50 { 0.90 } else { 0.75 };
         for v in r.variants.iter().filter(|v| v.codec == "pq") {
             assert!(
                 v.flat_recall_at_k >= PQ_RECALL_FLOOR,
-                "pq ({}) recall@10 {:.4} fell below the committed floor {PQ_RECALL_FLOOR}",
-                if v.compact { "compact" } else { "fat" },
+                "pq recall@10 {:.4} fell below the committed floor {PQ_RECALL_FLOOR}",
                 v.flat_recall_at_k,
             );
             assert!(
                 v.prediction_agreement >= pq_agreement_floor,
-                "pq ({}) prediction agreement {:.4} fell below the committed floor \
+                "pq prediction agreement {:.4} fell below the committed floor \
                  {pq_agreement_floor}",
-                if v.compact { "compact" } else { "fat" },
                 v.prediction_agreement,
             );
         }

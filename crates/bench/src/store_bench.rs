@@ -1,13 +1,12 @@
 //! Vector-storage benchmark: the numbers behind `af-store` and artifact
 //! format v2.
 //!
-//! Measures, at the current `AF_SCALE`, for every codec × layout variant:
+//! Measures, at the current `AF_SCALE`, for every codec:
 //! * **artifact size** — bytes of `AutoFormula::save_with` and the ratio
-//!   against the exact-f32 fat baseline;
-//! * **cold-start load** — `AutoFormula::load` from bytes (for the
-//!   compact layout this includes the gather+normalize reconstruction of
-//!   the fine tables), plus an `mmap(2)` cold start through
-//!   `AutoFormula::load_mmap`;
+//!   against the exact-f32 artifact;
+//! * **cold-start load** — `AutoFormula::load` from bytes (quantized cell
+//!   tables are dequantized here, once), plus an `mmap(2)` cold start
+//!   through `AutoFormula::load_mmap`;
 //! * **recall@10 on the flat backend** — quantized coarse scans against
 //!   the exact f32 scan, distance-based (a hit is an approximate neighbor
 //!   whose true distance is within the exact k-th distance, robust to
@@ -38,13 +37,12 @@ pub const K: usize = 10;
 /// Cap on recall queries and on holdout prediction queries.
 const MAX_QUERIES: usize = 120;
 
-/// One codec × layout measurement.
+/// One codec's measurement.
 #[derive(Debug, Clone)]
 pub struct VariantResult {
     pub codec: &'static str,
-    pub compact: bool,
     pub artifact_bytes: usize,
-    /// Size relative to the exact-f32 fat artifact.
+    /// Size relative to the exact-f32 artifact.
     pub ratio_vs_f32: f64,
     pub load_ms: f64,
     /// Distance-based recall@K of the quantized flat coarse scan against
@@ -65,13 +63,8 @@ pub struct StoreBenchReport {
     pub recall_queries: usize,
     pub prediction_queries: usize,
     pub variants: Vec<VariantResult>,
-    /// `AutoFormula::load_mmap` cold start on the f32 fat artifact.
+    /// `AutoFormula::load_mmap` cold start on the f32 artifact.
     pub mmap_load_ms: f64,
-    /// Compact f32 cold load with the fine-table reconstruction pinned to
-    /// a single worker (the pre-parallelization behavior).
-    pub compact_reconstruct_serial_ms: f64,
-    /// The same load with reconstruction fanned out across all cores.
-    pub compact_reconstruct_parallel_ms: f64,
 }
 
 fn scale_name(scale: Scale) -> &'static str {
@@ -112,7 +105,7 @@ pub fn measure() -> StoreBenchReport {
     let universe = OrgSpec::web_crawl(scale).generate();
     let featurizer = CellFeaturizer::new(Arc::new(SbertSim::new(64)), FeatureMask::FULL);
     let cfg = AutoFormulaConfig { episodes: TRAIN_EPISODES, ..AutoFormulaConfig::default() };
-    let (mut af, _) = AutoFormula::train(&universe.workbooks, featurizer, cfg, Default::default());
+    let (af, _) = AutoFormula::train(&universe.workbooks, featurizer, cfg, Default::default());
 
     // Reference index over all but the holdout workbook.
     let org = OrgSpec::pge(scale).generate();
@@ -162,7 +155,7 @@ pub fn measure() -> StoreBenchReport {
                 .collect()
         };
 
-    // Baseline: exact f32, fat layout.
+    // Baseline: exact f32.
     let f32_bytes = af.save(&index);
     let f32_size = f32_bytes.len();
     let (f32_af, f32_index) = AutoFormula::load(&f32_bytes).expect("f32 artifact loads");
@@ -170,66 +163,40 @@ pub fn measure() -> StoreBenchReport {
 
     let mut variants = Vec::new();
     for codec in Codec::ALL {
-        for compact in [false, true] {
-            let opts = StoreOptions { codec, compact_fine: compact };
-            let bytes = af.save_with(&index, opts).expect("save_with");
-            let mut load_ms = f64::INFINITY;
-            let mut loaded = None;
-            for _ in 0..3 {
-                let b = bytes.clone(); // O(1): Bytes is an Arc window
-                let t = Instant::now();
-                let pair = AutoFormula::load_bytes_artifact(b).expect("variant loads");
-                load_ms = load_ms.min(t.elapsed().as_secs_f64() * 1e3);
-                loaded = Some(pair);
-            }
-            let (var_af, var_index) = loaded.expect("three loads ran");
-
-            // Flat-backend recall: quantize the coarse table and scan.
-            let flat_recall_at_k = match codec {
-                Codec::F32 => 1.0,
-                _ => flat_recall(&exact_flat, &exact_flat.to_codec(codec), queries, coarse_dim),
-            };
-            let preds = predictions_of(&var_af, &var_index);
-            let agree = baseline_preds.iter().zip(&preds).filter(|(a, b)| a == b).count();
-            let prediction_agreement =
-                if targets.is_empty() { 1.0 } else { agree as f64 / targets.len() as f64 };
-
-            variants.push(VariantResult {
-                codec: codec.label(),
-                compact,
-                artifact_bytes: bytes.len(),
-                ratio_vs_f32: bytes.len() as f64 / f32_size as f64,
-                load_ms,
-                flat_recall_at_k,
-                prediction_agreement,
-            });
-        }
-    }
-
-    // Compact reconstruction before/after: the compact load is dominated
-    // by the gather+normalize rebuild of the fine tables, which fans out
-    // across `embed_threads` workers. Two artifacts that differ only in
-    // the persisted `embed_threads` knob (1 vs. 0 = all cores) isolate
-    // the parallelization win on identical bytes-per-table.
-    let compact_opts = StoreOptions { codec: Codec::F32, compact_fine: true };
-    let parallel_bytes = af.save_with(&index, compact_opts).expect("compact save");
-    af.model.cfg.embed_threads = 1;
-    let serial_bytes = af.save_with(&index, compact_opts).expect("compact save (serial)");
-    af.model.cfg.embed_threads = 0;
-    let cold_load_ms = |bytes: &bytes::Bytes| -> f64 {
-        let mut best = f64::INFINITY;
+        let opts = StoreOptions { codec, ..StoreOptions::default() };
+        let bytes = af.save_with(&index, opts).expect("save_with");
+        let mut load_ms = f64::INFINITY;
+        let mut loaded = None;
         for _ in 0..3 {
             let b = bytes.clone(); // O(1): Bytes is an Arc window
             let t = Instant::now();
-            let _ = AutoFormula::load_bytes_artifact(b).expect("compact loads");
-            best = best.min(t.elapsed().as_secs_f64() * 1e3);
+            let pair = AutoFormula::load_bytes_artifact(b).expect("variant loads");
+            load_ms = load_ms.min(t.elapsed().as_secs_f64() * 1e3);
+            loaded = Some(pair);
         }
-        best
-    };
-    let compact_reconstruct_serial_ms = cold_load_ms(&serial_bytes);
-    let compact_reconstruct_parallel_ms = cold_load_ms(&parallel_bytes);
+        let (var_af, var_index) = loaded.expect("three loads ran");
 
-    // mmap cold start on the fat f32 artifact (the beyond-RAM layout).
+        // Flat-backend recall: quantize the coarse table and scan.
+        let flat_recall_at_k = match codec {
+            Codec::F32 => 1.0,
+            _ => flat_recall(&exact_flat, &exact_flat.to_codec(codec), queries, coarse_dim),
+        };
+        let preds = predictions_of(&var_af, &var_index);
+        let agree = baseline_preds.iter().zip(&preds).filter(|(a, b)| a == b).count();
+        let prediction_agreement =
+            if targets.is_empty() { 1.0 } else { agree as f64 / targets.len() as f64 };
+
+        variants.push(VariantResult {
+            codec: codec.label(),
+            artifact_bytes: bytes.len(),
+            ratio_vs_f32: bytes.len() as f64 / f32_size as f64,
+            load_ms,
+            flat_recall_at_k,
+            prediction_agreement,
+        });
+    }
+
+    // mmap cold start on the f32 artifact (the beyond-RAM path).
     let mut path = std::env::temp_dir();
     path.push(format!("af_bench_store_{}.afar", std::process::id()));
     std::fs::write(&path, &f32_bytes).expect("write artifact file");
@@ -249,8 +216,6 @@ pub fn measure() -> StoreBenchReport {
         prediction_queries: targets.len(),
         variants,
         mmap_load_ms,
-        compact_reconstruct_serial_ms,
-        compact_reconstruct_parallel_ms,
     }
 }
 
@@ -267,24 +232,15 @@ pub fn to_json(r: &StoreBenchReport) -> String {
     out.push_str(&format!("  \"recall_queries\": {},\n", r.recall_queries));
     out.push_str(&format!("  \"prediction_queries\": {},\n", r.prediction_queries));
     out.push_str(&format!("  \"mmap_load_ms\": {:.3},\n", r.mmap_load_ms));
-    out.push_str(&format!(
-        "  \"compact_reconstruct_serial_ms\": {:.3},\n",
-        r.compact_reconstruct_serial_ms
-    ));
-    out.push_str(&format!(
-        "  \"compact_reconstruct_parallel_ms\": {:.3},\n",
-        r.compact_reconstruct_parallel_ms
-    ));
     out.push_str("  \"variants\": [\n");
     for (i, v) in r.variants.iter().enumerate() {
         out.push_str(&format!(
             concat!(
-                "    {{\"codec\": \"{}\", \"compact\": {}, \"artifact_bytes\": {}, ",
+                "    {{\"codec\": \"{}\", \"artifact_bytes\": {}, ",
                 "\"ratio_vs_f32\": {:.4}, \"load_ms\": {:.3}, ",
                 "\"flat_recall_at_10\": {:.4}, \"prediction_agreement\": {:.4}}}{}\n"
             ),
             v.codec,
-            v.compact,
             v.artifact_bytes,
             v.ratio_vs_f32,
             v.load_ms,
@@ -306,18 +262,9 @@ pub fn write_json(report: &StoreBenchReport, path: &Path) {
 mod tests {
     use super::*;
 
-    /// The int8 **fat** layout is quantization-lossy at the prediction
-    /// level by design: each fat fine row is a whole window — many
-    /// concatenated per-cell vectors with heterogeneous magnitudes — and
-    /// per-row affine SQ8 gives them all one coarse step, so S2 near-ties
-    /// can flip (≈0.98 agreement at small scale; see the codec section of
-    /// ARCHITECTURE.md and `int8_fat_rows_lose_precision_that_per_cell_
-    /// rows_keep` in af-store). This pins the accepted tolerance so a
-    /// codec regression (agreement collapsing) fails loudly, and pins that
-    /// the **compact** layout — per-cell rows, f32 gather+normalize on
-    /// load — stays at full agreement.
-    #[test]
-    fn int8_fat_agreement_stays_within_the_accepted_tolerance() {
+    /// Holdout agreement of a `codec` artifact with the in-memory system
+    /// it was saved from, on `OrgSpec::pge(Scale::Tiny)`.
+    fn holdout_agreement(codec: Codec) -> f64 {
         let corpus = OrgSpec::pge(Scale::Tiny).generate();
         let featurizer = CellFeaturizer::new(Arc::new(SbertSim::new(16)), FeatureMask::FULL);
         let cfg = AutoFormulaConfig::test_tiny();
@@ -351,78 +298,34 @@ mod tests {
                 .collect()
         };
         let baseline = preds(&af, &index);
-        let agreement = |compact: bool| -> f64 {
-            let bytes = af
-                .save_with(&index, StoreOptions { codec: Codec::Int8, compact_fine: compact })
-                .expect("int8 artifact saves");
-            let (qaf, qindex) = AutoFormula::load_bytes_artifact(bytes).expect("int8 loads");
-            let q = preds(&qaf, &qindex);
-            let agree = baseline.iter().zip(&q).filter(|(a, b)| a == b).count();
-            agree as f64 / targets.len() as f64
-        };
-        let fat = agreement(false);
-        let compact = agreement(true);
-        assert!(fat >= 0.9, "int8 fat agreement regressed below tolerance: {fat}");
-        assert_eq!(compact, 1.0, "int8 compact must stay at full agreement");
+        let opts = StoreOptions { codec, ..StoreOptions::default() };
+        let bytes = af.save_with(&index, opts).expect("quantized artifact saves");
+        let (qaf, qindex) = AutoFormula::load_bytes_artifact(bytes).expect("quantized loads");
+        let q = preds(&qaf, &qindex);
+        let agree = baseline.iter().zip(&q).filter(|(a, b)| a == b).count();
+        agree as f64 / targets.len() as f64
     }
 
-    /// The PQ analog of the int8 tolerance pin. The **fat** fine tables
-    /// hold one row per region/parameter, so even the tiny corpus puts
-    /// thousands of rows through the sub-quantizers — PQ trains and the
-    /// fat layout is lossy (8 dims collapse to one centroid id), flipping
-    /// more S2 near-ties than int8 does (observed ≈0.71 agreement under
-    /// the deliberately small `test_tiny` windows; real-scale fat
-    /// agreement is gated by the `store` bench binary's committed
-    /// floors). The **compact** layout stores per-sheet cell caches that
-    /// stay below the 256-row training threshold, so its blocks remain
-    /// pending (raw f32) and serving must be **exact**.
+    /// int8 quantizes *per-cell* rows: every row is one cell's fine
+    /// vector with its own scale and offset, the windows are gathered and
+    /// normalized in f32 after the one dequantization at load, and
+    /// serving stays at full agreement with the exact system. (The name
+    /// is from when a second, fat layout — whole windows as int8 rows,
+    /// one coarse step across heterogeneous cells, ≈0.98 agreement — had
+    /// a tolerance to pin; see `int8_fat_rows_lose_precision_that_per_
+    /// cell_rows_keep` in af-store for why that layout lost precision.)
+    #[test]
+    fn int8_fat_agreement_stays_within_the_accepted_tolerance() {
+        assert_eq!(holdout_agreement(Codec::Int8), 1.0, "int8 must stay at full agreement");
+    }
+
+    /// The PQ analog. Per-sheet cell tables at this scale stay below the
+    /// 256-row training threshold, so their blocks remain pending (raw
+    /// f32) and serving must be **exact**; trained-PQ agreement is gated
+    /// by the `store` bench binary's committed floors.
     #[test]
     fn pq_agreement_stays_within_the_accepted_tolerance() {
-        let corpus = OrgSpec::pge(Scale::Tiny).generate();
-        let featurizer = CellFeaturizer::new(Arc::new(SbertSim::new(16)), FeatureMask::FULL);
-        let cfg = AutoFormulaConfig::test_tiny();
-        let af = AutoFormula::from_model(
-            af_core::RepresentationModel::new(featurizer.dim(), cfg),
-            featurizer,
-        );
-        let n_wb = corpus.workbooks.len();
-        let members: Vec<usize> = (0..n_wb - 1).collect();
-        let index = af.build_index(&corpus.workbooks, &members, IndexOptions::default());
-        let holdout = n_wb - 1;
-        let targets: Vec<(usize, CellRef)> = corpus.workbooks[holdout]
-            .sheets
-            .iter()
-            .enumerate()
-            .flat_map(|(si, s)| s.formulas().map(move |(at, _)| (si, at)))
-            .collect();
-        assert!(targets.len() >= 8, "need a meaningful query set");
-        let preds = |af: &AutoFormula, index: &af_core::ReferenceIndex| -> Vec<Option<String>> {
-            targets
-                .iter()
-                .map(|&(si, at)| {
-                    af.predict_with(
-                        index,
-                        &corpus.workbooks[holdout].sheets[si],
-                        at,
-                        PipelineVariant::Full,
-                    )
-                    .map(|p| p.formula)
-                })
-                .collect()
-        };
-        let baseline = preds(&af, &index);
-        let agreement = |compact: bool| -> f64 {
-            let opts = StoreOptions { codec: Codec::Pq { m: 0 }, compact_fine: compact };
-            let bytes = af.save_with(&index, opts).expect("pq artifact saves");
-            let (qaf, qindex) = AutoFormula::load_bytes_artifact(bytes).expect("pq loads");
-            let q = preds(&qaf, &qindex);
-            let agree = baseline.iter().zip(&q).filter(|(a, b)| a == b).count();
-            agree as f64 / targets.len() as f64
-        };
-        let fat = agreement(false);
-        let compact = agreement(true);
-        assert!(fat >= 0.6, "trained-pq fat agreement regressed below tolerance: {fat}");
-        assert_eq!(compact, 1.0, "pq compact must stay at full agreement");
+        assert_eq!(holdout_agreement(Codec::Pq { m: 0 }), 1.0, "pq must stay at full agreement");
     }
 
     #[test]
@@ -436,7 +339,6 @@ mod tests {
             prediction_queries: 9,
             variants: vec![VariantResult {
                 codec: "int8",
-                compact: true,
                 artifact_bytes: 1234,
                 ratio_vs_f32: 0.2,
                 load_ms: 1.5,
@@ -444,12 +346,10 @@ mod tests {
                 prediction_agreement: 1.0,
             }],
             mmap_load_ms: 0.7,
-            compact_reconstruct_serial_ms: 190.0,
-            compact_reconstruct_parallel_ms: 30.0,
         };
         let json = to_json(&r);
         assert!(json.contains("\"artifact_bytes\": 1234"));
-        assert!(json.contains("\"compact_reconstruct_serial_ms\": 190.000"));
+        assert!(json.contains("\"mmap_load_ms\": 0.700"));
         assert!(json.contains("\"flat_recall_at_10\": 0.9900"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());

@@ -7,7 +7,7 @@
 //! | `CONFIG` | 1 | every [`AutoFormulaConfig`] field + the featurizer input dim |
 //! | `FEATURIZER` | 2 | embedder name, dim, feature mask, trained vocabulary |
 //! | `MODEL` | 3 | representation-model weights (`af_nn` snapshot blocks) |
-//! | `INDEX` | 4 | the full [`ReferenceIndex`]: keys, sheet metadata, region provenance (params + reference-side fine vectors), region embeddings, and the ANN structures of whichever backend built them (flat vectors / HNSW graph / IVF lists + centroids) |
+//! | `INDEX` | 4 | the full [`ReferenceIndex`]: keys, sheet metadata, region provenance (formula, cell, parameter cells), every sheet's per-cell fine vectors, and the ANN structures of whichever backend built them (flat vectors / HNSW graph / IVF lists + centroids) |
 //! | `SHARDS` | 5 | *(v3, optional)* the serving shard layout: router tag + shard count + per-sheet shard assignment ([`ShardLayout`]) |
 //!
 //! Layout: magic `AFAR`, version, a section table (id, offset, length —
@@ -17,20 +17,28 @@
 //!
 //! **Format v2** puts every embedding table behind an `af_store` block
 //! with a per-section codec tag: exact `f32` (the default — bit-identical
-//! round trips, zero-copy adoption), or `f16`/`int8` scalar quantization
-//! ([`StoreOptions::codec`], 2–4× smaller, served through asymmetric
-//! distance kernels). Independently, [`StoreOptions::compact_fine`] swaps
-//! the fat per-region fine windows for per-sheet cell caches (each cell
-//! vector stored once instead of duplicated into up to `n_cells`
-//! overlapping windows) and re-gathers the windows at load — a further
-//! order-of-magnitude size lever that stays bit-identical under `f32`.
-//! **Format v3** extends the CONFIG section with the serving-shard knobs
-//! (`n_shards`, `delta_max_sheets`; older artifacts decode with the
-//! defaults) and adds the optional `SHARDS` section: a sharded server
-//! saves its merged global-order index plus the per-sheet shard
-//! assignment, so a reload re-splits into exactly the shards that were
-//! serving — not merely an equivalent partition. Version-1 and -2
-//! artifacts still load; [`AutoFormula::save`] writes v3.
+//! round trips, zero-copy adoption), or `f16`/`int8`/PQ quantization
+//! ([`StoreOptions::codec`], smaller files; the ANN vectors serve through
+//! asymmetric distance kernels, the cell tables are dequantized once at
+//! load). The fine branch is stored **once per cell**: each sheet's sorted
+//! cell references beside one table of their fine vectors, plus the two
+//! constant vectors — exactly what the index holds in memory, so a load
+//! adopts it as it is and every region window is gathered from it at
+//! query time. **Format v3** extends the CONFIG section with the
+//! serving-shard knobs (`n_shards`, `delta_max_sheets`; v2 artifacts
+//! decode with the defaults) and adds the optional `SHARDS` section: a
+//! sharded server saves its merged global-order index plus the per-sheet
+//! shard assignment, so a reload re-splits into exactly the shards that
+//! were serving — not merely an equivalent partition.
+//! [`AutoFormula::save`] writes v3.
+//!
+//! **Removed layouts.** Format v1 and the v2/v3 *fat* fine layout (flag
+//! byte 0: one normalized window per region and per parameter instead of
+//! the cells) are rejected with a typed [`ArtifactError`]
+//! (`UnsupportedVersion` / `Invalid`). Neither can be served — the index
+//! no longer has window tables — nor converted exactly: normalization
+//! discarded each window's scale, so the cells cannot be recovered from
+//! the windows. Rebuild the index from the workbooks and save again.
 //!
 //! [`AutoFormula::load`] reads from a byte slice;
 //! [`AutoFormula::load_mmap`] maps the file page-on-demand instead, so
@@ -42,9 +50,8 @@
 //! [`ArtifactError`], never panic.
 
 use crate::config::{AnnBackend, AutoFormulaConfig};
-use crate::embedder::{FineGather, SheetFineCells};
-use crate::features::WindowOrigin;
-use crate::index::{FineCache, ReferenceIndex, RegionEntry, SheetKey, SheetMeta, VecTable};
+use crate::embedder::{tile_cols, SheetFineCells};
+use crate::index::{ReferenceIndex, RegionEntry, SheetKey, SheetMeta, VecTable};
 use crate::model::RepresentationModel;
 use crate::pipeline::AutoFormula;
 use af_ann::{CodecError, HnswParams, IvfParams};
@@ -59,7 +66,7 @@ use std::path::Path;
 const MAGIC: u32 = 0x4146_4152; // "AFAR"
 const VERSION: u16 = 3;
 /// Versions [`AutoFormula::load`] accepts.
-pub const SUPPORTED_VERSIONS: &[u16] = &[1, 2, 3];
+pub const SUPPORTED_VERSIONS: &[u16] = &[2, 3];
 
 const SEC_CONFIG: u16 = 1;
 const SEC_FEATURIZER: u16 = 2;
@@ -119,20 +126,18 @@ fn decode_shards(data: &mut Bytes, n_sheets: usize) -> Result<ShardLayout, Artif
     Ok(ShardLayout { n_shards, assignment })
 }
 
-/// How [`AutoFormula::save_with`] lays out the embedding tables.
+/// How [`AutoFormula::save_with`] encodes the embedding tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StoreOptions {
-    /// Storage codec for every embedding table (ANN vectors, region and
-    /// parameter windows, coarse region vectors). [`Codec::F32`] (the
-    /// default) keeps bit-exact round trips; `F16`/`Int8` shrink the
-    /// artifact 2–4× and serve through asymmetric kernels with recall
-    /// measured in `BENCH_store.json`.
+    /// Storage codec for every embedding table (ANN vectors, per-sheet
+    /// cell vectors, coarse region vectors). [`Codec::F32`] (the default)
+    /// keeps bit-exact round trips; `F16`/`Int8`/`Pq` shrink the file,
+    /// with recall and agreement measured in `BENCH_store.json`.
     pub codec: Codec,
-    /// Persist per-sheet fine cell caches instead of per-region windows
-    /// and re-gather the windows at load (~order-of-magnitude smaller
-    /// fine store, bit-identical under `f32`; load pays one
-    /// gather+normalize pass). Requires an index that retains its caches
-    /// — one built in this process or loaded from a compact artifact.
+    /// No longer read. It chose between the per-cell layout and a fat
+    /// per-window one; the per-cell layout is now the only one, whatever
+    /// this says. The field stays only because callers build this struct
+    /// as a literal.
     pub compact_fine: bool,
 }
 
@@ -293,10 +298,10 @@ fn put_vec_table<S: StoreSink>(buf: &mut S, table: &VecTable, codec: Codec) {
 /// cell slot so subspace boundaries land exactly on cell boundaries.
 /// Window slots have heterogeneous magnitudes (headers vs. data vs.
 /// empties), and a subspace straddling two slots would spend its 256
-/// centroids on the cross product of both distributions — the same
-/// fat-layout trap the per-vector int8 affine dodges with per-row
-/// scales (ARCHITECTURE.md §5). Other tables (coarse embeddings, cell
-/// caches) keep the auto split chosen by the store itself.
+/// centroids on the cross product of both distributions
+/// (ARCHITECTURE.md §5). Only the fine-signature ANN vectors are whole
+/// windows; other tables (coarse embeddings, per-sheet cell vectors) keep
+/// the auto split chosen by the store itself.
 fn table_codec(codec: Codec, dim: usize, fine_cell_dim: usize) -> Codec {
     match codec {
         Codec::Pq { m: 0 } if fine_cell_dim > 0 && dim.is_multiple_of(fine_cell_dim) => {
@@ -336,40 +341,6 @@ fn get_vec_table(
         return Err(ArtifactError::Invalid("embedding table has the wrong row count"));
     }
     Ok(VecTable::from_store(store))
-}
-
-/// Embedding-table block, v1: row count, a pad run, then the raw
-/// little-endian `f32` image of the whole table.
-fn get_vec_table_v1(
-    data: &mut Bytes,
-    dim: usize,
-    expect_rows: usize,
-    what: &'static str,
-) -> Result<VecTable, ArtifactError> {
-    let rows = get_u64(data, what)? as usize;
-    if rows != expect_rows {
-        return Err(ArtifactError::Invalid("embedding table has the wrong row count"));
-    }
-    let pad = get_u8(data, what)? as usize;
-    if pad > 3 {
-        return Err(ArtifactError::Invalid("embedding table pad run out of range"));
-    }
-    if data.remaining() < pad {
-        return Err(ArtifactError::Truncated(what));
-    }
-    data.split_to(pad);
-    let need = rows
-        .checked_mul(dim)
-        .and_then(|n| n.checked_mul(4))
-        .ok_or(ArtifactError::Truncated(what))?;
-    if data.remaining() < need {
-        return Err(ArtifactError::Truncated(what));
-    }
-    Ok(VecTable::from_store(af_store::DenseStore::F32(af_store::F32Store::from_le_bytes(
-        dim,
-        rows,
-        data.split_to(need),
-    ))))
 }
 
 fn put_cell<S: StoreSink>(buf: &mut S, cell: CellRef) {
@@ -514,16 +485,16 @@ fn decode_config(
 
 // ------------------------------------------------------------ index codec
 
-/// Fine-table layout flags inside the INDEX section (v2).
-const FINE_FAT: u8 = 0;
-const FINE_COMPACT: u8 = 1;
+/// Fine-layout flag inside the INDEX section: per-sheet cell tables.
+/// Flag 0 was the removed fat layout (a window per region and parameter).
+const FINE_CELLS: u8 = 1;
 
 fn encode_index<S: StoreSink>(
     buf: &mut S,
     index: &ReferenceIndex,
-    opts: StoreOptions,
+    codec: Codec,
     fine_cell_dim: usize,
-) -> Result<(), ArtifactError> {
+) {
     buf.write_u64(index.keys.len() as u64);
     for key in &index.keys {
         buf.write_u64(key.workbook as u64);
@@ -534,13 +505,13 @@ fn encode_index<S: StoreSink>(
         buf.write_u32(meta.rows);
         buf.write_u32(meta.cols);
     }
-    encode_ann_index(buf, index.coarse.as_ref(), opts.codec);
+    encode_ann_index(buf, index.coarse.as_ref(), codec);
     match &index.fine_sheets {
         Some(idx) => {
             buf.write_u8(1);
             // Fine-signature vectors are whole windows: resolve an auto
             // PQ split onto cell boundaries (see `table_codec`).
-            encode_ann_index(buf, idx.as_ref(), table_codec(opts.codec, idx.dim(), fine_cell_dim));
+            encode_ann_index(buf, idx.as_ref(), table_codec(codec, idx.dim(), fine_cell_dim));
         }
         None => buf.write_u8(0),
     }
@@ -554,197 +525,41 @@ fn encode_index<S: StoreSink>(
             put_cell(buf, param);
         }
     }
-    if opts.compact_fine {
-        let Some(cache) = index.fine_cache.as_ref() else {
-            return Err(ArtifactError::Invalid(
-                "compact fine layout requires an index that retains its fine cell caches \
-                 (built in-process or loaded from a compact artifact)",
-            ));
-        };
-        debug_assert_eq!(cache.sheets.len(), index.keys.len());
-        buf.write_u8(FINE_COMPACT);
-        // Shared constant rows, always exact (they are two vectors). An
-        // index with zero sheets never captured them; write zeros — no
-        // region will ever gather them.
-        let mut consts = VecTable::new(fine_cell_dim);
-        if cache.empty.is_empty() {
-            consts.push(&vec![0.0; fine_cell_dim]);
-            consts.push(&vec![0.0; fine_cell_dim]);
-        } else {
-            consts.push(&cache.empty);
-            consts.push(&cache.invalid);
-        }
-        put_vec_table(buf, &consts, Codec::F32);
-        for sheet in &cache.sheets {
-            buf.write_u64(sheet.refs.len() as u64);
-            for &at in &sheet.refs {
-                put_cell(buf, at);
-            }
-            put_vec_table(buf, &sheet.vecs, opts.codec);
-        }
+    debug_assert_eq!(index.fine_cells.len(), index.keys.len());
+    buf.write_u8(FINE_CELLS);
+    // Shared constant rows, always exact (they are two vectors). An index
+    // with zero sheets never captured them; write zeros — no region will
+    // ever gather them.
+    let mut consts = VecTable::new(fine_cell_dim);
+    if index.fine_empty.is_empty() {
+        consts.push(&vec![0.0; fine_cell_dim]);
+        consts.push(&vec![0.0; fine_cell_dim]);
     } else {
-        buf.write_u8(FINE_FAT);
-        let fine = table_codec(opts.codec, index.region_vecs.store().dim(), fine_cell_dim);
-        put_vec_table(buf, &index.region_vecs, fine);
-        put_vec_table(buf, &index.param_vecs, fine);
+        consts.push(&index.fine_empty[..fine_cell_dim]);
+        consts.push(&index.fine_invalid[..fine_cell_dim]);
+    }
+    put_vec_table(buf, &consts, Codec::F32);
+    for sheet in &index.fine_cells {
+        buf.write_u64(sheet.refs.len() as u64);
+        for &at in &sheet.refs {
+            put_cell(buf, at);
+        }
+        put_vec_table(buf, &sheet.vecs, codec);
     }
     match &index.coarse_region_vecs {
         Some(vecs) => {
             buf.write_u8(1);
-            put_vec_table(buf, vecs, opts.codec);
+            put_vec_table(buf, vecs, codec);
         }
         None => buf.write_u8(0),
     }
     buf.write_f64(index.build_seconds);
-    Ok(())
 }
 
-/// The raw bytes backing a `f32` slice, for page-level `madvise` hints.
-fn as_byte_view(v: &[f32]) -> &[u8] {
-    // SAFETY: `v` is a live, initialized allocation; f32 has no invalid
-    // byte patterns and the length covers exactly the same memory, so
-    // reinterpreting it as bytes for the duration of the borrow is sound.
-    unsafe { std::slice::from_raw_parts(v.as_ptr().cast::<u8>(), std::mem::size_of_val(v)) }
-}
-
-/// Rebuild the fat region/parameter tables from a compact fine cache (one
-/// gather+normalize pass over every region and parameter window).
-///
-/// The gather is the dominant cost of a compact load (historically
-/// ~190 ms at `AF_SCALE=small`), attacked from two directions. Every
-/// window comes out of the [`FineGather`] the index build filled the fat
-/// tables with, so under the `f32` codec the rebuilt tables are
-/// bit-identical to them (pinned by
-/// `compact_layout_is_bit_identical_under_f32`):
-///
-/// * **Cheaper windows** — one [`FineGather`] per sheet (row-range index,
-///   contiguous-f32 fast path, pre-tiled blank rows, run-coalesced cell
-///   copies), duplicate-center reuse, and huge-page backing for the
-///   output tables.
-/// * **Parallel fill** — every window is independent: region `i` owns
-///   row `i` of the region table and rows `param_start ..
-///   param_start + params.len()` of the parameter table, so workers
-///   (capped by `cfg.embed_threads`) split the region list into
-///   contiguous chunks and write straight into disjoint slices of the
-///   flat output — no locks, no post-hoc reordering. (Window dedup is
-///   per-chunk, so worker count still never changes the output bits.)
-fn reconstruct_fine_tables(
-    cfg: &AutoFormulaConfig,
-    regions: &[RegionEntry],
-    cache: &FineCache,
-) -> (VecTable, VecTable) {
-    let fine_dim = cfg.fine_dim();
-    let cols = cfg.window.cols as usize;
-    let total_params = regions.last().map(|e| e.param_start + e.params.len()).unwrap_or(0);
-    let mut region_flat = vec![0.0f32; regions.len() * fine_dim];
-    let mut param_flat = vec![0.0f32; total_params * fine_dim];
-    // The tables are tens of MiB written end to end; huge-page backing
-    // turns the sequential first touch into one soft fault per 2 MiB.
-    af_store::advise(as_byte_view(&region_flat), af_store::Advice::HugePage);
-    af_store::advise(as_byte_view(&param_flat), af_store::Advice::HugePage);
-
-    let fill = |chunk: &[RegionEntry], region_out: &mut [f32], param_out: &mut [f32]| {
-        let param_base = chunk.first().map(|e| e.param_start).unwrap_or(0);
-        // Region entries arrive grouped by sheet, so the per-sheet
-        // gatherer is rebuilt only on sheet changes and amortized over
-        // every window on that sheet.
-        let mut ctx: Option<(usize, FineGather<'_>)> = None;
-        // The same window center recurs across entries (~25% of windows
-        // at small scale are parameter cells shared between regions);
-        // identical inputs gather to identical rows, so later occurrences
-        // are a straight copy of the first one's output. `true` marks a
-        // row in the parameter table, `false` the region table.
-        let mut seen: std::collections::HashMap<(usize, CellRef), (bool, usize)> =
-            std::collections::HashMap::new();
-        let mut place = |target_param: bool,
-                         slot: usize,
-                         center: CellRef,
-                         sheet_idx: usize,
-                         sg: &FineGather<'_>,
-                         region_out: &mut [f32],
-                         param_out: &mut [f32]| {
-            let src = seen.get(&(sheet_idx, center)).copied();
-            let (out, other, dst_lo) = if target_param {
-                (&mut *param_out, &*region_out, slot * fine_dim)
-            } else {
-                (&mut *region_out, &*param_out, slot * fine_dim)
-            };
-            match src {
-                Some((src_param, src_slot)) if src_param == target_param => {
-                    out.copy_within(src_slot * fine_dim..(src_slot + 1) * fine_dim, dst_lo);
-                }
-                Some((_, src_slot)) => {
-                    out[dst_lo..dst_lo + fine_dim]
-                        .copy_from_slice(&other[src_slot * fine_dim..(src_slot + 1) * fine_dim]);
-                }
-                None => {
-                    let dst = &mut out[dst_lo..dst_lo + fine_dim];
-                    sg.window(cfg.window, WindowOrigin::Centered(center), dst);
-                    seen.insert((sheet_idx, center), (target_param, slot));
-                }
-            }
-        };
-        for (i, entry) in chunk.iter().enumerate() {
-            if ctx.as_ref().map(|&(si, _)| si) != Some(entry.sheet_idx) {
-                let cells = &cache.sheets[entry.sheet_idx];
-                let sg = FineGather::new(cells, &cache.empty, &cache.invalid, cols);
-                ctx = Some((entry.sheet_idx, sg));
-            }
-            let sg = &ctx.as_ref().expect("context just built").1;
-            place(false, i, entry.cell, entry.sheet_idx, sg, region_out, param_out);
-            for (pi, &param) in entry.params.iter().enumerate() {
-                let slot = entry.param_start - param_base + pi;
-                place(true, slot, param, entry.sheet_idx, sg, region_out, param_out);
-            }
-        }
-    };
-
-    let workers = crate::config::resolve_threads(cfg.embed_threads).min(regions.len().max(1));
-    if workers <= 1 {
-        fill(regions, &mut region_flat, &mut param_flat);
-    } else {
-        let fill = &fill;
-        std::thread::scope(|s| {
-            let mut region_rest: &mut [f32] = &mut region_flat;
-            let mut param_rest: &mut [f32] = &mut param_flat;
-            let mut start = 0usize;
-            for w in 0..workers {
-                let end = regions.len() * (w + 1) / workers;
-                let chunk = &regions[start..end];
-                let param_hi = regions.get(end).map(|e| e.param_start).unwrap_or(total_params);
-                let param_lo = chunk.first().map(|e| e.param_start).unwrap_or(param_hi);
-                let (region_here, rest) = region_rest.split_at_mut(chunk.len() * fine_dim);
-                region_rest = rest;
-                let (param_here, rest) = param_rest.split_at_mut((param_hi - param_lo) * fine_dim);
-                param_rest = rest;
-                s.spawn(move || fill(chunk, region_here, param_here));
-                start = end;
-            }
-        });
-    }
-
-    (
-        VecTable::from_store(af_store::DenseStore::from_f32_rows(fine_dim, region_flat)),
-        VecTable::from_store(af_store::DenseStore::from_f32_rows(fine_dim, param_flat)),
-    )
-}
-
-/// The section prefix shared by both format versions: keys, sheet
-/// metadata, ANN indexes, and region provenance entries.
-struct IndexPrefix {
-    keys: Vec<SheetKey>,
-    meta: Vec<SheetMeta>,
-    coarse: Box<dyn af_ann::VectorIndex>,
-    fine_sheets: Option<Box<dyn af_ann::VectorIndex>>,
-    regions: Vec<RegionEntry>,
-    regions_by_sheet: Vec<Vec<usize>>,
-    total_params: usize,
-}
-
-fn decode_index_prefix(
+fn decode_index(
     data: &mut Bytes,
     cfg: &AutoFormulaConfig,
-) -> Result<IndexPrefix, ArtifactError> {
+) -> Result<ReferenceIndex, ArtifactError> {
     let fine_dim = cfg.fine_dim();
     let n_sheets = get_count(data, 16, "index keys")?;
     let mut keys = Vec::with_capacity(n_sheets);
@@ -790,7 +605,6 @@ fn decode_index_prefix(
     let n_regions = get_count(data, 8, "regions")?;
     let mut regions = Vec::with_capacity(n_regions);
     let mut regions_by_sheet = vec![Vec::new(); n_sheets];
-    let mut total_params = 0usize;
     for rid in 0..n_regions {
         let sheet_idx = get_u64(data, "region entry")? as usize;
         if sheet_idx >= n_sheets {
@@ -804,94 +618,63 @@ fn decode_index_prefix(
             params.push(get_cell(data, "region params")?);
         }
         regions_by_sheet[sheet_idx].push(rid);
-        regions.push(RegionEntry { sheet_idx, cell, formula, params, param_start: total_params });
-        total_params = total_params
-            .checked_add(n_params)
-            .ok_or(ArtifactError::Invalid("parameter count overflow"))?;
+        regions.push(RegionEntry { sheet_idx, cell, formula, params });
     }
-    Ok(IndexPrefix { keys, meta, coarse, fine_sheets, regions, regions_by_sheet, total_params })
-}
 
-fn decode_index(
-    data: &mut Bytes,
-    cfg: &AutoFormulaConfig,
-    version: u16,
-) -> Result<ReferenceIndex, ArtifactError> {
-    let fine_dim = cfg.fine_dim();
-    let p = decode_index_prefix(data, cfg)?;
-    let n_sheets = p.keys.len();
-
-    let (region_vecs, param_vecs, fine_cache) = if version == 1 {
-        let region_vecs = get_vec_table_v1(data, fine_dim, p.regions.len(), "region vecs")?;
-        let param_vecs = get_vec_table_v1(data, fine_dim, p.total_params, "param vecs")?;
-        (region_vecs, param_vecs, None)
-    } else {
-        match get_u8(data, "fine layout flag")? {
-            FINE_FAT => {
-                let region_vecs = get_vec_table(data, fine_dim, p.regions.len(), "region vecs")?;
-                let param_vecs = get_vec_table(data, fine_dim, p.total_params, "param vecs")?;
-                (region_vecs, param_vecs, None)
-            }
-            FINE_COMPACT => {
-                let consts = get_vec_table(data, cfg.fine_cell_dim, 2, "fine constants")?;
-                // A zero-sheet artifact wrote placeholder zero constants
-                // (nothing ever captured them). Leave the cache's
-                // constants *empty* in that case so the first
-                // `add_workbook` captures the real model-derived rows —
-                // adopting the zeros would silently poison every later
-                // compact save.
-                let mut cache = if n_sheets == 0 {
-                    FineCache::empty_cache()
-                } else {
-                    FineCache {
-                        empty: consts.row_owned(0),
-                        invalid: consts.row_owned(1),
-                        sheets: Vec::with_capacity(n_sheets),
-                    }
-                };
-                for _ in 0..n_sheets {
-                    let n_cells = get_count(data, 8, "sheet cell refs")?;
-                    let mut refs = Vec::with_capacity(n_cells);
-                    for _ in 0..n_cells {
-                        refs.push(get_cell(data, "sheet cell refs")?);
-                    }
-                    if !refs.windows(2).all(|w| w[0] < w[1]) {
-                        return Err(ArtifactError::Invalid("sheet cell refs not strictly sorted"));
-                    }
-                    let vecs = get_vec_table(data, cfg.fine_cell_dim, n_cells, "sheet cells")?;
-                    cache.sheets.push(SheetFineCells { refs, vecs });
-                }
-                let (region_vecs, param_vecs) = reconstruct_fine_tables(cfg, &p.regions, &cache);
-                (region_vecs, param_vecs, Some(cache))
-            }
-            _ => return Err(ArtifactError::Invalid("fine layout flag must be 0 or 1")),
+    match get_u8(data, "fine layout flag")? {
+        FINE_CELLS => {}
+        0 => {
+            return Err(ArtifactError::Invalid(
+                "the fat fine layout (a stored window per region) was removed: \
+                 rebuild the index from the workbooks and save it again",
+            ))
         }
+        _ => return Err(ArtifactError::Invalid("fine layout flag must be 1")),
+    }
+    let consts = get_vec_table(data, cfg.fine_cell_dim, 2, "fine constants")?;
+    // A zero-sheet artifact wrote placeholder zero constants (nothing ever
+    // captured them). Leave the index's constants *empty* in that case so
+    // the first `add_workbook` captures the real model-derived rows —
+    // adopting the zeros would silently poison every later window.
+    let (fine_empty, fine_invalid) = if n_sheets == 0 {
+        (Vec::new(), Vec::new())
+    } else {
+        let tile = tile_cols(cfg);
+        (consts.row_owned(0).repeat(tile), consts.row_owned(1).repeat(tile))
     };
+    let mut fine_cells = Vec::with_capacity(n_sheets);
+    for _ in 0..n_sheets {
+        let n_cells = get_count(data, 8, "sheet cell refs")?;
+        let mut refs = Vec::with_capacity(n_cells);
+        for _ in 0..n_cells {
+            refs.push(get_cell(data, "sheet cell refs")?);
+        }
+        if !refs.windows(2).all(|w| w[0] < w[1]) {
+            return Err(ArtifactError::Invalid("sheet cell refs not strictly sorted"));
+        }
+        let vecs = get_vec_table(data, cfg.fine_cell_dim, n_cells, "sheet cells")?;
+        fine_cells.push(SheetFineCells::new(refs, vecs));
+    }
 
-    let (coarse_region_vecs, build_seconds) = {
-        let coarse_region_vecs = match get_u8(data, "coarse region flag")? {
-            0 => None,
-            1 => Some(if version == 1 {
-                get_vec_table_v1(data, cfg.coarse_dim, p.regions.len(), "coarse region vecs")?
-            } else {
-                get_vec_table(data, cfg.coarse_dim, p.regions.len(), "coarse region vecs")?
-            }),
-            _ => return Err(ArtifactError::Invalid("coarse region flag must be 0 or 1")),
-        };
-        (coarse_region_vecs, get_f64(data, "build seconds")?)
+    let coarse_region_vecs = match get_u8(data, "coarse region flag")? {
+        0 => None,
+        1 => Some(get_vec_table(data, cfg.coarse_dim, n_regions, "coarse region vecs")?),
+        _ => return Err(ArtifactError::Invalid("coarse region flag must be 0 or 1")),
     };
+    let build_seconds = get_f64(data, "build seconds")?;
 
     Ok(ReferenceIndex {
-        keys: p.keys,
-        meta: p.meta,
-        coarse: p.coarse,
-        fine_sheets: p.fine_sheets,
-        regions: p.regions,
-        region_vecs,
-        param_vecs,
+        keys,
+        meta,
+        coarse,
+        fine_sheets,
+        regions,
+        fine_cells,
+        fine_empty,
+        fine_invalid,
+        window: cfg.window,
         coarse_region_vecs,
-        regions_by_sheet: p.regions_by_sheet,
-        fine_cache,
+        regions_by_sheet,
         build_seconds,
     })
 }
@@ -994,16 +777,15 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), ArtifactError> {
 impl AutoFormula {
     /// Serialize the whole serving state — config, featurizer vocabulary,
     /// model weights, and the reference index with all its provenance —
-    /// into one self-contained artifact (format v2, exact `f32`, fat fine
-    /// tables: bit-identical round trips).
+    /// into one self-contained artifact (format v3, exact `f32`:
+    /// bit-identical round trips).
     pub fn save(&self, index: &ReferenceIndex) -> Bytes {
-        self.save_with(index, StoreOptions::default()).expect("default layout cannot fail")
+        self.save_with(index, StoreOptions::default()).expect("an unsharded save cannot fail")
     }
 
-    /// [`AutoFormula::save`] with explicit storage options: a quantized
-    /// [`StoreOptions::codec`] (2–4× smaller tables, recall measured in
-    /// `BENCH_store.json`) and/or the [`StoreOptions::compact_fine`]
-    /// layout (per-sheet cell caches instead of per-region windows).
+    /// [`AutoFormula::save`] with an explicit [`StoreOptions::codec`]
+    /// (quantized tables, smaller files; recall and agreement measured in
+    /// `BENCH_store.json`).
     pub fn save_with(
         &self,
         index: &ReferenceIndex,
@@ -1048,7 +830,7 @@ impl AutoFormula {
             }),
             (SEC_INDEX, {
                 let mut b = BytesMut::new();
-                encode_index(&mut b, index, opts, self.cfg().fine_cell_dim)?;
+                encode_index(&mut b, index, opts.codec, self.cfg().fine_cell_dim);
                 b
             }),
         ];
@@ -1081,9 +863,8 @@ impl AutoFormula {
             buf.put_u64(body.len() as u64);
             offset += body.len() as u64;
         }
-        // v2: pad the section table so the payload base is 4-byte aligned
-        // for any section count (v1 relied on 4 sections × 18 bytes + the
-        // 12-byte header happening to be a multiple of 4).
+        // Pad the section table so the payload base is 4-byte aligned for
+        // any section count.
         for _ in 0..table_pad {
             buf.put_u8(0);
         }
@@ -1176,7 +957,7 @@ impl AutoFormula {
                 ArtifactError::Io(e.to_string())
             ));
             start = sink.written();
-            encode_index(&mut sink, index, opts, self.cfg().fine_cell_dim)?;
+            encode_index(&mut sink, index, opts.codec, self.cfg().fine_cell_dim);
             seal(&mut sink, SEC_INDEX, start);
             if let Some(layout) = layout {
                 start = sink.written();
@@ -1198,7 +979,7 @@ impl AutoFormula {
     }
 
     /// Rebuild a complete serving state from an artifact produced by
-    /// [`AutoFormula::save`] (either format version). The returned system
+    /// [`AutoFormula::save`] (format v2 or v3). The returned system
     /// and index reproduce the in-memory pipeline's predictions exactly
     /// when the artifact was written with the exact codec.
     pub fn load(data: &[u8]) -> Result<(AutoFormula, ReferenceIndex), ArtifactError> {
@@ -1274,13 +1055,11 @@ impl AutoFormula {
             let len = get_u64(&mut head, "section table")? as usize;
             table.push((id, offset, len));
         }
-        if version >= 2 {
-            let table_pad = (4 - (12 + n_sections * 18) % 4) % 4;
-            if head.remaining() < table_pad {
-                return Err(ArtifactError::Truncated("section table"));
-            }
-            head.split_to(table_pad);
+        let table_pad = (4 - (12 + n_sections * 18) % 4) % 4;
+        if head.remaining() < table_pad {
+            return Err(ArtifactError::Truncated("section table"));
         }
+        head.split_to(table_pad);
         let payload = head; // everything after the table
         let section = |id: u16, name: &'static str| -> Result<Bytes, ArtifactError> {
             let &(_, offset, len) = table
@@ -1304,11 +1083,12 @@ impl AutoFormula {
         let mut model = RepresentationModel::new(feat_dim, cfg);
         model.load_bytes(section(SEC_MODEL, "MODEL")?)?;
         let mut index_bytes = section(SEC_INDEX, "INDEX")?;
-        // The INDEX section is served zero-copy and queried at random row
-        // offsets — tell the kernel not to waste read-ahead on it.
+        // The INDEX section is served zero-copy and its cell tables are
+        // read a sheet here, a sheet there — tell the kernel not to waste
+        // read-ahead on it.
         af_store::advise(&index_bytes, af_store::Advice::Random);
         let load_index = af_obs::span!("artifact::load_index");
-        let index = decode_index(&mut index_bytes, &cfg, version)?;
+        let index = decode_index(&mut index_bytes, &cfg)?;
         load_index.end();
         let layout = if table.iter().any(|&(id, _, _)| id == SEC_SHARDS) {
             Some(decode_shards(&mut section(SEC_SHARDS, "SHARDS")?, index.keys.len())?)
@@ -1381,116 +1161,90 @@ mod tests {
 
     #[test]
     fn compact_layout_is_bit_identical_under_f32() {
+        // The one layout there is: cells in, cells out. A reloaded index
+        // gathers every region and parameter window, and predicts, with
+        // the built index's bits.
         let (af, index, corpus) = small_system();
-        let fat = af.save(&index);
-        let compact = af
-            .save_with(&index, StoreOptions { codec: Codec::F32, compact_fine: true })
-            .expect("compact save");
-        assert!(
-            compact.len() * 2 < fat.len(),
-            "compact must shrink the artifact substantially ({} vs {})",
-            compact.len(),
-            fat.len()
-        );
-        let (loaded, loaded_index) = AutoFormula::load(&compact).expect("compact load");
-        // Reconstructed tables are bit-identical: same gather, same
-        // normalize, same f32 inputs.
+        let saved = af.save(&index);
+        let (loaded, loaded_index) = AutoFormula::load(&saved).expect("load");
         for rid in 0..index.n_regions() {
-            assert_eq!(loaded_index.region_vec(rid), index.region_vec(rid), "region {rid}");
+            assert_eq!(loaded_index.region_window(rid), index.region_window(rid), "region {rid}");
             for pi in 0..index.regions[rid].params.len() {
-                assert_eq!(loaded_index.param_vec(rid, pi), index.param_vec(rid, pi));
+                assert_eq!(loaded_index.param_window(rid, pi), index.param_window(rid, pi));
             }
         }
         let compared = assert_identical_predictions(&af, &index, &loaded, &loaded_index, &corpus);
         assert!(compared > 0);
-        // A compact-loaded index retains its cache, so it can re-save
-        // compact (round and round).
-        let again = loaded
-            .save_with(&loaded_index, StoreOptions { codec: Codec::F32, compact_fine: true })
-            .expect("re-save compact");
-        assert_eq!(again.len(), compact.len());
+        // Round and round: a re-save of the loaded index is as long.
+        assert_eq!(loaded.save(&loaded_index).len(), saved.len());
+        // `compact_fine` is no longer read: either value writes these bytes.
+        for compact_fine in [false, true] {
+            let opts = StoreOptions { codec: Codec::F32, compact_fine };
+            assert_eq!(af.save_with(&index, opts).expect("save")[..], saved[..]);
+        }
     }
 
     #[test]
     fn quantized_artifacts_load_and_serve() {
         let (af, index, corpus) = small_system();
-        let fat = af.save(&index);
+        let exact = af.save(&index);
         for codec in [Codec::F16, Codec::Int8, Codec::Pq { m: 0 }] {
-            for compact_fine in [false, true] {
-                let opts = StoreOptions { codec, compact_fine };
-                let bytes = af.save_with(&index, opts).expect("save");
-                // PQ shrinks only the tables whose row count clears the
-                // training threshold (here the param table trains, the
-                // region tables stay pending as raw f32 + header), so the
-                // size win is partial and corpus-dependent at this scale —
-                // it is benchmarked properly in BENCH_store.json; the
-                // other codecs shrink everywhere.
-                if codec.tag() != 4 {
-                    assert!(bytes.len() < fat.len(), "{opts:?} must shrink the artifact");
-                }
-                let (loaded, loaded_index) = AutoFormula::load(&bytes).expect("load");
-                assert_eq!(loaded_index.n_sheets(), index.n_sheets());
-                assert_eq!(loaded_index.n_regions(), index.n_regions());
-                if !compact_fine {
-                    assert_eq!(loaded_index.fine_codec().tag(), codec.tag());
-                }
-                // Quantized serving stays on the rails: predictions exist
-                // and the self-query case still finds itself.
-                let sheet = &corpus.workbooks[0].sheets[0];
-                let (target, _) = sheet.formulas().next().expect("formula cell");
-                let pred = loaded
-                    .predict_with(&loaded_index, sheet, target, PipelineVariant::Full)
-                    .unwrap_or_else(|| panic!("{opts:?} must serve"));
-                assert!(pred.s2_distance < 1e-2, "{opts:?}: self-region distance");
+            let opts = StoreOptions { codec, ..StoreOptions::default() };
+            let bytes = af.save_with(&index, opts).expect("save");
+            // PQ shrinks only tables whose row count clears the training
+            // threshold; per-sheet cell tables at this scale stay pending
+            // as raw f32 + header, so its size win is corpus-dependent —
+            // it is benchmarked properly in BENCH_store.json; the other
+            // codecs shrink everywhere.
+            if codec.tag() != 4 {
+                assert!(bytes.len() < exact.len(), "{opts:?} must shrink the artifact");
             }
+            let (loaded, loaded_index) = AutoFormula::load(&bytes).expect("load");
+            assert_eq!(loaded_index.n_sheets(), index.n_sheets());
+            assert_eq!(loaded_index.n_regions(), index.n_regions());
+            // Quantized serving stays on the rails: predictions exist
+            // and the self-query case still finds itself.
+            let sheet = &corpus.workbooks[0].sheets[0];
+            let (target, _) = sheet.formulas().next().expect("formula cell");
+            let pred = loaded
+                .predict_with(&loaded_index, sheet, target, PipelineVariant::Full)
+                .unwrap_or_else(|| panic!("{opts:?} must serve"));
+            assert!(pred.s2_distance < 1e-2, "{opts:?}: self-region distance");
         }
     }
 
     #[test]
     fn zero_sheet_compact_artifact_grows_without_poisoned_constants() {
-        // Regression: a compact artifact saved over zero sheets wrote
-        // placeholder zero constant rows; loading it left a *non-empty*
-        // all-zero FineCache, so the `is_empty()` capture guard never
-        // fired on later adds and every subsequent compact save persisted
-        // zero blank/out-of-bounds rows — silently wrong reconstructions.
+        // Regression: an artifact saved over zero sheets wrote placeholder
+        // zero constant rows; loading it left *non-empty* all-zero
+        // constants, so the `is_empty()` capture guard never fired on
+        // later adds and every window gathered afterwards held zero
+        // blank/out-of-bounds slots — silently wrong distances.
         let corpus = OrgSpec::pge(Scale::Tiny).generate();
         let featurizer = CellFeaturizer::new(Arc::new(SbertSim::new(16)), FeatureMask::FULL);
         let cfg = AutoFormulaConfig::test_tiny();
         let af =
             AutoFormula::from_model(RepresentationModel::new(featurizer.dim(), cfg), featurizer);
         let empty_index = af.build_index(&corpus.workbooks, &[], IndexOptions::default());
-        let opts = StoreOptions { codec: Codec::F32, compact_fine: true };
-        let bytes = af.save_with(&empty_index, opts).expect("zero-sheet compact save");
-        let (loaded, mut grown) = AutoFormula::load(&bytes).expect("zero-sheet compact load");
+        let bytes = af.save(&empty_index);
+        let (loaded, mut grown) = AutoFormula::load(&bytes).expect("zero-sheet load");
 
-        // Grow the loaded index, re-save compact, reload: must serve
-        // exactly like an in-memory index grown the same way.
+        // Grow the loaded index, re-save, reload: must serve exactly like
+        // an in-memory index grown the same way.
         grown.add_workbook(&loaded.embedder(), &corpus.workbooks[0], 0);
         let mut reference = af.build_index(&corpus.workbooks, &[], IndexOptions::default());
         reference.add_workbook(&af.embedder(), &corpus.workbooks[0], 0);
-        let again = loaded.save_with(&grown, opts).expect("re-save compact");
+        let again = loaded.save(&grown);
         let (af2, idx2) = AutoFormula::load(&again).expect("reload");
         assert_eq!(idx2.n_regions(), reference.n_regions());
         for rid in 0..reference.n_regions() {
-            assert_eq!(idx2.region_vec(rid), reference.region_vec(rid), "region {rid}");
+            assert_eq!(idx2.region_window(rid), reference.region_window(rid), "region {rid}");
         }
         let sheet = &corpus.workbooks[0].sheets[0];
         let (target, _) = sheet.formulas().next().expect("formula cell");
         let a = af.predict_with(&reference, sheet, target, PipelineVariant::Full);
         let b = af2.predict_with(&idx2, sheet, target, PipelineVariant::Full);
         assert_eq!(a.map(|p| p.formula), b.map(|p| p.formula));
-    }
-
-    #[test]
-    fn compact_save_requires_the_cache() {
-        let (af, index, _) = small_system();
-        // A fat artifact does not carry the caches, so its loaded index
-        // cannot re-save compact.
-        let (loaded, loaded_index) = AutoFormula::load(&af.save(&index)).unwrap();
-        let err = loaded
-            .save_with(&loaded_index, StoreOptions { codec: Codec::F32, compact_fine: true })
-            .err();
-        assert!(matches!(err, Some(ArtifactError::Invalid(_))));
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //! table, no model and no hashing — plus an L2 normalization. S2 gathers
 //! the target's window once; S3 gathers one patch per parameter that
 //! covers all `(2d+1)²` candidate windows and slides over it (see
-//! ARCHITECTURE.md, "The fine gather"). The index build and the compact
-//! artifact load fill their region tables through the same function, which
-//! is why a reference window and a query window over equal cells have
-//! equal bits.
+//! ARCHITECTURE.md, "The fine gather"). The reference side is the same
+//! data and the same function: the index keeps each sheet's
+//! `SheetFineCells` and gathers region strips and parameter windows out
+//! of them at query time, which is why a reference window and a query
+//! window over equal cells have equal bits.
 
 use crate::config::AutoFormulaConfig;
 use crate::features::{raw_window, WindowOrigin};
@@ -23,89 +24,41 @@ use af_embed::CellFeaturizer;
 use af_grid::{CellRef, Sheet, ViewWindow, WindowSlot};
 use af_nn::tensor::l2_normalize;
 use af_nn::Tensor;
-use af_store::{DenseStore, VectorStore};
+use af_store::{Codec, DenseStore};
 use std::fmt;
 
 /// One sheet's stored cells and their fine vectors, sorted row-major —
 /// everything a window gather needs (window slots depend only on cell
 /// *presence* and the top/left edge, never on cell contents). A query
-/// sheet's embedding holds one; the index retains one per reference sheet
-/// for the compact artifact layout.
+/// sheet's embedding holds one; the index holds one per reference sheet
+/// and nothing else of the fine branch.
 #[derive(Clone)]
 pub(crate) struct SheetFineCells {
     pub(crate) refs: Vec<CellRef>,
-    /// `refs.len()` rows of `fine_cell_dim`, unnormalized.
+    /// `refs.len()` rows of `fine_cell_dim`, unnormalized, always exact
+    /// `f32` in memory (see [`SheetFineCells::new`]).
     pub(crate) vecs: VecTable,
-}
-
-impl fmt::Debug for SheetFineCells {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "SheetFineCells({} cells × {})", self.refs.len(), self.vecs.dim())
-    }
-}
-
-/// Cached embeddings for one sheet.
-#[derive(Debug, Clone)]
-pub struct SheetEmbedding {
-    /// Coarse sheet-level embedding (`M_c`, unit norm).
-    pub coarse: Vec<f32>,
-    /// Fine vector of every stored cell.
-    pub(crate) fine: SheetFineCells,
-    /// Fine vector of an in-bounds blank cell (constant across sheets —
-    /// the featurizer's empty-cell row through the model).
-    pub(crate) fine_empty: Vec<f32>,
-    /// Fine vector of an out-of-bounds window slot (constant across
-    /// sheets — the zero feature row through the model).
-    pub(crate) fine_invalid: Vec<f32>,
-    /// Optional fine embedding of the top-left window (used by the
-    /// fine-only ablation as a sheet signature).
-    pub fine_topleft: Option<Vec<f32>>,
-}
-
-impl SheetEmbedding {
-    pub fn n_cached_cells(&self) -> usize {
-        self.fine.refs.len()
-    }
-
-    /// A gatherer over this sheet for rectangles of up to `cols` columns.
-    pub(crate) fn gather(&self, cols: usize) -> FineGather<'_> {
-        FineGather::new(&self.fine, &self.fine_empty, &self.fine_invalid, cols)
-    }
-}
-
-/// The fine gather: copies any rectangle of window slots out of one
-/// sheet's [`SheetFineCells`]. Built once per sheet (or per query stage)
-/// and reused for every rectangle gathered from it: an optional contiguous
-/// f32 image of the cell rows (exact codec — skips the per-row dynamic
-/// dispatch), a row → `refs`-range index so a rectangle row costs one
-/// range lookup plus a short in-row scan instead of a search per slot, and
-/// the two constant vectors pre-tiled so a blank stretch is one `memcpy`
-/// instead of one per slot.
-pub(crate) struct FineGather<'a> {
-    cells: &'a SheetFineCells,
-    flat: Option<&'a [f32]>,
-    /// `row_ranges[r]` is the `[start, end)` range of `cells.refs` lying
-    /// on sheet row `r`. `None` for degenerate layouts whose max row is
-    /// far larger than the cell count (the index would be mostly empty);
-    /// those fall back to binary search per rectangle row.
+    /// `row_ranges[r]` is the `[start, end)` range of `refs` lying on
+    /// sheet row `r`, so a rectangle row costs one lookup plus a short
+    /// in-row scan instead of a search per slot. `None` for degenerate
+    /// layouts whose max row is far larger than the cell count (the index
+    /// would be mostly empty); those fall back to binary search per
+    /// rectangle row.
     row_ranges: Option<Vec<(u32, u32)>>,
-    /// `cols` repetitions of the blank-cell vector: any prefix is a blank
-    /// stretch of a rectangle row.
-    empty: Vec<f32>,
-    /// `cols` repetitions of the out-of-bounds vector.
-    invalid: Vec<f32>,
 }
 
-impl<'a> FineGather<'a> {
-    /// `cols` is the widest rectangle [`FineGather::rect`] will be asked
-    /// for.
-    pub(crate) fn new(
-        cells: &'a SheetFineCells,
-        empty: &[f32],
-        invalid: &[f32],
-        cols: usize,
-    ) -> FineGather<'a> {
-        let refs = &cells.refs;
+impl SheetFineCells {
+    /// `refs` strictly sorted row-major, row `i` of `vecs` the vector of
+    /// `refs[i]`. A quantized table (out of an `f16` / `int8` / PQ
+    /// artifact) is dequantized here, once: every gather afterwards is
+    /// plain `f32` copies, whatever the file codec. An exact table is kept
+    /// as it is — possibly a zero-copy view into the artifact buffer.
+    pub(crate) fn new(refs: Vec<CellRef>, vecs: VecTable) -> SheetFineCells {
+        assert_eq!(refs.len(), vecs.rows(), "one vector per stored cell");
+        let vecs = match vecs.codec() {
+            Codec::F32 => vecs,
+            _ => VecTable::from_store(vecs.store().to_codec(Codec::F32)),
+        };
         let max_row = refs.last().map(|r| r.row as usize).unwrap_or(0);
         let row_ranges = (max_row <= refs.len() * 16 + 1024).then(|| {
             let mut ranges = vec![(0u32, 0u32); max_row + 1];
@@ -119,18 +72,12 @@ impl<'a> FineGather<'a> {
             }
             ranges
         });
-        FineGather {
-            cells,
-            flat: cells.vecs.store().as_f32_slice(),
-            row_ranges,
-            empty: empty.repeat(cols),
-            invalid: invalid.repeat(cols),
-        }
+        SheetFineCells { refs, vecs, row_ranges }
     }
 
-    /// The `[start, end)` range of `cells.refs` on virtual row `r` (empty
-    /// when the row holds no stored cells — always so past `u32::MAX`,
-    /// where no cell can be stored).
+    /// The `[start, end)` range of `refs` on virtual row `r` (empty when
+    /// the row holds no stored cells — always so past `u32::MAX`, where no
+    /// cell can be stored).
     fn row_range(&self, r: i64) -> (usize, usize) {
         let Ok(r) = u32::try_from(r) else { return (0, 0) };
         match &self.row_ranges {
@@ -138,12 +85,80 @@ impl<'a> FineGather<'a> {
                 ranges.get(r as usize).map_or((0, 0), |&(s, e)| (s as usize, e as usize))
             }
             None => {
-                let refs = &self.cells.refs;
-                let lo = refs.partition_point(|x| x.row < r);
-                let hi = lo + refs[lo..].partition_point(|x| x.row == r);
+                let lo = self.refs.partition_point(|x| x.row < r);
+                let hi = lo + self.refs[lo..].partition_point(|x| x.row == r);
                 (lo, hi)
             }
         }
+    }
+}
+
+impl fmt::Debug for SheetFineCells {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "SheetFineCells({} cells × {})", self.refs.len(), self.vecs.dim())
+    }
+}
+
+/// Columns the two constant vectors are tiled to: the widest rectangle
+/// anything gathers, S3's `(cols + 2d)`-wide patch.
+pub(crate) fn tile_cols(cfg: &AutoFormulaConfig) -> usize {
+    cfg.window.cols as usize + 2 * cfg.neighborhood_d.max(0) as usize
+}
+
+/// Cached embeddings for one sheet.
+#[derive(Debug, Clone)]
+pub struct SheetEmbedding {
+    /// Coarse sheet-level embedding (`M_c`, unit norm).
+    pub coarse: Vec<f32>,
+    /// Fine vector of every stored cell.
+    pub(crate) fine: SheetFineCells,
+    /// Fine vector of an in-bounds blank cell (constant across sheets —
+    /// the featurizer's empty-cell row through the model), tiled
+    /// [`tile_cols`] times: any prefix is a blank stretch of a rectangle
+    /// row, one `memcpy` instead of one per slot.
+    pub(crate) fine_empty: Vec<f32>,
+    /// Fine vector of an out-of-bounds window slot (constant across
+    /// sheets — the zero feature row through the model), tiled likewise.
+    pub(crate) fine_invalid: Vec<f32>,
+    /// Optional fine embedding of the top-left window (used by the
+    /// fine-only ablation as a sheet signature).
+    pub fine_topleft: Option<Vec<f32>>,
+}
+
+impl SheetEmbedding {
+    pub fn n_cached_cells(&self) -> usize {
+        self.fine.refs.len()
+    }
+
+    /// A gatherer over this sheet.
+    pub(crate) fn gather(&self) -> FineGather<'_> {
+        FineGather::new(&self.fine, &self.fine_empty, &self.fine_invalid)
+    }
+}
+
+/// The fine gather: copies any rectangle of window slots out of one
+/// sheet's [`SheetFineCells`]. It borrows everything it reads — the cell
+/// rows as one contiguous `f32` image, the row index built with the cells,
+/// and the two constant vectors tiled once by whoever holds them — so
+/// making one costs nothing.
+pub(crate) struct FineGather<'a> {
+    cells: &'a SheetFineCells,
+    flat: &'a [f32],
+    /// Repetitions of the blank-cell vector, at least as many as the
+    /// widest rectangle has columns.
+    empty: &'a [f32],
+    /// As many repetitions of the out-of-bounds vector.
+    invalid: &'a [f32],
+}
+
+impl<'a> FineGather<'a> {
+    pub(crate) fn new(
+        cells: &'a SheetFineCells,
+        empty: &'a [f32],
+        invalid: &'a [f32],
+    ) -> FineGather<'a> {
+        let flat = cells.vecs.store().as_f32_slice().expect("cell tables are held as f32");
+        FineGather { cells, flat, empty, invalid }
     }
 
     /// Fill `out` (`rows × cols × fine_cell_dim`, row-major over slots)
@@ -159,7 +174,7 @@ impl<'a> FineGather<'a> {
     pub(crate) fn rect(&self, origin: (i64, i64), rows: usize, cols: usize, out: &mut [f32]) {
         let f8 = self.cells.vecs.dim();
         assert_eq!(out.len(), rows * cols * f8, "output holds the rectangle");
-        assert!(cols * f8 <= self.empty.len(), "gatherer tiled for narrower rectangles");
+        assert!(cols * f8 <= self.empty.len(), "constants tiled for narrower rectangles");
         if out.is_empty() {
             return;
         }
@@ -176,7 +191,7 @@ impl<'a> FineGather<'a> {
             let (left, right) = row_out.split_at_mut(n_invalid * f8);
             left.copy_from_slice(&self.invalid[..left.len()]);
             right.copy_from_slice(&self.empty[..right.len()]);
-            let (lo, hi) = self.row_range(r);
+            let (lo, hi) = self.cells.row_range(r);
             let c0 = oc + n_invalid as i64;
             let mut j = lo + refs[lo..hi].partition_point(|x| (x.col as i64) < c0);
             while j < hi {
@@ -185,21 +200,13 @@ impl<'a> FineGather<'a> {
                     break;
                 }
                 let at = (col - oc) as usize * f8;
-                match self.flat {
-                    Some(flat) => {
-                        let max_run = ((c_end - col) as usize).min(hi - j);
-                        let mut run = 1usize;
-                        while run < max_run && refs[j + run].col as i64 == col + run as i64 {
-                            run += 1;
-                        }
-                        row_out[at..at + run * f8].copy_from_slice(&flat[j * f8..(j + run) * f8]);
-                        j += run;
-                    }
-                    None => {
-                        self.cells.vecs.store().row_into(j, &mut row_out[at..at + f8]);
-                        j += 1;
-                    }
+                let max_run = ((c_end - col) as usize).min(hi - j);
+                let mut run = 1usize;
+                while run < max_run && refs[j + run].col as i64 == col + run as i64 {
+                    run += 1;
                 }
+                row_out[at..at + run * f8].copy_from_slice(&self.flat[j * f8..(j + run) * f8]);
+                j += run;
             }
         }
     }
@@ -282,6 +289,7 @@ impl<'a> SheetEmbedder<'a> {
         let reduced = self.model.reduce_cells(Tensor::new(vec![total + 2, fd], raw));
         let fine = self.model.fine_cells(reduced.clone());
         let (empty_row, invalid_row) = (total, total + 1);
+        let tile = tile_cols(&self.model.cfg);
 
         sheets
             .iter()
@@ -312,12 +320,12 @@ impl<'a> SheetEmbedder<'a> {
                 let rows = fine.data[base * f8..(base + refs.len()) * f8].to_vec();
                 let mut emb = SheetEmbedding {
                     coarse,
-                    fine: SheetFineCells {
+                    fine: SheetFineCells::new(
                         refs,
-                        vecs: VecTable::from_store(DenseStore::from_f32_rows(f8, rows)),
-                    },
-                    fine_empty: fine.row(empty_row).to_vec(),
-                    fine_invalid: fine.row(invalid_row).to_vec(),
+                        VecTable::from_store(DenseStore::from_f32_rows(f8, rows)),
+                    ),
+                    fine_empty: fine.row(empty_row).repeat(tile),
+                    fine_invalid: fine.row(invalid_row).repeat(tile),
                     fine_topleft: None,
                 };
                 if with_fine_topleft {
@@ -339,7 +347,7 @@ impl<'a> SheetEmbedder<'a> {
     ) -> Vec<f32> {
         let window = self.model.cfg.window;
         let mut out = vec![0.0f32; self.model.cfg.fine_dim()];
-        emb.gather(window.cols as usize).window(window, origin, &mut out);
+        emb.gather().window(window, origin, &mut out);
         out
     }
 
@@ -482,10 +490,11 @@ mod tests {
                     }
                     _ => None,
                 };
+                let f8 = emb.fine.vecs.dim();
                 out.extend_from_slice(match stored {
                     Some(at) => emb.fine.vecs.row(emb.fine.refs.binary_search(&at).unwrap()),
-                    None if r < 0 || c < 0 => &emb.fine_invalid,
-                    None => &emb.fine_empty,
+                    None if r < 0 || c < 0 => &emb.fine_invalid[..f8],
+                    None => &emb.fine_empty[..f8],
                 });
             }
         }
@@ -494,8 +503,9 @@ mod tests {
 
     /// A sheet with cells at `ats` and an embedding of it whose vectors are
     /// distinct per cell and per lane — the gather never looks at values,
-    /// so no model is needed to hold it to the oracle.
-    fn fake_embedding(ats: &[CellRef], f8: usize) -> (Sheet, SheetEmbedding) {
+    /// so no model is needed to hold it to the oracle. Constants are tiled
+    /// for rectangles of up to `cols` columns.
+    fn fake_embedding(ats: &[CellRef], f8: usize, cols: usize) -> (Sheet, SheetEmbedding) {
         let mut sheet = Sheet::new("p");
         for &at in ats {
             sheet.set(at, Cell::new(1.0));
@@ -505,12 +515,12 @@ mod tests {
         let rows: Vec<f32> = (0..refs.len() * f8).map(|i| 1.0 + i as f32).collect();
         let emb = SheetEmbedding {
             coarse: Vec::new(),
-            fine: SheetFineCells {
+            fine: SheetFineCells::new(
                 refs,
-                vecs: VecTable::from_store(DenseStore::from_f32_rows(f8, rows)),
-            },
-            fine_empty: (0..f8).map(|k| -0.5 - k as f32).collect(),
-            fine_invalid: (0..f8).map(|k| -100.0 - k as f32).collect(),
+                VecTable::from_store(DenseStore::from_f32_rows(f8, rows)),
+            ),
+            fine_empty: (0..f8).map(|k| -0.5 - k as f32).collect::<Vec<_>>().repeat(cols),
+            fine_invalid: (0..f8).map(|k| -100.0 - k as f32).collect::<Vec<_>>().repeat(cols),
             fine_topleft: None,
         };
         (sheet, emb)
@@ -546,11 +556,11 @@ mod tests {
             if far == 0 && blank != 0 {
                 ats.extend((0..6).map(|c| CellRef::new(far_row, 2 * c)));
             }
-            let (sheet, emb) = fake_embedding(&ats, cfg.fine_cell_dim);
             let (rows, cols) = (cfg.window.rows as usize, cfg.window.cols as usize);
+            let (sheet, emb) = fake_embedding(&ats, cfg.fine_cell_dim, cols + 2 * d);
             let origin = if near_far { (far_row as i64 - 5 + origin.0, origin.1) } else { origin };
             // Window-sized and S3-patch-sized rectangles from one gatherer.
-            let gather = emb.gather(cols + 2 * d);
+            let gather = emb.gather();
             for (rows, cols) in [(rows, cols), (rows + 2 * d, cols + 2 * d)] {
                 let mut out = vec![f32::NAN; rows * cols * cfg.fine_cell_dim];
                 gather.rect(origin, rows, cols, &mut out);
@@ -580,12 +590,12 @@ mod tests {
         let (rows, cols) = (window.rows as usize, window.cols as usize);
         let origin = window.centered_origin(CellRef::new(0, 0));
         let mut raw = vec![0.0f32; model.cfg.fine_dim()];
-        emb.gather(cols).rect(origin, rows, cols, &mut raw);
-        assert_eq!(raw[..model.cfg.fine_cell_dim], emb.fine_invalid[..]);
+        emb.gather().rect(origin, rows, cols, &mut raw);
+        assert_eq!(raw[..model.cfg.fine_cell_dim], emb.fine_invalid[..model.cfg.fine_cell_dim]);
         assert_eq!(bits(&raw), bits(&naive_rect(&sheet, &emb, origin, rows, cols)));
         // And the far corner cell is found where it is stored.
         let origin = (u32::MAX as i64 - 1, u32::MAX as i64 - 1);
-        emb.gather(cols).rect(origin, rows, cols, &mut raw);
+        emb.gather().rect(origin, rows, cols, &mut raw);
         assert_eq!(bits(&raw), bits(&naive_rect(&sheet, &emb, origin, rows, cols)));
         let corner = emb.fine.vecs.row(emb.n_cached_cells() - 1);
         assert_eq!(raw[(cols + 1) * model.cfg.fine_cell_dim..][..corner.len()], *corner);
@@ -604,11 +614,11 @@ mod tests {
         let origin = window.centered_origin(CellRef::new(u32::MAX - 3, 0));
         assert!(origin.0 + rows as i64 > u32::MAX as i64 + 1, "window hangs past the last row");
         let mut raw = vec![0.0f32; model.cfg.fine_dim()];
-        emb.gather(cols).rect(origin, rows, cols, &mut raw);
+        emb.gather().rect(origin, rows, cols, &mut raw);
         for (i, slot) in raw.chunks_exact(f8).enumerate() {
             let want =
                 if (i % cols) as i64 + origin.1 < 0 { &emb.fine_invalid } else { &emb.fine_empty };
-            assert_eq!(slot, &want[..], "slot {i} holds no stored cell");
+            assert_eq!(slot, &want[..f8], "slot {i} holds no stored cell");
         }
     }
 }

@@ -1,20 +1,30 @@
 //! Offline reference indexing (§4.6): `Idx_c` — coarse sheet embeddings in
-//! an ANN index — and `Idx_f` — fine region embeddings for every formula
-//! cell in the reference corpus.
+//! an ANN index — and `Idx_f` — the fine vectors of every stored cell of
+//! every reference sheet, from which the fine *region* embedding of any
+//! formula or parameter cell is gathered when a query asks for it.
 //!
-//! The index is **self-contained**: formula provenance (parameter cells and
-//! their fine region embeddings, sheet names and dimensions) is captured at
-//! build time, so the online pipeline answers queries from the index alone —
-//! no live borrow of the reference workbooks — and the whole structure can
-//! be serialized into an [`crate::artifact`] and served from another
-//! process.
+//! A region embedding is a pure function of its sheet's per-cell fine
+//! vectors (`FineGather::rect` + L2 normalization), so the index keeps
+//! each sheet's cells **once** and nothing per region but its
+//! [`RegionEntry`]: S2 ranks a candidate sheet's regions off strips
+//! gathered per column ([`ReferenceIndex::sheet_region_distances`]), S3
+//! gathers one window per template parameter
+//! ([`ReferenceIndex::param_window`]). Build, add, split and merge move
+//! cells, never windows.
+//!
+//! The index is **self-contained**: formula provenance (parameter cells,
+//! sheet names and dimensions) is captured at build time, so the online
+//! pipeline answers queries from the index alone — no live borrow of the
+//! reference workbooks — and the whole structure can be serialized into an
+//! [`crate::artifact`] and served from another process.
 
 use crate::config::{AnnBackend, AutoFormulaConfig};
-use crate::embedder::{SheetEmbedder, SheetEmbedding, SheetFineCells};
+use crate::embedder::{FineGather, SheetEmbedder, SheetEmbedding, SheetFineCells};
 use crate::features::WindowOrigin;
 use af_ann::{FlatIndex, HnswIndex, IvfFlatIndex, VectorIndex};
 use af_formula::{parse_formula, Template};
-use af_grid::{CellRef, Sheet, Workbook};
+use af_grid::{CellRef, Sheet, ViewWindow, Workbook};
+use af_nn::tensor::l2_sq_normalized;
 use af_nn::Tensor;
 use af_store::{Codec, DenseStore, VectorStore};
 use std::time::Instant;
@@ -54,16 +64,16 @@ pub struct SheetMeta {
     pub cols: u32,
 }
 
-/// Row-major table of fixed-dimension embedding vectors — the bulk of a
-/// reference index, stored in an [`af_store::DenseStore`]. Built in memory
-/// it is exact `f32` (owned); loaded from an artifact it adopts whatever
-/// codec the artifact was written with — exact blocks as **zero-copy
-/// views** into the artifact buffer (possibly an mmap, so cold start never
-/// materializes a second copy of hundreds of megabytes), or `f16`/`int8`
-/// quantized rows served through the asymmetric distance kernels.
-/// Mutation (incremental `add_workbook`) quantizes pushed vectors to the
-/// table's codec and converts views to owned copies first — the write
-/// path pays, readers never do.
+/// Row-major table of fixed-dimension embedding vectors in an
+/// [`af_store::DenseStore`]: a sheet's per-cell fine vectors, or the
+/// coarse-region table of the coarse-only ablation. Built in memory it is
+/// exact `f32` (owned); loaded from an artifact, exact blocks are
+/// **zero-copy views** into the artifact buffer (possibly an mmap). The
+/// coarse-region table adopts whatever codec the artifact was written
+/// with and serves `f16`/`int8`/PQ rows through the asymmetric distance
+/// kernels; mutation quantizes pushed vectors to the table's codec and
+/// converts views to owned copies first — the write path pays, readers
+/// never do.
 pub(crate) struct VecTable {
     store: DenseStore,
 }
@@ -149,28 +159,6 @@ impl Clone for VecTable {
     }
 }
 
-/// Per-sheet fine cell caches, retained at build time so the index can be
-/// saved in the *compact* artifact layout: instead of one `fine_dim()`-
-/// wide window per region/parameter (every cell's vector duplicated into
-/// up to `n_cells` overlapping windows), persist each sheet's per-cell
-/// vectors once and re-gather the windows at load. The two constant rows
-/// (in-bounds blank, out-of-bounds) are shared by every sheet.
-#[derive(Clone)]
-pub(crate) struct FineCache {
-    /// Fine vector of an in-bounds blank cell (`fine_cell_dim`).
-    pub(crate) empty: Vec<f32>,
-    /// Fine vector of an out-of-bounds window slot (`fine_cell_dim`).
-    pub(crate) invalid: Vec<f32>,
-    /// One entry per indexed sheet, parallel to [`ReferenceIndex::keys`].
-    pub(crate) sheets: Vec<SheetFineCells>,
-}
-
-impl FineCache {
-    pub(crate) fn empty_cache() -> FineCache {
-        FineCache { empty: Vec::new(), invalid: Vec::new(), sheets: Vec::new() }
-    }
-}
-
 /// A reference formula region, with everything S3 needs to adapt it.
 #[derive(Debug, Clone)]
 pub struct RegionEntry {
@@ -182,9 +170,27 @@ pub struct RegionEntry {
     /// (empty when the formula does not parse — such regions are skipped
     /// by S3 exactly as before).
     pub params: Vec<CellRef>,
-    /// First row of this region's parameter vectors in the index-wide
-    /// parameter [`VecTable`] (`params.len()` consecutive rows).
-    pub(crate) param_start: usize,
+}
+
+/// Row span (`last − first`) one S2 strip may cover. A strip of `span +
+/// window.rows` rows is gathered into one scratch buffer; capping the span
+/// at a constant keeps that buffer at 75 KB for the default 40×8 window of
+/// 8-float cells — under glibc's 128 KB mmap threshold and inside L2 —
+/// so a sheet with a million-row formula column costs more strips, never
+/// a column-sized allocation.
+const STRIP_MAX_SPAN: u32 = 256;
+
+/// The buffers [`ReferenceIndex::sheet_region_distances`] works in. Make
+/// one per query and pass it to every call: nothing is allocated per
+/// region, and after the first sheets nothing per sheet either.
+#[derive(Default)]
+pub struct StripScratch {
+    /// `(col, row, ordinal in regions_of_sheet)` of the sheet's regions,
+    /// sorted: each column's rows ascending.
+    order: Vec<(u32, u32, u32)>,
+    /// The gathered strip, unnormalized.
+    strip: Vec<f32>,
+    distances: Vec<f32>,
 }
 
 /// What to precompute at build time.
@@ -212,19 +218,19 @@ pub struct ReferenceIndex {
     /// Fine top-left-signature index (fine-only ablation), same backend.
     pub(crate) fine_sheets: Option<Box<dyn VectorIndex>>,
     pub regions: Vec<RegionEntry>,
-    /// Fine region embedding per region (row `rid`).
-    pub(crate) region_vecs: VecTable,
-    /// Reference-side fine embeddings of every template parameter, indexed
-    /// by [`RegionEntry::param_start`]. Precomputed at index time so S3
-    /// parameter mapping needs no access to the reference sheets.
-    pub(crate) param_vecs: VecTable,
+    /// Every sheet's stored cells and their fine vectors, parallel to
+    /// [`ReferenceIndex::keys`]: all the index holds of the fine branch.
+    pub(crate) fine_cells: Vec<SheetFineCells>,
+    /// Fine vector of an in-bounds blank cell, tiled for a window row (see
+    /// [`SheetEmbedding`]). Constant across sheets and captured from the
+    /// first one indexed: empty while the index has no sheets.
+    pub(crate) fine_empty: Vec<f32>,
+    /// Fine vector of an out-of-bounds window slot, tiled likewise.
+    pub(crate) fine_invalid: Vec<f32>,
+    /// The view window every region embedding spans (the config's).
+    pub(crate) window: ViewWindow,
     pub(crate) coarse_region_vecs: Option<VecTable>,
     pub(crate) regions_by_sheet: Vec<Vec<usize>>,
-    /// Per-sheet fine cell caches (compact-save source). `Some` for
-    /// indexes built or grown in this process and for indexes loaded from
-    /// compact artifacts; `None` after loading a fat artifact (which does
-    /// not carry the caches).
-    pub(crate) fine_cache: Option<FineCache>,
     pub build_seconds: f64,
 }
 
@@ -236,11 +242,12 @@ impl Clone for ReferenceIndex {
             coarse: self.coarse.clone_box(),
             fine_sheets: self.fine_sheets.as_ref().map(|idx| idx.clone_box()),
             regions: self.regions.clone(),
-            region_vecs: self.region_vecs.clone(),
-            param_vecs: self.param_vecs.clone(),
+            fine_cells: self.fine_cells.clone(),
+            fine_empty: self.fine_empty.clone(),
+            fine_invalid: self.fine_invalid.clone(),
+            window: self.window,
             coarse_region_vecs: self.coarse_region_vecs.clone(),
             regions_by_sheet: self.regions_by_sheet.clone(),
-            fine_cache: self.fine_cache.clone(),
             build_seconds: self.build_seconds,
         }
     }
@@ -309,15 +316,16 @@ impl ReferenceIndex {
             coarse,
             fine_sheets,
             regions: Vec::new(),
-            region_vecs: VecTable::new(cfg.fine_dim()),
-            param_vecs: VecTable::new(cfg.fine_dim()),
+            fine_cells: Vec::new(),
+            fine_empty: Vec::new(),
+            fine_invalid: Vec::new(),
+            window: cfg.window,
             coarse_region_vecs: opts.coarse_regions.then(|| VecTable::new(cfg.coarse_dim)),
             regions_by_sheet: Vec::new(),
-            fine_cache: Some(FineCache::empty_cache()),
             build_seconds: 0.0,
         };
-        // Region provenance: every formula cell, with its template
-        // parameters and their precomputed reference-side embeddings.
+        // Region provenance: every formula cell with its template
+        // parameters; then the sheet's cells, kept as embedded.
         for (si, (key, emb)) in keys.iter().zip(embeddings).enumerate() {
             let sheet = &workbooks[key.workbook].sheets[key.sheet];
             index.meta.push(sheet_meta(sheet));
@@ -330,11 +338,12 @@ impl ReferenceIndex {
     }
 
     /// Capture one sheet's formula regions (entry `sheet_idx` of
-    /// `regions_by_sheet` must already exist). Shared by the batch build
-    /// and the incremental [`ReferenceIndex::add_workbook`] so the two
-    /// paths cannot drift. Takes the embedding by value: its per-cell
-    /// table, already sorted row-major, becomes the sheet's fine cache
-    /// as it is.
+    /// `regions_by_sheet` must already exist) and keep its cells. Shared
+    /// by the batch build and the incremental
+    /// [`ReferenceIndex::add_workbook`] so the two paths cannot drift.
+    /// Takes the embedding by value: its per-cell table, already sorted
+    /// row-major, becomes the sheet's entry of `fine_cells` as it is — no
+    /// window is gathered here.
     fn index_sheet_regions(
         &mut self,
         embedder: &SheetEmbedder<'_>,
@@ -342,9 +351,6 @@ impl ReferenceIndex {
         sheet: &Sheet,
         sheet_idx: usize,
     ) {
-        let window = embedder.cfg().window;
-        let gather = emb.gather(window.cols as usize);
-        let mut vec = vec![0.0f32; embedder.cfg().fine_dim()];
         let mut locs: Vec<(CellRef, String)> =
             sheet.formulas().map(|(at, f)| (at, f.to_string())).collect();
         locs.sort_by_key(|(at, _)| *at);
@@ -353,28 +359,18 @@ impl ReferenceIndex {
                 Ok(expr) => Template::extract(&expr).1,
                 Err(_) => Vec::new(),
             };
-            let param_start = self.param_vecs.rows();
-            for &cr in &params {
-                gather.window(window, WindowOrigin::Centered(cr), &mut vec);
-                self.param_vecs.push(&vec);
-            }
-            gather.window(window, WindowOrigin::Centered(cell), &mut vec);
-            self.region_vecs.push(&vec);
             self.regions_by_sheet[sheet_idx].push(self.regions.len());
-            self.regions.push(RegionEntry { sheet_idx, cell, formula, params, param_start });
+            self.regions.push(RegionEntry { sheet_idx, cell, formula, params });
             if let Some(cvecs) = self.coarse_region_vecs.as_mut() {
                 cvecs.push(&coarse_window(embedder, sheet, cell));
             }
         }
-        if let Some(cache) = self.fine_cache.as_mut() {
-            if cache.empty.is_empty() {
-                // Constant across sheets: captured from the first one.
-                cache.empty = emb.fine_empty;
-                cache.invalid = emb.fine_invalid;
-            }
-            debug_assert_eq!(cache.sheets.len(), sheet_idx, "cache parallel to keys");
-            cache.sheets.push(emb.fine);
+        if self.fine_empty.is_empty() {
+            self.fine_empty = emb.fine_empty;
+            self.fine_invalid = emb.fine_invalid;
         }
+        debug_assert_eq!(self.fine_cells.len(), sheet_idx, "cells parallel to keys");
+        self.fine_cells.push(emb.fine);
     }
 
     /// Incrementally index one more workbook (the production path when a
@@ -421,9 +417,9 @@ impl ReferenceIndex {
     }
 
     /// An empty index with the same shape as `self`: same optional
-    /// structures (fine-signature index, coarse-region table, fine cache
-    /// constants), same storage codecs, and a fresh ANN index on the
-    /// backend `cfg` selects. The starting point for shards, delta
+    /// structures (fine-signature index, coarse-region table and its
+    /// codec), same window and fine constants, and a fresh ANN index on
+    /// the backend `cfg` selects. The starting point for shards, delta
     /// segments, and merges.
     pub fn empty_like(&self, cfg: &AutoFormulaConfig) -> ReferenceIndex {
         ReferenceIndex {
@@ -432,28 +428,26 @@ impl ReferenceIndex {
             coarse: build_ann_index(cfg, self.coarse.dim(), &[]),
             fine_sheets: self.fine_sheets.as_ref().map(|fs| build_ann_index(cfg, fs.dim(), &[])),
             regions: Vec::new(),
-            region_vecs: VecTable::with_codec(self.region_vecs.dim(), self.region_vecs.codec()),
-            param_vecs: VecTable::with_codec(self.param_vecs.dim(), self.param_vecs.codec()),
+            fine_cells: Vec::new(),
+            fine_empty: self.fine_empty.clone(),
+            fine_invalid: self.fine_invalid.clone(),
+            window: self.window,
             coarse_region_vecs: self
                 .coarse_region_vecs
                 .as_ref()
                 .map(|v| VecTable::with_codec(v.dim(), v.codec())),
             regions_by_sheet: Vec::new(),
-            fine_cache: self.fine_cache.as_ref().map(|c| FineCache {
-                empty: c.empty.clone(),
-                invalid: c.invalid.clone(),
-                sheets: Vec::new(),
-            }),
             build_seconds: 0.0,
         }
     }
 
     /// Append sheet `src_sheet_idx` of `src` — key, metadata, ANN vectors,
-    /// regions and their embedding rows — to `self`, re-basing region ids
-    /// and parameter offsets. No re-embedding happens: vectors are copied
-    /// out of `src`'s stores (bit-exact on `f32` tables; quantized rows
-    /// make one dequantize/requantize round trip, which the affine int8
-    /// codec reproduces up to float rounding).
+    /// fine cells and regions — to `self`, re-basing region ids. No
+    /// re-embedding happens and no window is copied: the sheet's cell
+    /// table is cloned as it is, so every window gathered from the copy
+    /// has the source's bits (coarse-region rows are copied out of `src`'s
+    /// store: bit-exact on `f32` tables; quantized rows make one
+    /// dequantize/requantize round trip).
     ///
     /// This is the merge primitive: compaction merges a sealed run into
     /// its older neighbour with it, and a sharded artifact is folded back
@@ -472,34 +466,14 @@ impl ReferenceIndex {
         self.keys.push(src.keys[src_sheet_idx]);
         self.meta.push(src.meta[src_sheet_idx].clone());
         self.regions_by_sheet.push(Vec::new());
-        match (&mut self.fine_cache, &src.fine_cache) {
-            (Some(dst), Some(sc)) => {
-                if dst.empty.is_empty() && !sc.empty.is_empty() {
-                    dst.empty = sc.empty.clone();
-                    dst.invalid = sc.invalid.clone();
-                }
-                dst.sheets.push(sc.sheets[src_sheet_idx].clone());
-            }
-            // A source without caches (fat-loaded artifact) poisons the
-            // destination's compact-save ability, nothing else.
-            (dst @ Some(_), None) => *dst = None,
-            _ => {}
+        if self.fine_empty.is_empty() {
+            self.fine_empty = src.fine_empty.clone();
+            self.fine_invalid = src.fine_invalid.clone();
         }
+        self.fine_cells.push(src.fine_cells[src_sheet_idx].clone());
         for &rid in &src.regions_by_sheet[src_sheet_idx] {
-            let entry = &src.regions[rid];
-            let param_start = self.param_vecs.rows();
-            for pi in 0..entry.params.len() {
-                self.param_vecs.push_row_of(&src.param_vecs, entry.param_start + pi);
-            }
             self.regions_by_sheet[new_si].push(self.regions.len());
-            self.regions.push(RegionEntry {
-                sheet_idx: new_si,
-                cell: entry.cell,
-                formula: entry.formula.clone(),
-                params: entry.params.clone(),
-                param_start,
-            });
-            self.region_vecs.push_row_of(&src.region_vecs, rid);
+            self.regions.push(RegionEntry { sheet_idx: new_si, ..src.regions[rid].clone() });
             if let Some(dst) = self.coarse_region_vecs.as_mut() {
                 let sv = src
                     .coarse_region_vecs
@@ -527,10 +501,9 @@ impl ReferenceIndex {
     /// makes a sharded Flat scatter-gather bit-identical to the unsharded
     /// scan.
     ///
-    /// Consumes `self` and distributes it one table at a time, dropping
-    /// each source table before the next is copied, so a cold start never
-    /// holds the loaded index *and* a full set of shard copies (the two
-    /// fine tables are nearly all of an index's bytes).
+    /// Consumes `self`: keys, metadata, cells and regions are moved into
+    /// their shard, so a cold start never holds the loaded index *and* a
+    /// set of shard copies.
     pub fn split(
         self,
         cfg: &AutoFormulaConfig,
@@ -541,19 +514,6 @@ impl ReferenceIndex {
         assert!(n_shards > 0, "at least one shard");
         debug_assert!(assignment.iter().all(|&s| s < n_shards));
         let mut parts: Vec<ReferenceIndex> = (0..n_shards).map(|_| self.empty_like(cfg)).collect();
-        let ReferenceIndex {
-            keys,
-            meta,
-            coarse,
-            fine_sheets,
-            regions,
-            region_vecs,
-            param_vecs,
-            coarse_region_vecs,
-            regions_by_sheet,
-            fine_cache,
-            build_seconds: _,
-        } = self;
 
         let ann_parts = |src: &dyn VectorIndex| -> Vec<Box<dyn VectorIndex>> {
             let mut data: Vec<Vec<f32>> = vec![Vec::new(); n_shards];
@@ -562,62 +522,36 @@ impl ReferenceIndex {
             }
             data.iter().map(|d| build_ann_index(cfg, src.dim(), d)).collect()
         };
-        for (part, ann) in parts.iter_mut().zip(ann_parts(&*coarse)) {
+        for (part, ann) in parts.iter_mut().zip(ann_parts(&*self.coarse)) {
             part.coarse = ann;
         }
-        if let Some(fs) = fine_sheets.as_deref() {
+        if let Some(fs) = self.fine_sheets.as_deref() {
             for (part, ann) in parts.iter_mut().zip(ann_parts(fs)) {
                 part.fine_sheets = Some(ann);
             }
         }
-        drop((coarse, fine_sheets));
 
-        // Light fields first. `order` is every source region id in the
-        // row order of the shard tables (sheet by sheet, region by
-        // region), with the shard that receives it.
-        let mut cache_sheets = fine_cache.map(|c| c.sheets.into_iter());
-        let mut order: Vec<(usize, usize)> = Vec::with_capacity(regions.len());
-        for (si, ((key, sheet_meta), rids)) in
-            keys.into_iter().zip(meta).zip(&regions_by_sheet).enumerate()
+        let mut regions: Vec<Option<RegionEntry>> = self.regions.into_iter().map(Some).collect();
+        let sheets = self.keys.into_iter().zip(self.meta).zip(self.fine_cells);
+        for (si, (((key, sheet_meta), cells), rids)) in
+            sheets.zip(&self.regions_by_sheet).enumerate()
         {
-            let s = assignment[si];
-            let part = &mut parts[s];
+            let part = &mut parts[assignment[si]];
             let new_si = part.keys.len();
             part.keys.push(key);
             part.meta.push(sheet_meta);
-            if let (Some(dst), Some(src)) = (part.fine_cache.as_mut(), cache_sheets.as_mut()) {
-                dst.sheets.push(src.next().expect("fine cache parallel to keys"));
-            }
+            part.fine_cells.push(cells);
             let mut local = Vec::with_capacity(rids.len());
             for &rid in rids {
-                let param_start = part.regions.last().map_or(0, |e| e.param_start + e.params.len());
                 local.push(part.regions.len());
-                part.regions.push(RegionEntry {
-                    sheet_idx: new_si,
-                    param_start,
-                    ..regions[rid].clone()
-                });
-                order.push((s, rid));
+                let entry = regions[rid].take().expect("each region belongs to one sheet");
+                part.regions.push(RegionEntry { sheet_idx: new_si, ..entry });
+                if let Some(src) = self.coarse_region_vecs.as_ref() {
+                    let dst = part.coarse_region_vecs.as_mut();
+                    dst.expect("empty_like mirrors the optional tables").push_row_of(src, rid);
+                }
             }
             part.regions_by_sheet.push(local);
-        }
-
-        for &(s, rid) in &order {
-            parts[s].region_vecs.push_row_of(&region_vecs, rid);
-        }
-        drop(region_vecs);
-        for &(s, rid) in &order {
-            let entry = &regions[rid];
-            for pi in 0..entry.params.len() {
-                parts[s].param_vecs.push_row_of(&param_vecs, entry.param_start + pi);
-            }
-        }
-        drop(param_vecs);
-        if let Some(src) = coarse_region_vecs {
-            for &(s, rid) in &order {
-                let dst = parts[s].coarse_region_vecs.as_mut();
-                dst.expect("empty_like mirrors the optional tables").push_row_of(&src, rid);
-            }
         }
         parts
     }
@@ -650,61 +584,120 @@ impl ReferenceIndex {
         &self.regions_by_sheet[sheet_idx]
     }
 
-    /// Fine region embedding — exact (`f32`) indexes only; quantized
-    /// indexes serve through [`ReferenceIndex::region_distance`].
-    pub fn region_vec(&self, region_id: usize) -> &[f32] {
-        self.region_vecs.row(region_id)
+    /// A gatherer over reference sheet `sheet_idx`.
+    fn gather(&self, sheet_idx: usize) -> FineGather<'_> {
+        FineGather::new(&self.fine_cells[sheet_idx], &self.fine_empty, &self.fine_invalid)
     }
 
-    /// Squared L2 distance between an f32 query window and region
-    /// `region_id` — the S2 scan primitive. On quantized indexes this is
-    /// the asymmetric kernel (the stored row is never dequantized).
-    #[inline]
-    pub fn region_distance(&self, region_id: usize, query: &[f32]) -> f32 {
-        self.region_vecs.l2_sq(region_id, query)
+    /// The fine embedding of the window centered at `center` of sheet
+    /// `sheet_idx`: gathered from the sheet's cells and L2-normalized,
+    /// exactly as [`SheetEmbedder::fine_window`] does on the query side.
+    fn window_at(&self, sheet_idx: usize, center: CellRef) -> Vec<f32> {
+        let cells = &self.fine_cells[sheet_idx];
+        let mut out = vec![0.0f32; self.window.n_cells() * cells.vecs.dim()];
+        self.gather(sheet_idx).window(self.window, WindowOrigin::Centered(center), &mut out);
+        out
+    }
+
+    /// Fine region embedding of region `region_id` (unit norm).
+    pub fn region_window(&self, region_id: usize) -> Vec<f32> {
+        let entry = &self.regions[region_id];
+        self.window_at(entry.sheet_idx, entry.cell)
     }
 
     /// Reference-side fine embedding of parameter `param_idx` of region
-    /// `region_id` (parallel to [`RegionEntry::params`]).
-    pub fn param_vec(&self, region_id: usize, param_idx: usize) -> &[f32] {
+    /// `region_id` (parallel to [`RegionEntry::params`]) — what S3 searches
+    /// the query sheet for.
+    pub fn param_window(&self, region_id: usize, param_idx: usize) -> Vec<f32> {
         let entry = &self.regions[region_id];
-        assert!(param_idx < entry.params.len());
-        self.param_vecs.row(entry.param_start + param_idx)
+        self.window_at(entry.sheet_idx, entry.params[param_idx])
     }
 
-    /// [`ReferenceIndex::param_vec`] dequantized into a fresh vector (any
-    /// codec — the S3 path uses it as a query against candidate windows).
-    pub fn param_vec_owned(&self, region_id: usize, param_idx: usize) -> Vec<f32> {
+    /// Squared L2 distance between a unit-norm query window and the fine
+    /// embedding of region `region_id`: its window is gathered and
+    /// measured by the fused normalize-and-distance kernel, the bits of
+    /// `l2_sq(query, region_window(region_id))`. One region at a time —
+    /// S2 ranks whole sheets through
+    /// [`ReferenceIndex::sheet_region_distances`], which is these same two
+    /// calls over a shared strip.
+    pub fn region_distance(&self, region_id: usize, query: &[f32]) -> f32 {
         let entry = &self.regions[region_id];
-        assert!(param_idx < entry.params.len());
-        self.param_vecs.row_owned(entry.param_start + param_idx)
+        let (rows, cols) = (self.window.rows as usize, self.window.cols as usize);
+        let mut window = vec![0.0f32; query.len()];
+        let origin = self.window.centered_origin(entry.cell);
+        self.gather(entry.sheet_idx).rect(origin, rows, cols, &mut window);
+        l2_sq_normalized(query, &window)
     }
 
-    /// [`ReferenceIndex::param_vec`] as a borrowed slice when the table
-    /// is exact, `None` on quantized codecs — lets the serving hot path
-    /// stay allocation-free in the (default) f32 case.
-    pub fn param_vec_f32(&self, region_id: usize, param_idx: usize) -> Option<&[f32]> {
-        let entry = &self.regions[region_id];
-        assert!(param_idx < entry.params.len());
-        self.param_vecs.row_f32(entry.param_start + param_idx)
+    /// The S2 scan of one candidate sheet: [`ReferenceIndex::region_distance`]
+    /// of every region of `sheet_idx`, in [`ReferenceIndex::regions_of_sheet`]
+    /// order, bit for bit — without gathering a window per region.
+    ///
+    /// Formulas come in columns, and the windows of two formulas of one
+    /// column less than `window.rows` rows apart overlap in all but the
+    /// rows between them. So the sheet's regions are grouped per column
+    /// into runs of such neighbours, each run's `(last − first + rows) ×
+    /// cols` rectangle is gathered **once** at the first window's origin,
+    /// and because that strip is exactly one window wide, the window of
+    /// the formula in row `r` is the *contiguous slice* of it starting
+    /// `(r − first)` strip rows down: scored in place, nothing copied.
+    ///
+    /// `coarse_query` is the coarse-only ablation: when it is given and
+    /// the index was built with coarse region vectors, the distances are
+    /// those of the stored coarse vectors to it instead.
+    pub fn sheet_region_distances<'s>(
+        &self,
+        sheet_idx: usize,
+        query: &[f32],
+        coarse_query: Option<&[f32]>,
+        scratch: &'s mut StripScratch,
+    ) -> &'s [f32] {
+        let rids = &self.regions_by_sheet[sheet_idx];
+        let StripScratch { order, strip, distances } = scratch;
+        distances.clear();
+        if let (Some(query), Some(table)) = (coarse_query, &self.coarse_region_vecs) {
+            distances.extend(rids.iter().map(|&rid| table.l2_sq(rid, query)));
+            return distances;
+        }
+        let (rows, cols) = (self.window.rows as usize, self.window.cols as usize);
+        let row_len = cols * self.fine_cells[sheet_idx].vecs.dim();
+        let fine_dim = rows * row_len;
+        order.clear();
+        order.extend(rids.iter().enumerate().map(|(ordinal, &rid)| {
+            let cell = self.regions[rid].cell;
+            (cell.col, cell.row, ordinal as u32)
+        }));
+        order.sort_unstable();
+        distances.resize(rids.len(), 0.0);
+        let gather = self.gather(sheet_idx);
+        let mut run = &order[..];
+        while let Some(&(col, first, _)) = run.first() {
+            let mut n = 1;
+            while n < run.len()
+                && run[n].0 == col
+                && run[n].1 - run[n - 1].1 < self.window.rows
+                && run[n].1 - first <= STRIP_MAX_SPAN
+            {
+                n += 1;
+            }
+            let strip_rows = (run[n - 1].1 - first) as usize + rows;
+            if strip.len() < strip_rows * row_len {
+                strip.resize(strip_rows * row_len, 0.0);
+            }
+            let strip = &mut strip[..strip_rows * row_len];
+            let origin = self.window.centered_origin(CellRef::new(first, col));
+            gather.rect(origin, strip_rows, cols, strip);
+            for &(_, row, ordinal) in &run[..n] {
+                let at = (row - first) as usize * row_len;
+                distances[ordinal as usize] = l2_sq_normalized(query, &strip[at..at + fine_dim]);
+            }
+            run = &run[n..];
+        }
+        distances
     }
 
     pub fn coarse_region_vec(&self, region_id: usize) -> Option<&[f32]> {
         self.coarse_region_vecs.as_ref().map(|v| v.row(region_id))
-    }
-
-    /// Squared L2 distance between a coarse query window and region
-    /// `region_id`'s coarse embedding, when the coarse-region table was
-    /// built (the coarse-only ablation path).
-    #[inline]
-    pub fn coarse_region_distance(&self, region_id: usize, query: &[f32]) -> Option<f32> {
-        self.coarse_region_vecs.as_ref().map(|v| v.l2_sq(region_id, query))
-    }
-
-    /// Storage codec of the fine region/parameter tables (the serving
-    /// bulk). Exact `f32` unless a quantized artifact was loaded.
-    pub fn fine_codec(&self) -> Codec {
-        self.region_vecs.codec()
     }
 }
 
@@ -736,6 +729,8 @@ mod tests {
     use crate::model::RepresentationModel;
     use af_corpus::organization::{OrgSpec, Scale};
     use af_embed::{CellFeaturizer, FeatureMask, SbertSim};
+    use af_grid::Cell;
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     fn setup() -> (RepresentationModel, CellFeaturizer, af_corpus::OrgCorpus) {
@@ -798,9 +793,9 @@ mod tests {
     #[test]
     fn regions_carry_parameter_provenance() {
         // The self-contained index must hold, for every parseable formula,
-        // its template parameter cells and one reference-side fine vector
-        // per parameter — the data that used to require a live borrow of
-        // the reference workbooks at predict time.
+        // its template parameter cells, and yield one reference-side fine
+        // window per parameter — the data that used to require a live
+        // borrow of the reference workbooks at predict time.
         let (model, feat, corpus) = setup();
         let embedder = SheetEmbedder::new(&model, &feat);
         let members: Vec<usize> = (0..4).collect();
@@ -810,7 +805,7 @@ mod tests {
         let mut with_params = 0usize;
         for (rid, entry) in idx.regions.iter().enumerate() {
             for (pi, _) in entry.params.iter().enumerate() {
-                assert_eq!(idx.param_vec(rid, pi).len(), fine_dim);
+                assert_eq!(idx.param_window(rid, pi).len(), fine_dim);
             }
             // Stored params must match a fresh template extraction.
             if let Ok(expr) = parse_formula(&entry.formula) {
@@ -819,9 +814,6 @@ mod tests {
                 with_params += !fresh.is_empty() as usize;
             }
         }
-        // Every parameter row is claimed by exactly one region.
-        let claimed: usize = idx.regions.iter().map(|e| e.params.len()).sum();
-        assert_eq!(claimed, idx.param_vecs.rows());
         assert!(with_params > 0, "corpus must contain parameterized formulas");
     }
 
@@ -915,8 +907,8 @@ mod tests {
                 // including the precomputed parameter provenance.
                 for rid in 0..incremental.n_regions() {
                     assert_eq!(
-                        incremental.region_vec(rid),
-                        full.region_vec(rid),
+                        incremental.region_window(rid),
+                        full.region_window(rid),
                         "{tag} region {rid}"
                     );
                     assert_eq!(
@@ -925,8 +917,8 @@ mod tests {
                     );
                     for pi in 0..full.regions[rid].params.len() {
                         assert_eq!(
-                            incremental.param_vec(rid, pi),
-                            full.param_vec(rid, pi),
+                            incremental.param_window(rid, pi),
+                            full.param_window(rid, pi),
                             "{tag} region {rid} param {pi}"
                         );
                     }
@@ -1034,7 +1026,8 @@ mod tests {
     fn split_then_absorb_in_global_order_reproduces_the_original() {
         // Merge primitive round trip: split into shards, fold the sheets
         // back into one empty_like index in global order, and everything —
-        // keys, metadata, regions, every embedding row — must match.
+        // keys, metadata, regions, every region and parameter window —
+        // must match.
         let (model, feat, corpus) = setup();
         let embedder = SheetEmbedder::new(&model, &feat);
         let members: Vec<usize> = (0..4).collect();
@@ -1060,9 +1053,9 @@ mod tests {
         for rid in 0..idx.n_regions() {
             assert_eq!(merged.regions[rid].formula, idx.regions[rid].formula);
             assert_eq!(merged.regions[rid].sheet_idx, idx.regions[rid].sheet_idx);
-            assert_eq!(merged.region_vec(rid), idx.region_vec(rid), "region {rid}");
+            assert_eq!(merged.region_window(rid), idx.region_window(rid), "region {rid}");
             for pi in 0..idx.regions[rid].params.len() {
-                assert_eq!(merged.param_vec(rid, pi), idx.param_vec(rid, pi));
+                assert_eq!(merged.param_window(rid, pi), idx.param_window(rid, pi));
             }
         }
         // The rebuilt ANN index answers like the original.
@@ -1099,7 +1092,7 @@ mod tests {
         assert_eq!(compacted.keys, direct.keys);
         assert_eq!(compacted.n_regions(), direct.n_regions());
         for rid in 0..direct.n_regions() {
-            assert_eq!(compacted.region_vec(rid), direct.region_vec(rid), "region {rid}");
+            assert_eq!(compacted.region_window(rid), direct.region_window(rid), "region {rid}");
         }
         let emb = embedder.embed_sheet(&corpus.workbooks[3].sheets[0], false);
         let a = compacted.similar_sheets(&emb.coarse, 3);
@@ -1128,5 +1121,131 @@ mod tests {
         // The original must not have seen the add.
         assert_eq!(idx.similar_sheets(&emb.coarse, 1).len(), 1);
         assert!(idx.keys.iter().all(|k| k.workbook != 3));
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The S2 scan one region at a time: what the strips must reproduce.
+    fn per_region(index: &ReferenceIndex, sheet_idx: usize, query: &[f32]) -> Vec<f32> {
+        index.regions_of_sheet(sheet_idx).iter().map(|&r| index.region_distance(r, query)).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        #[test]
+        fn strip_distances_have_the_bits_of_region_distance(
+            cells in prop::collection::vec((0u32..150, 0u32..12, 0u32..4), 0..90),
+            runs in prop::collection::vec(
+                (0u32..12, 0u32..40, prop::collection::vec(0usize..5, 0..10)),
+                1..5,
+            ),
+            long_run in 0u32..4,
+            far: bool,
+            tiny: bool,
+            probe in (0u32..150, 0u32..12),
+        ) {
+            // test_tiny: 12×5 windows of 4-float cells (20-float rows, not
+            // a multiple of the 8 kernel lanes); default: 40×8 of 8.
+            let cfg = if tiny { AutoFormulaConfig::test_tiny() } else { AutoFormulaConfig::default() };
+            let featurizer = CellFeaturizer::new(Arc::new(SbertSim::new(16)), FeatureMask::FULL);
+            let model = RepresentationModel::new(featurizer.dim(), cfg);
+            let embedder = SheetEmbedder::new(&model, &featurizer);
+            let rows = cfg.window.rows;
+            let mut sheet = Sheet::new("s");
+            for &(r, c, kind) in &cells {
+                let cell = match kind {
+                    0 => Cell::new(format!("label {r}")),
+                    _ => Cell::new((r * 7 + c * kind) as f64),
+                };
+                sheet.set(CellRef::new(r, c), cell);
+            }
+            // Formula columns (0..12 reaches the left edge, where windows
+            // hang over into invalid slots): consecutive formulas 1, 2,
+            // rows−1 (one strip), rows and rows+1 (a new strip) apart.
+            let formula = |sheet: &mut Sheet, r: u32, c: u32| {
+                sheet.set(CellRef::new(r, c), Cell::new(1.0).with_formula(format!("SUM(A{}:B{})", r + 1, r + 2)));
+            };
+            for (col, first, gaps) in &runs {
+                let mut r = *first;
+                formula(&mut sheet, r, *col);
+                for &g in gaps {
+                    r += [1, 2, rows - 1, rows, rows + 1][g];
+                    formula(&mut sheet, r, *col);
+                }
+            }
+            // One case in four: a dense column longer than the strip cap.
+            if long_run == 0 {
+                for r in 10..10 + STRIP_MAX_SPAN + 2 * rows {
+                    formula(&mut sheet, r, 5);
+                }
+            }
+            // Every other case: a formula so far down that the row index is
+            // given up for the binary-search fallback.
+            if far {
+                formula(&mut sheet, 4_000_000, 3);
+                sheet.set(CellRef::new(3_999_999, 2), Cell::new("far"));
+            }
+            let mut other = Sheet::new("o");
+            formula(&mut other, 2, 1);
+            formula(&mut other, 3, 1);
+            let mut wb = Workbook::new("w");
+            wb.push_sheet(sheet);
+            wb.push_sheet(other);
+            let workbooks = [wb];
+            let index = ReferenceIndex::build(&embedder, &workbooks, &[0], IndexOptions::default());
+
+            let query_sheet = &workbooks[0].sheets[0];
+            let emb = embedder.embed_sheet(query_sheet, false);
+            let at = CellRef::new(probe.0, probe.1);
+            let query = embedder.fine_window(&emb, query_sheet, WindowOrigin::Centered(at));
+            // One scratch across sheets, as a query uses it: large strips
+            // first, then small ones in the same buffers, then back.
+            let mut scratch = StripScratch::default();
+            for sheet_idx in [0, 1, 0] {
+                let want = per_region(&index, sheet_idx, &query);
+                let got = index.sheet_region_distances(sheet_idx, &query, None, &mut scratch);
+                prop_assert_eq!(bits(got), bits(&want), "sheet {}", sheet_idx);
+            }
+            // And one region at a time is gather, normalize, measure.
+            for rid in 0..index.n_regions() {
+                prop_assert_eq!(
+                    index.region_distance(rid, &query).to_bits(),
+                    af_ann::l2_sq(&query, &index.region_window(rid)).to_bits(),
+                    "region {}", rid
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_long_formula_column_is_ranked_in_bounded_strips() {
+        // Hostile sheet: 5 000 formulas down one column. S2 must serve the
+        // bits of the per-region scan from a scratch that stays at the
+        // strip cap, not one sized by the column.
+        let featurizer = CellFeaturizer::new(Arc::new(SbertSim::new(16)), FeatureMask::FULL);
+        let cfg = AutoFormulaConfig::test_tiny();
+        let model = RepresentationModel::new(featurizer.dim(), cfg);
+        let embedder = SheetEmbedder::new(&model, &featurizer);
+        let mut sheet = Sheet::new("ledger");
+        for r in 0..5000u32 {
+            sheet.set(CellRef::new(r, 1), Cell::new((r % 97) as f64));
+            sheet.set(CellRef::new(r, 2), Cell::new(0.0).with_formula(format!("B{}*2", r + 1)));
+        }
+        let mut wb = Workbook::new("w");
+        wb.push_sheet(sheet);
+        let workbooks = [wb];
+        let index = ReferenceIndex::build(&embedder, &workbooks, &[0], IndexOptions::default());
+        assert_eq!(index.regions_of_sheet(0).len(), 5000);
+        let sheet = &workbooks[0].sheets[0];
+        let emb = embedder.embed_sheet(sheet, false);
+        let query = embedder.fine_window(&emb, sheet, WindowOrigin::Centered(CellRef::new(700, 2)));
+        let mut scratch = StripScratch::default();
+        let got = bits(index.sheet_region_distances(0, &query, None, &mut scratch));
+        assert_eq!(got, bits(&per_region(&index, 0, &query)));
+        let row_len = cfg.window.cols as usize * cfg.fine_cell_dim;
+        assert!(scratch.strip.len() <= (STRIP_MAX_SPAN + cfg.window.rows) as usize * row_len);
     }
 }

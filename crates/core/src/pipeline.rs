@@ -4,7 +4,7 @@
 use crate::config::AutoFormulaConfig;
 use crate::embedder::{SheetEmbedder, SheetEmbedding};
 use crate::features::WindowOrigin;
-use crate::index::{coarse_window, IndexOptions, ReferenceIndex, SheetKey};
+use crate::index::{coarse_window, IndexOptions, ReferenceIndex, SheetKey, StripScratch};
 use crate::model::RepresentationModel;
 use crate::training::{train_model, TrainReport, TrainingOptions};
 use af_embed::CellFeaturizer;
@@ -180,22 +180,16 @@ impl AutoFormula {
         let target_coarse_region = (variant == PipelineVariant::CoarseOnly)
             .then(|| coarse_window(&embedder, sheet, target));
         let mut ranked: Vec<(usize, f32)> = Vec::new();
+        let mut scratch = StripScratch::default();
         for cand in &candidates {
-            for &rid in index.regions_of_sheet(cand.id) {
-                // Distances go through the index's store so quantized
-                // artifacts scan with the asymmetric kernels (on exact
-                // f32 tables this is bit-identical to borrowing the row).
-                let d = match variant {
-                    PipelineVariant::CoarseOnly => index
-                        .coarse_region_distance(
-                            rid,
-                            target_coarse_region.as_ref().expect("computed"),
-                        )
-                        .unwrap_or_else(|| index.region_distance(rid, &target_fine)),
-                    _ => index.region_distance(rid, &target_fine),
-                };
-                ranked.push((rid, d));
-            }
+            let dists = index.sheet_region_distances(
+                cand.id,
+                &target_fine,
+                target_coarse_region.as_deref(),
+                &mut scratch,
+            );
+            let rids = index.regions_of_sheet(cand.id);
+            ranked.extend(rids.iter().copied().zip(dists.iter().copied()));
         }
         if ranked.is_empty() {
             return None;
@@ -242,10 +236,9 @@ impl AutoFormula {
         let entry = &index.regions[rid];
         let expr = parse_formula(&entry.formula).ok()?;
         let (template, ref_params) = Template::extract(&expr);
-        // The reference-side region embeddings were precomputed at
-        // index time (same extraction, same embedder); a length
-        // mismatch can only mean a corrupt artifact — skip the entry
-        // rather than guessing.
+        // The parameter cells were extracted at index time (same
+        // extraction); a length mismatch can only mean a corrupt
+        // artifact — skip the entry rather than guessing.
         if ref_params.len() != entry.params.len() {
             return None;
         }
@@ -253,27 +246,14 @@ impl AutoFormula {
 
         let mut mapped: Vec<CellRef> = Vec::with_capacity(ref_params.len());
         for (pi, &cr) in ref_params.iter().enumerate() {
-            let owned_ref_vec;
             let m = match variant {
                 PipelineVariant::CoarseOnly => offset_map(cr, entry.cell, target),
-                _ => search_parameter(
-                    cfg,
-                    emb,
-                    // Exact tables lend the row zero-copy (the default
-                    // serving path); quantized tables dequantize once
-                    // per parameter.
-                    match index.param_vec_f32(rid, pi) {
-                        Some(v) => v,
-                        None => {
-                            owned_ref_vec = index.param_vec_owned(rid, pi);
-                            &owned_ref_vec
-                        }
-                    },
-                    cr,
-                    entry.cell,
-                    target,
-                )
-                .map(|(cell, _)| cell),
+                // The parameter's reference-side window is gathered from
+                // its sheet's cells here, once per parameter.
+                _ => {
+                    search_parameter(cfg, emb, &index.param_window(rid, pi), cr, entry.cell, target)
+                        .map(|(cell, _)| cell)
+                }
             };
             mapped.push(m?);
         }
@@ -308,6 +288,8 @@ fn offset_map(ref_param: CellRef, ref_formula: CellRef, target: CellRef) -> Opti
 /// copied into one scratch buffer and scored against `ref_vec` with the
 /// fused normalize-and-distance kernel — the values and the summation
 /// order of gathering, normalizing and measuring each window on its own.
+/// `cfg` must be the config `target_emb` was embedded under: the
+/// embedding's constants are tiled for that `d`.
 pub fn search_parameter(
     cfg: &AutoFormulaConfig,
     target_emb: &SheetEmbedding,
@@ -334,7 +316,7 @@ pub fn search_parameter(
     let f8 = cfg.fine_cell_dim;
     let (or, oc) = cfg.window.centered_origin(anchor);
     let mut patch = vec![0.0f32; patch_rows * patch_cols * f8];
-    target_emb.gather(patch_cols).rect((or - d, oc - d), patch_rows, patch_cols, &mut patch);
+    target_emb.gather().rect((or - d, oc - d), patch_rows, patch_cols, &mut patch);
     let mut window = vec![0.0f32; rows * cols * f8];
     let mut best: Option<(CellRef, f32)> = None;
     for dr in -d..=d {

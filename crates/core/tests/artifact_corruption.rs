@@ -13,7 +13,7 @@ use af_embed::{CellFeaturizer, FeatureMask, SbertSim};
 use std::sync::Arc;
 
 /// A small but fully-populated artifact (real regions, params, metadata)
-/// in the given storage layout.
+/// in the given storage codec.
 fn small_artifact_with(opts: StoreOptions) -> Vec<u8> {
     let corpus = OrgSpec::pge(Scale::Tiny).generate();
     let featurizer = CellFeaturizer::new(Arc::new(SbertSim::new(16)), FeatureMask::FULL);
@@ -35,15 +35,9 @@ fn small_artifact() -> Vec<u8> {
     small_artifact_with(StoreOptions::default())
 }
 
-/// Every v2 layout worth corrupting: each codec, fat and compact.
+/// Every encoding worth corrupting: each codec over the one layout.
 fn layout_variants() -> Vec<StoreOptions> {
-    let mut out = Vec::new();
-    for codec in Codec::ALL {
-        for compact_fine in [false, true] {
-            out.push(StoreOptions { codec, compact_fine });
-        }
-    }
-    out
+    Codec::ALL.into_iter().map(|codec| StoreOptions { codec, ..StoreOptions::default() }).collect()
 }
 
 /// Parse the header the same way the loader lays it out and return every
@@ -118,8 +112,8 @@ fn bit_flips_never_panic() {
 #[test]
 fn truncated_quantized_and_compact_artifacts_never_panic() {
     // The v2-specific payloads: quantized blocks (f16 images, int8
-    // scale/offset/code runs) and the compact fine cache (cell refs +
-    // per-sheet stores). Truncation anywhere must error cleanly.
+    // scale/offset/code runs) and the per-sheet cell tables (cell refs +
+    // stores). Truncation anywhere must error cleanly.
     for opts in layout_variants() {
         let artifact = small_artifact_with(opts);
         let mut cuts = interesting_offsets(&artifact);
@@ -160,20 +154,33 @@ fn bit_flips_in_quantized_and_compact_artifacts_never_panic() {
     }
 }
 
-/// Find the wire offset of the first int8 store whose header names `dim`:
-/// tag byte 3, big-endian u32 dim — a 5-byte pattern that cannot occur
-/// inside the header fields preceding it by construction of this search.
-fn find_int8_store(artifact: &[u8], dim: u32) -> Option<usize> {
-    let mut pat = vec![3u8];
-    pat.extend_from_slice(&dim.to_be_bytes());
-    artifact.windows(pat.len()).position(|w| w == pat)
+/// Wire offset of the first sheet's entry in the INDEX section — `u64`
+/// cell count, that many `(u32 row, u32 col)` refs, then the cell table's
+/// store. Found through the constants store right before it (f32 codec
+/// tag 1, dim = `fine_cell_dim`, rows = 2: a 13-byte pattern).
+fn first_sheet_at(artifact: &[u8]) -> usize {
+    let f8 = AutoFormulaConfig::test_tiny().fine_cell_dim as u32;
+    let mut pat = vec![1u8];
+    pat.extend_from_slice(&f8.to_be_bytes());
+    pat.extend_from_slice(&2u64.to_be_bytes());
+    let pos = artifact.windows(pat.len()).position(|w| w == pat).expect("consts store on the wire");
+    let pad = artifact[pos + 13] as usize;
+    pos + 14 + pad + 2 * f8 as usize * 4
+}
+
+/// Wire offset of the first sheet's cell table (its store's codec tag).
+fn first_cell_table_at(artifact: &[u8]) -> usize {
+    let at = first_sheet_at(artifact);
+    let n_cells = u64::from_be_bytes(artifact[at..at + 8].try_into().unwrap()) as usize;
+    at + 8 + n_cells * 8
 }
 
 #[test]
 fn int8_codec_tag_flip_and_poisoned_scales_are_rejected() {
-    let artifact = small_artifact_with(StoreOptions { codec: Codec::Int8, compact_fine: false });
-    let fine_dim = AutoFormulaConfig::test_tiny().fine_dim() as u32;
-    let pos = find_int8_store(&artifact, fine_dim).expect("an int8 fine table on the wire");
+    let artifact =
+        small_artifact_with(StoreOptions { codec: Codec::Int8, ..StoreOptions::default() });
+    let pos = first_cell_table_at(&artifact);
+    assert_eq!(artifact[pos], 3, "an int8 cell table on the wire");
 
     // Codec tag flipped to an unknown value → clean error.
     let mut bad_tag = artifact.clone();
@@ -213,12 +220,9 @@ fn pq_codec_tag_flip_and_bad_headers_are_rejected() {
     // at the store layer in `af_store::pq`; tiny artifacts stay below the
     // training threshold, so the wire here is a pending block.)
     let artifact =
-        small_artifact_with(StoreOptions { codec: Codec::Pq { m: 0 }, compact_fine: false });
-    let fine_dim = AutoFormulaConfig::test_tiny().fine_dim() as u32;
-    let mut pat = vec![4u8];
-    pat.extend_from_slice(&fine_dim.to_be_bytes());
-    let pos =
-        artifact.windows(pat.len()).position(|w| w == pat).expect("a pq fine table on the wire");
+        small_artifact_with(StoreOptions { codec: Codec::Pq { m: 0 }, ..StoreOptions::default() });
+    let pos = first_cell_table_at(&artifact);
+    assert_eq!(artifact[pos], 4, "a pq cell table on the wire");
 
     // Codec tag flipped to an unknown value → clean error.
     let mut bad_tag = artifact.clone();
@@ -243,24 +247,13 @@ fn pq_codec_tag_flip_and_bad_headers_are_rejected() {
 
 #[test]
 fn compact_cache_with_unsorted_refs_is_rejected() {
-    // The compact reconstruction binary-searches each sheet's cell refs;
-    // a corrupted (unsorted) ref list must be rejected, not silently
+    // The window gather binary-searches each sheet's cell refs; a
+    // corrupted (unsorted) ref list must be rejected, not silently
     // mis-gathered. Cell refs are (u32 row, u32 col) big-endian pairs
     // right after the per-sheet count; swapping the first two refs of a
     // sheet with ≥ 2 cells breaks strict ordering.
-    let artifact = small_artifact_with(StoreOptions { codec: Codec::F32, compact_fine: true });
-    // Locate the compact consts store (f32 codec tag 1, dim =
-    // fine_cell_dim, rows = 2) — the sheet list follows it.
-    let f8 = AutoFormulaConfig::test_tiny().fine_cell_dim as u32;
-    let mut pat = vec![1u8];
-    pat.extend_from_slice(&f8.to_be_bytes());
-    pat.extend_from_slice(&2u64.to_be_bytes());
-    let pos = artifact
-        .windows(pat.len())
-        .position(|w| w == pat)
-        .expect("compact consts store on the wire");
-    let pad = artifact[pos + 13] as usize;
-    let first_sheet_at = pos + 14 + pad + 2 * f8 as usize * 4;
+    let artifact = small_artifact();
+    let first_sheet_at = first_sheet_at(&artifact);
     let n_cells =
         u64::from_be_bytes(artifact[first_sheet_at..first_sheet_at + 8].try_into().unwrap());
     assert!(n_cells >= 2, "first sheet must store at least two cells");

@@ -1,0 +1,63 @@
+//! Removed artifact layouts are rejected with a typed error.
+//!
+//! Format v1, and the v2/v3 *fat* fine layout (one stored window per
+//! region and parameter), can be neither served — the index holds cells,
+//! not windows — nor converted exactly, so the loader names the problem
+//! instead: no panic, and no partially built index.
+//!
+//! The v1 fixtures under `tests/data/` were generated **once** from the
+//! PR-4 codebase (commit 4a79415, before the v2 writer landed), one per
+//! ANN backend: real files a deployment could still hold.
+
+use af_core::artifact::SUPPORTED_VERSIONS;
+use af_core::index::IndexOptions;
+use af_core::model::RepresentationModel;
+use af_core::pipeline::AutoFormula;
+use af_core::{ArtifactError, AutoFormulaConfig};
+use af_corpus::organization::{OrgSpec, Scale};
+use af_embed::{CellFeaturizer, FeatureMask, SbertSim};
+use std::sync::Arc;
+
+#[test]
+fn v1_fixtures_are_rejected_as_an_unsupported_version() {
+    assert_eq!(SUPPORTED_VERSIONS, [2, 3]);
+    for name in ["artifact_v1_tiny.afar", "artifact_v1_hnsw.afar", "artifact_v1_ivf.afar"] {
+        let path = format!("{}/tests/data/{name}", env!("CARGO_MANIFEST_DIR"));
+        let bytes = std::fs::read(&path).unwrap_or_else(|e| panic!("fixture {path}: {e}"));
+        assert_eq!(
+            AutoFormula::load(&bytes).err(),
+            Some(ArtifactError::UnsupportedVersion { found: 1, supported: SUPPORTED_VERSIONS }),
+            "{name}"
+        );
+    }
+}
+
+#[test]
+fn fat_layout_flag_is_rejected_as_a_removed_layout() {
+    let corpus = OrgSpec::pge(Scale::Tiny).generate();
+    let featurizer = CellFeaturizer::new(Arc::new(SbertSim::new(16)), FeatureMask::FULL);
+    let cfg = AutoFormulaConfig::test_tiny();
+    let af = AutoFormula::from_model(RepresentationModel::new(featurizer.dim(), cfg), featurizer);
+    let index = af.build_index(&corpus.workbooks, &[0], IndexOptions::default());
+    let artifact = af.save(&index).to_vec();
+    assert!(AutoFormula::load(&artifact).is_ok());
+
+    // The fine-layout flag is the byte before the constants store (f32
+    // codec tag 1, dim = fine_cell_dim, rows = 2).
+    let mut pat = vec![1u8];
+    pat.extend_from_slice(&(cfg.fine_cell_dim as u32).to_be_bytes());
+    pat.extend_from_slice(&2u64.to_be_bytes());
+    let consts = artifact.windows(pat.len()).position(|w| w == pat).expect("constants store");
+    assert_eq!(artifact[consts - 1], 1, "the cell layout's flag");
+    let mut fat = artifact.clone();
+    fat[consts - 1] = 0;
+    match AutoFormula::load(&fat).err() {
+        Some(ArtifactError::Invalid(what)) => {
+            assert!(what.contains("fat fine layout"), "names the removed layout: {what}")
+        }
+        other => panic!("expected Invalid naming the removed layout, got {other:?}"),
+    }
+    // Any other flag value is plain corruption.
+    fat[consts - 1] = 2;
+    assert!(matches!(AutoFormula::load(&fat), Err(ArtifactError::Invalid(_))));
+}

@@ -103,7 +103,7 @@ use af_core::artifact::{write_atomic, ArtifactError, ShardLayout, StoreOptions};
 use af_core::config::{AnnBackend, AutoFormulaConfig};
 use af_core::fail_point;
 use af_core::features::WindowOrigin;
-use af_core::index::{coarse_window, ReferenceIndex, SheetKey, SheetMeta};
+use af_core::index::{coarse_window, ReferenceIndex, SheetKey, SheetMeta, StripScratch};
 use af_core::pipeline::{AutoFormula, PipelineVariant, PredictOptions, Prediction};
 use af_core::{SheetEmbedder, SheetEmbedding};
 use af_grid::{CellRef, Sheet, Workbook};
@@ -848,6 +848,7 @@ impl Snapshot {
         let target_coarse = (variant == PipelineVariant::CoarseOnly)
             .then(|| coarse_window(&embedder, sheet, target));
         let mut ranked: Vec<(f32, usize, usize, usize, usize)> = Vec::new();
+        let mut scratch = StripScratch::default();
         let s2 = af_obs::span!("serve::s2_rank");
         for (s1_rank, cand) in candidates.iter().enumerate() {
             if past(deadline) {
@@ -873,21 +874,21 @@ impl Snapshot {
                 Result<Vec<(f32, usize, usize, usize, usize)>, af_core::failpoint::Injected>;
             let rows = catch_unwind(AssertUnwindSafe(|| -> RankResult {
                 fail_point!("serve::region_rank", Err);
-                let mut rows = Vec::new();
-                for (ordinal, &rid) in seg.index.regions_of_sheet(local_sheet).iter().enumerate() {
-                    // `target_coarse` is Some exactly when the plan is
-                    // `CoarseOnly`; matching on both keeps the read path
-                    // panic-free if that coupling ever breaks.
-                    let d = match (variant, target_coarse.as_ref()) {
-                        (PipelineVariant::CoarseOnly, Some(tc)) => seg
-                            .index
-                            .coarse_region_distance(rid, tc)
-                            .unwrap_or_else(|| seg.index.region_distance(rid, &target_fine)),
-                        _ => seg.index.region_distance(rid, &target_fine),
-                    };
-                    rows.push((d, s1_rank, ordinal, seg_idx, rid));
-                }
-                Ok(rows)
+                let rids = seg.index.regions_of_sheet(local_sheet);
+                // `target_coarse` is Some exactly when the plan is
+                // `CoarseOnly`.
+                let dists = seg.index.sheet_region_distances(
+                    local_sheet,
+                    &target_fine,
+                    target_coarse.as_deref(),
+                    &mut scratch,
+                );
+                Ok(rids
+                    .iter()
+                    .zip(dists)
+                    .enumerate()
+                    .map(|(ordinal, (&rid, &d))| (d, s1_rank, ordinal, seg_idx, rid))
+                    .collect())
             }));
             match rows {
                 Ok(Ok(rows)) => ranked.extend(rows),
@@ -1856,6 +1857,17 @@ mod tests {
         let (handle, corpus) = handle_over(3);
         handle.add_workbook(&corpus.workbooks[3]);
         let bytes = handle.to_artifact();
+        // A live server persists what every other save does — each sheet's
+        // cells once. Ceiling: the whole artifact, model and vocabulary
+        // included, stays under half of what one stored window per region
+        // would take on its own.
+        let per_sheet = bytes.len() / handle.n_sheets();
+        let fine_dim = handle.snapshot().system.cfg().fine_dim();
+        let windows_per_sheet = handle.n_regions() * fine_dim * 4 / handle.n_sheets();
+        assert!(
+            per_sheet * 2 < windows_per_sheet,
+            "{per_sheet} bytes a sheet; a window per region alone is {windows_per_sheet}"
+        );
         let reloaded = ServeHandle::from_artifact(&bytes).expect("artifact loads");
         assert_eq!(reloaded.n_sheets(), handle.n_sheets());
         assert_eq!(reloaded.n_regions(), handle.n_regions());
@@ -2015,7 +2027,7 @@ mod tests {
         let index = af.build_index(&corpus.workbooks, &members, IndexOptions::default());
         let mut path = std::env::temp_dir();
         path.push(format!("af_serve_pq_{}.afar", std::process::id()));
-        let opts = StoreOptions { codec: af_core::Codec::Pq { m: 0 }, compact_fine: false };
+        let opts = StoreOptions { codec: af_core::Codec::Pq { m: 0 }, ..StoreOptions::default() };
         af.save_to_path_with(&index, opts, None, &path).expect("pq save");
         let handle = ServeHandle::from_artifact_path(&path).expect("pq serve");
         assert_eq!(handle.n_sheets(), index.n_sheets());

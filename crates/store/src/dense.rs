@@ -862,16 +862,16 @@ mod tests {
 
     #[test]
     fn int8_fat_rows_lose_precision_that_per_cell_rows_keep() {
-        // Why the fat fine layout agrees with f32 on only ~98% of
-        // predictions while the compact layout agrees on 100%: int8 is
-        // *per-row* affine over the row's min..max. A fat row is a whole
-        // fine window — many concatenated per-cell vectors of very
-        // different magnitudes — so one coarse step serves them all, and
-        // the small-magnitude cells drown in quantization noise. The
-        // compact layout quantizes each cell vector as its own row and
-        // keeps a per-cell step. This pins the mechanism: the identical
-        // payload quantized both ways, with the fat error on the quiet
-        // block orders of magnitude above the per-cell error.
+        // Why artifacts store fine vectors one *cell* a row, and why a
+        // layout that stored whole windows as int8 rows (removed) agreed
+        // with f32 on only ~98% of predictions: int8 is *per-row* affine
+        // over the row's min..max. A fat row — a whole fine window, many
+        // concatenated per-cell vectors of very different magnitudes —
+        // gets one coarse step for all of them, and the small-magnitude
+        // cells drown in quantization noise. A per-cell row keeps a
+        // per-cell step. This pins the mechanism: the identical payload
+        // quantized both ways, with the fat error on the quiet block
+        // orders of magnitude above the per-cell error.
         let cell = 8;
         let loud: Vec<f32> = (0..cell).map(|j| (j as f32 * 0.9).sin()).collect(); // ~±1
         let quiet: Vec<f32> = (0..cell).map(|j| (j as f32 * 0.7).cos() * 1e-3).collect(); // ~±1e-3

@@ -1,11 +1,12 @@
 //! `af-store` — quantized, mmap-able vector storage.
 //!
-//! Auto-Formula artifacts are dominated by reference-side embedding tables
-//! (region and template-parameter windows): at `AF_SCALE=small` the AFAR
-//! file is already ~175 MiB of raw `f32`, and at the paper's intended
+//! Auto-Formula artifacts and indexes are embedding tables — per-sheet
+//! cell vectors, from which every region window is gathered, and the ANN
+//! vectors of the sheet-level indexes — and at the paper's intended
 //! corpus size (millions of enterprise sheets — see SpreadsheetCoder's
-//! scale numbers in PAPERS.md) raw-f32 storage is the scaling wall. This
-//! crate owns how those tables are laid out, compressed, and loaded:
+//! scale numbers in PAPERS.md) raw-f32 storage of the ANN side is the
+//! scaling wall. This crate owns how those tables are laid out,
+//! compressed, and loaded:
 //!
 //! * **Codecs** — [`Codec::F32`] (exact, the default), [`Codec::F16`]
 //!   (2×), and [`Codec::Int8`] (per-vector affine scalar quantization,

@@ -51,8 +51,6 @@ mod sys {
     // Same numeric values on Linux, Android and macOS.
     const MADV_RANDOM: c_int = 1;
     const MADV_WILLNEED: c_int = 3;
-    // Linux/Android only; `advise_range` skips it elsewhere.
-    const MADV_HUGEPAGE: c_int = 14;
 
     /// Best-effort `madvise(2)` over the pages spanning `data`. The range
     /// is widened to 4 KiB page boundaries (madvise requires a page-
@@ -69,8 +67,6 @@ mod sys {
         let advice = match advice {
             super::Advice::WillNeed => MADV_WILLNEED,
             super::Advice::Random => MADV_RANDOM,
-            super::Advice::HugePage if cfg!(target_os = "macos") => return,
-            super::Advice::HugePage => MADV_HUGEPAGE,
         };
         // SAFETY: the page range covers `data`, which is live memory for
         // the duration of the call; madvise only adjusts paging behavior
@@ -125,16 +121,10 @@ pub enum Advice {
     /// doesn't fault page by page.
     WillNeed,
     /// Accesses will be random — don't read ahead (`MADV_RANDOM`). Scan
-    /// structures touched row-at-a-time (fine tables probed by ANN hits)
-    /// use it so sparse queries don't drag whole neighborhoods in.
+    /// structures touched a piece at a time (a candidate sheet's cell
+    /// table, picked by ANN hits) use it so sparse queries don't drag
+    /// whole neighborhoods in.
     Random,
-    /// Back the range with transparent huge pages where the kernel
-    /// supports it (`MADV_HUGEPAGE`; Linux/Android, no-op elsewhere).
-    /// Issued over large freshly allocated buffers that are about to be
-    /// written end to end — e.g. the reconstructed fine tables of a
-    /// compact-layout load — so the sequential first touch takes one soft
-    /// fault per 2 MiB instead of one per 4 KiB.
-    HugePage,
 }
 
 /// Best-effort `madvise(2)` hint over the pages backing `data` — a no-op

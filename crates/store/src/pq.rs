@@ -5,7 +5,7 @@
 //! a per-subspace codebook of 256 k-means-trained centroids. At the
 //! default sub-row width of 8 that is a 32× reduction over f32 (vs int8's
 //! 4×), and because each subspace is quantized against its *own* codebook
-//! the codec dodges the int8 fat-layout trap (one affine step stretched
+//! the codec dodges int8's long-row trap (one affine step stretched
 //! over magnitude-heterogeneous concatenated cell vectors — see
 //! ARCHITECTURE.md §5): callers that know the semantic cell width pick
 //! `m = dim / cell_dim` so sub-quantizer boundaries coincide with cell
@@ -820,7 +820,7 @@ mod tests {
     fn size_is_a_fraction_of_f32_at_scale() {
         // ratio = m/(4·dim) + 128/rows with auto m = dim/8, i.e.
         // 1/32 + codebook amortization — under 0.06 once a table holds a
-        // few thousand rows, which fine fat tables do at bench scale.
+        // few thousand rows, which ANN vector tables do at bench scale.
         let (rows, dim) = (6000, 32);
         let s = PqStore::trained_from_rows(dim, 0, &rows_flat(rows, dim, 17));
         let f32_bytes = rows * dim * 4;
