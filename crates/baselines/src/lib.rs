@@ -3,10 +3,10 @@
 //!
 //! SpreadsheetCoder and GPT are *simulated* (the paper itself could not run
 //! SpreadsheetCoder's code and probed it manually through Google Sheets;
-//! GPT is a remote service). See DESIGN.md for the substitution arguments:
-//! each stand-in reproduces the mechanism that limits the original — NL
-//! context cannot pin down multi-parameter formulas, and GPT only succeeds
-//! when RAG surfaces a similar sheet.
+//! GPT is a remote service). The substitution argument: each stand-in
+//! reproduces the mechanism that limits the original — NL context cannot
+//! pin down multi-parameter formulas, and GPT only succeeds when RAG
+//! surfaces a similar sheet.
 
 pub mod adapt;
 pub mod gpt;

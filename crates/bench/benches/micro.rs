@@ -153,8 +153,25 @@ fn bench_fine_gather(c: &mut Criterion) {
     c.bench_function("s2_sheet_strip", |b| {
         b.iter(|| {
             black_box(
-                index.sheet_region_distances(0, black_box(&ref_vec), None, &mut scratch).len(),
+                index.sheet_region_distances(0, &[black_box(&ref_vec)], None, &mut scratch).len(),
             )
+        })
+    });
+    // A fill-down burst's S2 on the same sheet: 16 query windows ranked in
+    // one call, strips gathered and norms computed once — ns per
+    // region-target pair is the figure ÷ (44 × 16). On the 2-vCPU
+    // reference box: 242–280 µs, i.e. 345–400 ns a pair, against 700–
+    // 1 060 ns a region for one query (`s2_sheet_strip`, 30–47 µs).
+    let burst: Vec<Vec<f32>> = (0..16u32)
+        .map(|r| {
+            let at = af_grid::CellRef::new(r + 4, target.col);
+            embedder.fine_window(&emb, sheet, WindowOrigin::Centered(at))
+        })
+        .collect();
+    let burst: Vec<&[f32]> = burst.iter().map(Vec::as_slice).collect();
+    c.bench_function("s2_sheet_strip_burst16", |b| {
+        b.iter(|| {
+            black_box(index.sheet_region_distances(0, black_box(&burst), None, &mut scratch).len())
         })
     });
 }

@@ -1,5 +1,6 @@
-//! Thin CLI wrapper: regenerates fig10 (see DESIGN.md's per-experiment
-//! index). `AF_SCALE={tiny,small,full}` scales the synthetic corpora.
+//! Thin CLI wrapper: regenerates fig10 (see the
+//! per-experiment index in `crates/bench/src/experiments.rs`).
+//! `AF_SCALE={tiny,small,full}` scales the synthetic corpora.
 
 fn main() {
     af_bench::report::run_experiment(

@@ -1,5 +1,5 @@
 //! `af-bench` — the evaluation harness that regenerates every table and
-//! figure of the paper's §5 (see DESIGN.md's per-experiment index).
+//! figure of the paper's §5.
 //!
 //! Each experiment is a library function in [`experiments`]; the `bin/`
 //! targets are thin wrappers so `cargo run -p af-bench --bin table2`

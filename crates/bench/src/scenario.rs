@@ -78,7 +78,8 @@ impl Scenario {
         }
     }
 
-    /// The default experiment config (scaled; see DESIGN.md).
+    /// The default experiment config (scaled from the paper's; ARCHITECTURE.md
+    /// §1.1 gives the window geometry).
     pub fn default_cfg(&self) -> AutoFormulaConfig {
         AutoFormulaConfig::default()
     }

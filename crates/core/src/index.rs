@@ -24,7 +24,7 @@ use crate::features::WindowOrigin;
 use af_ann::{FlatIndex, HnswIndex, IvfFlatIndex, VectorIndex};
 use af_formula::{parse_formula, Template};
 use af_grid::{CellRef, Sheet, ViewWindow, Workbook};
-use af_nn::tensor::l2_sq_normalized;
+use af_nn::tensor::{l2_sq_normalized, l2_sq_normalized_many};
 use af_nn::Tensor;
 use af_store::{Codec, DenseStore, VectorStore};
 use std::time::Instant;
@@ -181,8 +181,8 @@ pub struct RegionEntry {
 const STRIP_MAX_SPAN: u32 = 256;
 
 /// The buffers [`ReferenceIndex::sheet_region_distances`] works in. Make
-/// one per query and pass it to every call: nothing is allocated per
-/// region, and after the first sheets nothing per sheet either.
+/// one per ranking pass and pass it to every call: nothing is allocated
+/// per region, and after the first sheets nothing per sheet either.
 #[derive(Default)]
 pub struct StripScratch {
     /// `(col, row, ordinal in regions_of_sheet)` of the sheet's regions,
@@ -190,6 +190,7 @@ pub struct StripScratch {
     order: Vec<(u32, u32, u32)>,
     /// The gathered strip, unnormalized.
     strip: Vec<f32>,
+    /// Region-major: `ordinal * n_queries + q`.
     distances: Vec<f32>,
 }
 
@@ -629,9 +630,13 @@ impl ReferenceIndex {
         l2_sq_normalized(query, &window)
     }
 
-    /// The S2 scan of one candidate sheet: [`ReferenceIndex::region_distance`]
-    /// of every region of `sheet_idx`, in [`ReferenceIndex::regions_of_sheet`]
-    /// order, bit for bit — without gathering a window per region.
+    /// The S2 scan of one candidate sheet for a group of query windows:
+    /// [`ReferenceIndex::region_distance`] of every region of `sheet_idx`
+    /// to every query, bit for bit — without gathering a window per region
+    /// or measuring a region's norm more than once. Region-major: the
+    /// distance of region `ordinal` (in [`ReferenceIndex::regions_of_sheet`]
+    /// order) to `queries[q]` is at `ordinal * queries.len() + q`. A single
+    /// query is the one-window case.
     ///
     /// Formulas come in columns, and the windows of two formulas of one
     /// column less than `window.rows` rows apart overlap in all but the
@@ -640,25 +645,30 @@ impl ReferenceIndex {
     /// cols` rectangle is gathered **once** at the first window's origin,
     /// and because that strip is exactly one window wide, the window of
     /// the formula in row `r` is the *contiguous slice* of it starting
-    /// `(r − first)` strip rows down: scored in place, nothing copied.
+    /// `(r − first)` strip rows down: scored in place against every query
+    /// at once ([`l2_sq_normalized_many`]), nothing copied.
     ///
-    /// `coarse_query` is the coarse-only ablation: when it is given and
-    /// the index was built with coarse region vectors, the distances are
-    /// those of the stored coarse vectors to it instead.
+    /// `coarse` is the coarse-only ablation, one coarse window per query:
+    /// when it is given and the index was built with coarse region
+    /// vectors, the distances are those of the stored coarse vectors to
+    /// it instead (laid out the same way).
     pub fn sheet_region_distances<'s>(
         &self,
         sheet_idx: usize,
-        query: &[f32],
-        coarse_query: Option<&[f32]>,
+        queries: &[&[f32]],
+        coarse: Option<&[&[f32]]>,
         scratch: &'s mut StripScratch,
     ) -> &'s [f32] {
         let rids = &self.regions_by_sheet[sheet_idx];
         let StripScratch { order, strip, distances } = scratch;
         distances.clear();
-        if let (Some(query), Some(table)) = (coarse_query, &self.coarse_region_vecs) {
-            distances.extend(rids.iter().map(|&rid| table.l2_sq(rid, query)));
+        if let (Some(coarse), Some(table)) = (coarse, &self.coarse_region_vecs) {
+            for &rid in rids {
+                distances.extend(coarse.iter().map(|query| table.l2_sq(rid, query)));
+            }
             return distances;
         }
+        let nq = queries.len();
         let (rows, cols) = (self.window.rows as usize, self.window.cols as usize);
         let row_len = cols * self.fine_cells[sheet_idx].vecs.dim();
         let fine_dim = rows * row_len;
@@ -668,7 +678,7 @@ impl ReferenceIndex {
             (cell.col, cell.row, ordinal as u32)
         }));
         order.sort_unstable();
-        distances.resize(rids.len(), 0.0);
+        distances.resize(rids.len() * nq, 0.0);
         let gather = self.gather(sheet_idx);
         let mut run = &order[..];
         while let Some(&(col, first, _)) = run.first() {
@@ -689,7 +699,8 @@ impl ReferenceIndex {
             gather.rect(origin, strip_rows, cols, strip);
             for &(_, row, ordinal) in &run[..n] {
                 let at = (row - first) as usize * row_len;
-                distances[ordinal as usize] = l2_sq_normalized(query, &strip[at..at + fine_dim]);
+                let out = &mut distances[ordinal as usize * nq..][..nq];
+                l2_sq_normalized_many(queries, &strip[at..at + fine_dim], out);
             }
             run = &run[n..];
         }
@@ -1145,7 +1156,7 @@ mod tests {
             long_run in 0u32..4,
             far: bool,
             tiny: bool,
-            probe in (0u32..150, 0u32..12),
+            probes in prop::collection::vec((0u32..150, 0u32..12), 1..7),
         ) {
             // test_tiny: 12×5 windows of 4-float cells (20-float rows, not
             // a multiple of the 8 kernel lanes); default: 40×8 of 8.
@@ -1199,21 +1210,33 @@ mod tests {
 
             let query_sheet = &workbooks[0].sheets[0];
             let emb = embedder.embed_sheet(query_sheet, false);
-            let at = CellRef::new(probe.0, probe.1);
-            let query = embedder.fine_window(&emb, query_sheet, WindowOrigin::Centered(at));
-            // One scratch across sheets, as a query uses it: large strips
-            // first, then small ones in the same buffers, then back.
+            // 1–6 query windows: a lone query, a full block of the
+            // many-query kernel, and left-overs beside it.
+            let windows: Vec<Vec<f32>> = probes
+                .iter()
+                .map(|&(r, c)| {
+                    embedder.fine_window(&emb, query_sheet, WindowOrigin::Centered(CellRef::new(r, c)))
+                })
+                .collect();
+            let queries: Vec<&[f32]> = windows.iter().map(|w| w.as_slice()).collect();
+            let nq = queries.len();
+            // One scratch across sheets, as a ranking pass uses it: large
+            // strips first, then small ones in the same buffers, then back.
             let mut scratch = StripScratch::default();
             for sheet_idx in [0, 1, 0] {
-                let want = per_region(&index, sheet_idx, &query);
-                let got = index.sheet_region_distances(sheet_idx, &query, None, &mut scratch);
-                prop_assert_eq!(bits(got), bits(&want), "sheet {}", sheet_idx);
+                let got = bits(index.sheet_region_distances(sheet_idx, &queries, None, &mut scratch));
+                prop_assert_eq!(got.len(), index.regions_of_sheet(sheet_idx).len() * nq);
+                for (q, query) in queries.iter().enumerate() {
+                    let column: Vec<u32> = got.iter().skip(q).step_by(nq).copied().collect();
+                    let want = per_region(&index, sheet_idx, query);
+                    prop_assert_eq!(column, bits(&want), "sheet {} query {}", sheet_idx, q);
+                }
             }
             // And one region at a time is gather, normalize, measure.
             for rid in 0..index.n_regions() {
                 prop_assert_eq!(
-                    index.region_distance(rid, &query).to_bits(),
-                    af_ann::l2_sq(&query, &index.region_window(rid)).to_bits(),
+                    index.region_distance(rid, queries[0]).to_bits(),
+                    af_ann::l2_sq(queries[0], &index.region_window(rid)).to_bits(),
                     "region {}", rid
                 );
             }
@@ -1243,7 +1266,7 @@ mod tests {
         let emb = embedder.embed_sheet(sheet, false);
         let query = embedder.fine_window(&emb, sheet, WindowOrigin::Centered(CellRef::new(700, 2)));
         let mut scratch = StripScratch::default();
-        let got = bits(index.sheet_region_distances(0, &query, None, &mut scratch));
+        let got = bits(index.sheet_region_distances(0, &[&query], None, &mut scratch));
         assert_eq!(got, bits(&per_region(&index, 0, &query)));
         let row_len = cfg.window.cols as usize * cfg.fine_cell_dim;
         assert!(scratch.strip.len() <= (STRIP_MAX_SPAN + cfg.window.rows) as usize * row_len);

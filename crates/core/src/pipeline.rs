@@ -179,13 +179,14 @@ impl AutoFormula {
         let target_fine = embedder.fine_window(emb, sheet, WindowOrigin::Centered(target));
         let target_coarse_region = (variant == PipelineVariant::CoarseOnly)
             .then(|| coarse_window(&embedder, sheet, target));
+        let coarse_query = target_coarse_region.as_deref().map(|c| [c]);
         let mut ranked: Vec<(usize, f32)> = Vec::new();
         let mut scratch = StripScratch::default();
         for cand in &candidates {
             let dists = index.sheet_region_distances(
                 cand.id,
-                &target_fine,
-                target_coarse_region.as_deref(),
+                &[&target_fine],
+                coarse_query.as_ref().map(|c| c.as_slice()),
                 &mut scratch,
             );
             let rids = index.regions_of_sheet(cand.id);

@@ -3,10 +3,10 @@
 //!
 //! The paper trains on 160K spreadsheets crawled from the web and evaluates
 //! on holdout corpora from four organizations (Cisco, PGE, TI, Enron). We
-//! cannot ship those corpora, so this crate *simulates* them (see
-//! DESIGN.md): a seeded generator produces workbooks from **template
-//! families** — multiple instances of the same layout/formula logic with
-//! different data, row counts, and jittered styles, exactly the
+//! cannot ship those corpora, so this crate *simulates* them: a seeded
+//! generator produces workbooks from **template families** — multiple
+//! instances of the same layout/formula logic with different data, row
+//! counts, and jittered styles, exactly the
 //! "similar-sheets" phenomenon (§3.1) the system exploits. Generated
 //! corpora carry ground-truth **provenance** (which family produced each
 //! workbook), which the paper's authors never had: it lets us *measure*

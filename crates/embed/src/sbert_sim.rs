@@ -3,7 +3,7 @@
 //! The paper embeds cell text with a pre-trained Sentence-BERT so that
 //! semantically similar strings ("USA" / "Canada", "Total" / "Sum of…")
 //! land near each other. Running a transformer is out of scope (and out of
-//! band for this reproduction — see DESIGN.md); what the pipeline needs is
+//! band for this reproduction); what the pipeline needs is
 //! (a) a string-similarity-respecting dense embedding and (b) SBERT's cost
 //! profile: higher dimensionality and more per-string work than GloVe.
 //!

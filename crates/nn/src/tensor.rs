@@ -6,8 +6,8 @@
 
 use std::fmt;
 
-use crate::kernel::l2_sq_scaled;
 pub use crate::kernel::{dot, l2_sq, matmul_xwt};
+use crate::kernel::{l2_sq_scaled, l2_sq_scaled_many};
 
 /// A dense row-major tensor. Shapes follow the usual conventions:
 /// `[batch, features]` for dense layers and `[batch, channels, height,
@@ -148,6 +148,21 @@ pub fn l2_sq_normalized(a: &[f32], b: &[f32]) -> f32 {
         l2_sq_scaled(a, b, 1.0 / norm)
     } else {
         l2_sq(a, b)
+    }
+}
+
+/// `out[q] = l2_sq_normalized(queries[q], b)` for every query, bit for
+/// bit: `b`'s norm is computed once, and the queries are scored against
+/// it together by [`l2_sq_scaled_many`]. S2 ranks a burst's targets
+/// against each reference window this way.
+pub fn l2_sq_normalized_many(queries: &[&[f32]], b: &[f32], out: &mut [f32]) {
+    let norm = dot(b, b).sqrt();
+    if norm > NORMALIZE_EPS {
+        l2_sq_scaled_many(queries, b, 1.0 / norm, out)
+    } else {
+        for (q, o) in queries.iter().zip(out) {
+            *o = l2_sq(q, b);
+        }
     }
 }
 

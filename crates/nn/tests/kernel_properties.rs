@@ -4,9 +4,10 @@
 //! `batch == 0` / `in_dim == 0` matmul shapes.
 
 use af_nn::kernel::{
-    axpy, dot, l2_sq, l2_sq_scaled, matmul_xwt, shifted_plane_axpy, shifted_plane_copy, sum, LANES,
+    axpy, dot, l2_sq, l2_sq_scaled, l2_sq_scaled_many, matmul_xwt, shifted_plane_axpy,
+    shifted_plane_copy, sum, LANES,
 };
-use af_nn::tensor::{l2_normalize, l2_sq_normalized};
+use af_nn::tensor::{l2_normalize, l2_sq_normalized, l2_sq_normalized_many};
 use proptest::prelude::*;
 
 const TOL: f32 = 1e-4;
@@ -65,6 +66,35 @@ proptest! {
         let scale = 0.37f32;
         let scaled: Vec<f32> = b.iter().map(|x| x * scale).collect();
         prop_assert_eq!(l2_sq_scaled(&a, &b, scale).to_bits(), l2_sq(&a, &scaled).to_bits());
+    }
+
+    #[test]
+    fn many_query_distance_has_the_bits_of_one_call_per_query(
+        n in (len_with_remainders(), 0usize..5).prop_map(|(n, wide)| if wide == 0 { 2560 } else { n }),
+        nq in 0usize..10,
+        tiny in 0usize..4,
+        seed in 0u64..1000,
+    ) {
+        // Every remainder mod 8 plus the default 2 560-float window; 0–9
+        // queries: none, full blocks of four, and left-overs; one case in
+        // four takes the zero-norm branch.
+        let mut b = gen_vec(n, seed);
+        if tiny == 0 {
+            b.iter_mut().for_each(|x| *x *= 1e-14);
+        }
+        let queries: Vec<Vec<f32>> =
+            (0..nq as u64).map(|q| gen_vec(n, seed ^ ((q + 1) << 20))).collect();
+        let refs: Vec<&[f32]> = queries.iter().map(|q| q.as_slice()).collect();
+        let mut got = vec![f32::NAN; nq];
+        l2_sq_normalized_many(&refs, &b, &mut got);
+        for (q, g) in refs.iter().zip(&got) {
+            prop_assert_eq!(g.to_bits(), l2_sq_normalized(q, &b).to_bits(), "n={} nq={}", n, nq);
+        }
+        let scale = 0.37f32;
+        l2_sq_scaled_many(&refs, &b, scale, &mut got);
+        for (q, g) in refs.iter().zip(&got) {
+            prop_assert_eq!(g.to_bits(), l2_sq_scaled(q, &b, scale).to_bits(), "n={} nq={}", n, nq);
+        }
     }
 
     #[test]

@@ -30,10 +30,13 @@
 //!   readers, not on writers, not on the compactor. A write republishes
 //!   one shard; the other `N − 1` are untouched. Readers holding a
 //!   [`Snapshot`] keep serving that exact state until they drop it.
-//! * **Micro-batched embedding.** [`ServeHandle::predict_batch`] embeds a
-//!   burst of concurrent query sheets through the representation model in
-//!   one tensor pass and then runs S1–S3 per query — bit-identical to
-//!   issuing the queries one at a time.
+//! * **One funnel per burst.** [`ServeHandle::predict_batch`] embeds a
+//!   burst's distinct query sheets through the representation model in
+//!   one tensor pass, then answers all targets of a sheet in one funnel
+//!   pass: one S1, one ranking of each candidate sheet scoring every
+//!   target at once, then S3 per target — bit-identical to issuing the
+//!   queries one at a time, which is the one-target case of the same
+//!   funnel.
 //! * **Artifacts in, artifacts out.** [`ServeHandle::from_artifact`]
 //!   cold-starts a server from bytes produced by `AutoFormula::save`
 //!   (re-splitting by the artifact's stored shard layout when present);
@@ -726,12 +729,14 @@ impl Snapshot {
     ) -> ServeOutcome {
         let embedder = self.system.embedder();
         let emb = embedder.embed_sheet(sheet, opts.variant == PipelineVariant::FineOnly);
-        self.predict_prepared(&emb, sheet, target, opts)
+        // The funnel answers every target it is given: one in, one out.
+        let mut outcomes = self.predict_prepared(&emb, sheet, &[target], opts);
+        outcomes.swap_remove(0)
     }
 
-    /// Bookkeeping shared by every exit of `predict_prepared`: count the
-    /// query, fold the skip/drop/deadline tallies into counters, and build
-    /// the outcome.
+    /// Bookkeeping shared by every exit of `predict_prepared`, once per
+    /// target: count the query, fold the skip/drop/deadline tallies into
+    /// counters, and build the outcome.
     fn outcome(
         &self,
         prediction: Option<Prediction>,
@@ -758,34 +763,50 @@ impl Snapshot {
         ServeOutcome { prediction, degraded, shards_skipped, candidates_dropped, deadline_exceeded }
     }
 
-    /// The sharded S1→S2→S3 pipeline, mirroring
-    /// `AutoFormula::predict_prepared` exactly (same scan primitives, same
-    /// tie order) with the sheet loop scattered across segments.
+    /// The sharded S1→S2→S3 funnel for a group of targets on one embedded
+    /// query sheet, one [`ServeOutcome`] per target in `targets` order. For
+    /// each target it mirrors `AutoFormula::predict_prepared` exactly (same
+    /// scan primitives, same tie order) with the sheet loop scattered
+    /// across segments. A single predict is the one-target case; a
+    /// fill-down burst's targets on one sheet share one pass.
+    ///
+    /// What the targets share is what does not depend on the target. S1 is
+    /// a function of the sheet's embedding alone, so it runs once. Each
+    /// candidate sheet is ranked once: its strips are gathered and each
+    /// region's norm computed once, and every target's window is scored
+    /// against a region in one multi-query kernel call with the bits of a
+    /// call of its own. Each target then sorts its own `(distance, S1 rank,
+    /// ordinal)` ranking, runs its own S3 and gets its own outcome.
     ///
     /// Degradation discipline: every per-segment scan, per-candidate rank,
     /// and per-region adapt runs under `catch_unwind`. A panic quarantines
-    /// the offending shard (sticky — see [`ShardHealth`]) and the query
-    /// continues over the survivors; the deadline is checked between
-    /// segments, between candidates, and between stages, returning the
-    /// best effort of whatever completed. On the healthy, deadline-free
-    /// path nothing is skipped and the result is bit-identical to the
-    /// unsharded pipeline.
+    /// the offending shard (sticky — see [`ShardHealth`]) and the pass
+    /// continues over the survivors, so every target after it reports the
+    /// shard skipped; the deadline is checked between segments, between
+    /// candidates, and between adapt attempts, returning the best effort
+    /// of whatever completed. On the healthy, deadline-free path nothing is
+    /// skipped and every result is bit-identical to the unsharded
+    /// pipeline.
     fn predict_prepared(
         &self,
         emb: &SheetEmbedding,
         sheet: &Sheet,
-        target: CellRef,
+        targets: &[CellRef],
         opts: PredictOptions,
-    ) -> ServeOutcome {
+    ) -> Vec<ServeOutcome> {
+        if targets.is_empty() {
+            return Vec::new();
+        }
         let variant = opts.variant;
         let deadline = opts.deadline;
         let cfg = self.system.cfg();
         let embedder = self.system.embedder();
         // Declared before the stage spans so it drops (and records) last.
-        let _query = af_obs::span!("serve::predict");
+        let _pass = af_obs::span!("serve::predict");
+        af_obs::observe!("serve::pass_targets", targets.len());
         let segments: Vec<Segment<'_>> = self.segments().collect();
-        // Per-query shard exclusion, seeded from the sticky quarantine
-        // flags; a mid-query panic adds to it (and to the shared flags).
+        // Per-pass shard exclusion, seeded from the sticky quarantine
+        // flags; a mid-pass panic adds to it (and to the shared flags).
         let mut excluded: Vec<bool> = self.health.iter().map(|h| h.is_quarantined()).collect();
         let mut dropped = 0usize;
         let mut deadline_hit = false;
@@ -823,7 +844,7 @@ impl Snapshot {
             }));
             match scanned {
                 Ok(Ok(hits)) => per_seg.push((seg.shard, hits)),
-                // Injected error: transient — skip the shard this query,
+                // Injected error: transient — skip the shard this pass,
                 // no quarantine.
                 Ok(Err(_)) => excluded[seg.shard] = true,
                 // Panic: quarantine until an operator recovers the shard.
@@ -837,17 +858,28 @@ impl Snapshot {
         let candidates = merge_neighbors(per_seg.into_iter().map(|(_, hits)| hits), cfg.k_sheets);
         s1.end();
         if candidates.is_empty() {
-            return self.outcome(None, &excluded, dropped, deadline_hit);
+            return targets
+                .iter()
+                .map(|_| self.outcome(None, &excluded, dropped, deadline_hit))
+                .collect();
         }
 
-        // ---- S2: rank regions of the merged candidates ----
+        // ---- S2: rank regions of the merged candidates, every target at once ----
         // The unsharded pipeline pushes (rid, d) in (S1-rank, region-
         // ordinal) order and stable-sorts by distance; sorting the explicit
         // triple reproduces that order exactly, including ties.
-        let target_fine = embedder.fine_window(emb, sheet, WindowOrigin::Centered(target));
-        let target_coarse = (variant == PipelineVariant::CoarseOnly)
-            .then(|| coarse_window(&embedder, sheet, target));
-        let mut ranked: Vec<(f32, usize, usize, usize, usize)> = Vec::new();
+        let fine: Vec<Vec<f32>> = targets
+            .iter()
+            .map(|&t| embedder.fine_window(emb, sheet, WindowOrigin::Centered(t)))
+            .collect();
+        let fine: Vec<&[f32]> = fine.iter().map(Vec::as_slice).collect();
+        let coarse: Option<Vec<Vec<f32>>> = (variant == PipelineVariant::CoarseOnly)
+            .then(|| targets.iter().map(|&t| coarse_window(&embedder, sheet, t)).collect());
+        let coarse: Option<Vec<&[f32]>> =
+            coarse.as_ref().map(|c| c.iter().map(Vec::as_slice).collect());
+        type Ranked = (f32, usize, usize, usize, usize);
+        let mut ranked: Vec<Vec<Ranked>> = vec![Vec::new(); targets.len()];
+        let mut regions = 0usize;
         let mut scratch = StripScratch::default();
         let s2 = af_obs::span!("serve::s2_rank");
         for (s1_rank, cand) in candidates.iter().enumerate() {
@@ -858,7 +890,7 @@ impl Snapshot {
             }
             // Resolve the candidate's segment without panicking: an id
             // that fails to resolve (the torn-id path) drops this one
-            // candidate, not the query.
+            // candidate, not the pass.
             let Some((seg_idx, local_sheet)) = segments.iter().enumerate().find_map(|(i, seg)| {
                 seg.globals.binary_search(&cand.id).ok().map(|local| (i, local))
             }) else {
@@ -870,28 +902,29 @@ impl Snapshot {
                 dropped += 1;
                 continue;
             }
-            type RankResult =
-                Result<Vec<(f32, usize, usize, usize, usize)>, af_core::failpoint::Injected>;
-            let rows = catch_unwind(AssertUnwindSafe(|| -> RankResult {
+            type RankResult = Result<usize, af_core::failpoint::Injected>;
+            let rank = catch_unwind(AssertUnwindSafe(|| -> RankResult {
                 fail_point!("serve::region_rank", Err);
                 let rids = seg.index.regions_of_sheet(local_sheet);
-                // `target_coarse` is Some exactly when the plan is
-                // `CoarseOnly`.
+                // `coarse` is Some exactly when the plan is `CoarseOnly`.
                 let dists = seg.index.sheet_region_distances(
                     local_sheet,
-                    &target_fine,
-                    target_coarse.as_deref(),
+                    &fine,
+                    coarse.as_deref(),
                     &mut scratch,
                 );
-                Ok(rids
-                    .iter()
-                    .zip(dists)
-                    .enumerate()
-                    .map(|(ordinal, (&rid, &d))| (d, s1_rank, ordinal, seg_idx, rid))
-                    .collect())
+                // Region-major: one row of target distances per region.
+                for (ordinal, (&rid, row)) in
+                    rids.iter().zip(dists.chunks_exact(fine.len())).enumerate()
+                {
+                    for (ranking, &d) in ranked.iter_mut().zip(row) {
+                        ranking.push((d, s1_rank, ordinal, seg_idx, rid));
+                    }
+                }
+                Ok(rids.len())
             }));
-            match rows {
-                Ok(Ok(rows)) => ranked.extend(rows),
+            match rank {
+                Ok(Ok(n)) => regions += n,
                 Ok(Err(_)) => dropped += 1,
                 Err(_) => {
                     self.quarantine(seg.shard);
@@ -901,82 +934,90 @@ impl Snapshot {
             }
         }
         // A shard quarantined mid-S2 retracts the rows it already ranked.
-        ranked.retain(|&(_, _, _, seg_idx, _)| !excluded[segments[seg_idx].shard]);
-        s2.end();
-        if ranked.is_empty() {
-            return self.outcome(None, &excluded, dropped, deadline_hit);
+        for ranking in &mut ranked {
+            ranking.retain(|&(_, _, _, seg_idx, _)| !excluded[segments[seg_idx].shard]);
         }
-        ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+        s2.end();
+        af_obs::observe!("serve::pass_regions", regions);
 
-        // ---- S3: adapt the best parseable reference formula ----
-        let mut prediction = None;
+        // ---- S3, per target: adapt the best parseable reference formula ----
+        let mut outcomes = Vec::with_capacity(targets.len());
         let s3 = af_obs::span!("serve::s3_adapt");
-        for &(dist, _, _, seg_idx, rid) in ranked.iter().take(8) {
-            let seg = &segments[seg_idx];
-            if excluded[seg.shard] {
-                continue;
-            }
-            if past(deadline) {
-                deadline_hit = true;
-                af_obs::event!("serve::deadline", "s3_adapt", seg.shard);
-                break;
-            }
-            let adapted = catch_unwind(AssertUnwindSafe(|| {
-                self.system.adapt_region(seg.index, emb, sheet, target, rid, dist, variant)
-            }));
-            match adapted {
-                Ok(Some(mut p)) => {
-                    // `adapt_region` reports the segment-local sheet id;
-                    // re-base to the global numbering this snapshot
-                    // exposes.
-                    p.reference_sheet_idx = seg.globals[p.reference_sheet_idx];
-                    prediction = Some(p);
+        for (mut ranking, &target) in ranked.into_iter().zip(targets) {
+            ranking.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+            let mut prediction = None;
+            let mut late = deadline_hit;
+            for &(dist, _, _, seg_idx, rid) in ranking.iter().take(8) {
+                let seg = &segments[seg_idx];
+                if excluded[seg.shard] {
+                    continue;
+                }
+                if past(deadline) {
+                    late = true;
+                    af_obs::event!("serve::deadline", "s3_adapt", seg.shard);
                     break;
                 }
-                Ok(None) => {}
-                Err(_) => {
-                    self.quarantine(seg.shard);
-                    excluded[seg.shard] = true;
+                let adapted = catch_unwind(AssertUnwindSafe(|| {
+                    self.system.adapt_region(seg.index, emb, sheet, target, rid, dist, variant)
+                }));
+                match adapted {
+                    Ok(Some(mut p)) => {
+                        // `adapt_region` reports the segment-local sheet
+                        // id; re-base to the global numbering this
+                        // snapshot exposes.
+                        p.reference_sheet_idx = seg.globals[p.reference_sheet_idx];
+                        prediction = Some(p);
+                        break;
+                    }
+                    Ok(None) => {}
+                    Err(_) => {
+                        self.quarantine(seg.shard);
+                        excluded[seg.shard] = true;
+                    }
                 }
             }
+            outcomes.push(self.outcome(prediction, &excluded, dropped, late));
         }
         s3.end();
-        self.outcome(prediction, &excluded, dropped, deadline_hit)
+        outcomes
     }
 
-    /// Answer a burst of queries against this snapshot with one
-    /// micro-batched embedding pass: distinct query sheets (deduplicated
-    /// by identity — a burst is naturally many targets on few sheets) go
-    /// through the representation model in a single tensor, then S1–S3 run
-    /// per query. Bit-identical to calling [`Snapshot::predict_outcome`]
-    /// per query. One deadline ([`PredictOptions::deadline`]) covers the
-    /// whole batch; queries reached after it expires return immediately
-    /// with `deadline_exceeded` set.
+    /// Answer a burst of queries against this snapshot. Distinct query
+    /// sheets (deduplicated by identity — a burst is naturally many
+    /// targets on few sheets) go through the representation model in one
+    /// tensor pass, then each sheet's targets share one funnel pass: one
+    /// S1, one ranking of each candidate sheet (see `predict_prepared`).
+    /// Outcomes come back in query order, each bit-identical to calling
+    /// [`Snapshot::predict_outcome`] for its query alone. One deadline
+    /// ([`PredictOptions::deadline`]) covers the whole batch; queries
+    /// reached after it expires return immediately with
+    /// `deadline_exceeded` set.
     pub fn predict_batch_outcome(
         &self,
         queries: &[(&Sheet, CellRef)],
         opts: PredictOptions,
     ) -> Vec<ServeOutcome> {
-        let mut unique: Vec<&Sheet> = Vec::new();
-        let mut slot: Vec<usize> = Vec::with_capacity(queries.len());
-        for &(sheet, _) in queries {
-            match unique.iter().position(|&s| std::ptr::eq(s, sheet)) {
-                Some(i) => slot.push(i),
-                None => {
-                    slot.push(unique.len());
-                    unique.push(sheet);
-                }
+        // Each distinct sheet with the positions of its queries, in order
+        // of first appearance.
+        let mut groups: Vec<(&Sheet, Vec<usize>)> = Vec::new();
+        for (qi, &(sheet, _)) in queries.iter().enumerate() {
+            match groups.iter_mut().find(|(s, _)| std::ptr::eq(*s, sheet)) {
+                Some((_, members)) => members.push(qi),
+                None => groups.push((sheet, vec![qi])),
             }
         }
+        let sheets: Vec<&Sheet> = groups.iter().map(|&(sheet, _)| sheet).collect();
         let embedder = self.system.embedder();
-        let embs = embedder.embed_sheets(&unique, opts.variant == PipelineVariant::FineOnly);
-        queries
-            .iter()
-            .enumerate()
-            .map(|(qi, &(sheet, target))| {
-                self.predict_prepared(&embs[slot[qi]], sheet, target, opts)
-            })
-            .collect()
+        let embs = embedder.embed_sheets(&sheets, opts.variant == PipelineVariant::FineOnly);
+        let mut outcomes: Vec<Option<ServeOutcome>> = vec![None; queries.len()];
+        for ((sheet, members), emb) in groups.iter().zip(&embs) {
+            let targets: Vec<CellRef> = members.iter().map(|&qi| queries[qi].1).collect();
+            for (&qi, o) in members.iter().zip(self.predict_prepared(emb, sheet, &targets, opts)) {
+                outcomes[qi] = Some(o);
+            }
+        }
+        // Every query is in one group, and the funnel answers every target.
+        outcomes.into_iter().flatten().collect()
     }
 
     /// [`Snapshot::predict_batch_outcome`] without the degradation flags —
@@ -1585,17 +1626,17 @@ mod tests {
             }
             let pa = a.predict_with(sheet, target, PipelineVariant::Full);
             let pb = b.predict_with(sheet, target, PipelineVariant::Full);
-            match (pa, pb) {
-                (Some(x), Some(y)) => {
-                    assert_eq!(x.formula, y.formula, "{ctx}");
-                    assert_eq!(x.s2_distance.to_bits(), y.s2_distance.to_bits(), "{ctx}");
-                    assert_eq!(x.reference_sheet, y.reference_sheet, "{ctx}");
-                    assert_eq!(x.reference_sheet_idx, y.reference_sheet_idx, "{ctx}");
-                    assert_eq!(x.reference_cell, y.reference_cell, "{ctx}");
-                }
-                (None, None) => {}
-                (x, y) => panic!("{ctx}: {x:?} vs {y:?}"),
-            }
+            assert_same_prediction(pa.as_ref(), pb.as_ref(), ctx);
+        }
+        // The same queries as one burst on `b`: a pass spans every segment
+        // of every shard, whatever the layout.
+        let burst =
+            b.predict_batch_outcome(queries, PredictOptions::with_variant(PipelineVariant::Full));
+        assert_eq!(burst.len(), queries.len(), "{ctx}");
+        for (&(sheet, target), o) in queries.iter().zip(&burst) {
+            assert!(!o.degraded, "{ctx}");
+            let pa = a.predict_with(sheet, target, PipelineVariant::Full);
+            assert_same_prediction(pa.as_ref(), o.prediction.as_ref(), &format!("{ctx}, burst"));
         }
     }
 
@@ -1796,32 +1837,74 @@ mod tests {
         assert_snapshots_agree(&b, &reloaded.snapshot(), &queries, "compacted, reloaded");
     }
 
+    /// A served prediction against the direct pipeline's for the same
+    /// query: formula, `s2_distance` bits, and the reference it came from.
+    fn assert_same_prediction(direct: Option<&Prediction>, served: Option<&Prediction>, ctx: &str) {
+        match (direct, served) {
+            (Some(x), Some(y)) => {
+                assert_eq!(x.formula, y.formula, "{ctx}");
+                assert_eq!(x.s2_distance.to_bits(), y.s2_distance.to_bits(), "{ctx}");
+                assert_eq!(x.reference_sheet, y.reference_sheet, "{ctx}");
+                assert_eq!(x.reference_sheet_idx, y.reference_sheet_idx, "{ctx}");
+                assert_eq!(x.reference_cell, y.reference_cell, "{ctx}");
+            }
+            (None, None) => {}
+            (x, y) => panic!("{ctx}: {x:?} vs {y:?}"),
+        }
+    }
+
     #[test]
     fn batch_prediction_is_bit_identical_to_sequential() {
-        let (handle, corpus) = handle_over(4);
-        let queries = query_targets(&corpus, 0);
-        assert!(!queries.is_empty());
-        for variant in
-            [PipelineVariant::Full, PipelineVariant::CoarseOnly, PipelineVariant::FineOnly]
-        {
-            let batched = handle.predict_batch_with(&queries, variant);
-            for (&(sheet, target), b) in queries.iter().zip(&batched) {
-                assert!(!b.degraded, "{variant:?}: healthy batch must not degrade");
-                let solo = handle.predict_with(sheet, target, variant);
-                match (solo.prediction, &b.prediction) {
-                    (Some(x), Some(y)) => {
-                        assert_eq!(x.formula, y.formula, "{variant:?}");
-                        assert_eq!(x.s2_distance.to_bits(), y.s2_distance.to_bits(), "{variant:?}");
-                    }
-                    (None, None) => {}
-                    (x, y) => panic!("{variant:?}: {x:?} vs {y:?}"),
-                }
+        // A burst and a single predict run the same funnel, so the oracle
+        // is the direct pipeline: `AutoFormula::predict_with` on the index
+        // the handle serves, one target at a time. The index carries the
+        // fine-only signatures and the coarse-only region vectors, so each
+        // variant takes its own S1 or S2 path.
+        let corpus = OrgSpec::pge(Scale::Tiny).generate();
+        let af = system_with(AutoFormulaConfig::test_tiny());
+        let opts = IndexOptions { fine_sheet_signatures: true, coarse_regions: true };
+        let members: Vec<usize> = (0..4).collect();
+        let index = af.build_index(&corpus.workbooks, &members, opts);
+        let queries: Vec<_> = [0, 4, 5].iter().flat_map(|&wb| query_targets(&corpus, wb)).collect();
+        // The same targets dealt round-robin across their sheets: the burst
+        // is cut into one funnel pass per sheet and answered in query order.
+        let mut by_sheet: Vec<Vec<(&Sheet, CellRef)>> = Vec::new();
+        for &q in &queries {
+            match by_sheet.last_mut() {
+                Some(group) if std::ptr::eq(group[0].0, q.0) => group.push(q),
+                _ => by_sheet.push(vec![q]),
             }
         }
-        // Thresholded batch applies θ.
-        let theta = handle.snapshot().system.cfg().theta_region;
-        for p in handle.predict_batch(&queries).into_iter().flatten() {
-            assert!(p.s2_distance <= theta);
+        assert!(
+            by_sheet.len() > 1 && queries.len() > by_sheet.len(),
+            "several multi-target passes"
+        );
+        let longest = by_sheet.iter().map(Vec::len).max().unwrap_or(0);
+        let interleaved: Vec<(&Sheet, CellRef)> = (0..longest)
+            .flat_map(|i| by_sheet.iter().filter_map(move |g| g.get(i).copied()))
+            .collect();
+        for n_shards in [1, 3] {
+            let cfg = AutoFormulaConfig { n_shards, ..AutoFormulaConfig::test_tiny() };
+            let handle = ServeHandle::new(system_with(cfg), index.clone());
+            for variant in
+                [PipelineVariant::Full, PipelineVariant::CoarseOnly, PipelineVariant::FineOnly]
+            {
+                for burst in [&queries, &interleaved] {
+                    let batched = handle.predict_batch_with(burst, variant);
+                    assert_eq!(batched.len(), burst.len());
+                    for (&(sheet, target), b) in burst.iter().zip(&batched) {
+                        let ctx = format!("{n_shards} shards, {variant:?}, {target:?}");
+                        assert!(!b.degraded, "{ctx}: healthy batch must not degrade");
+                        let direct = af.predict_with(&index, sheet, target, variant);
+                        assert_same_prediction(direct.as_ref(), b.prediction.as_ref(), &ctx);
+                    }
+                }
+            }
+            // Thresholded batch applies θ.
+            let theta = handle.snapshot().system.cfg().theta_region;
+            for p in handle.predict_batch(&queries).into_iter().flatten() {
+                assert!(p.s2_distance <= theta);
+            }
         }
     }
 

@@ -91,6 +91,12 @@ fn query_targets(corpus: &af_corpus::OrgCorpus, wb: usize) -> Vec<(&Sheet, CellR
         .collect()
 }
 
+/// Every formula of three workbooks as one burst: several sheets, each
+/// with several targets (listed together, so one funnel pass each).
+fn burst_over(corpus: &af_corpus::OrgCorpus) -> Vec<(&Sheet, CellRef)> {
+    [0, 4, 5].iter().flat_map(|&wb| query_targets(corpus, wb)).collect()
+}
+
 fn assert_bitwise_eq(a: &ServeOutcome, b: &ServeOutcome) {
     match (&a.prediction, &b.prediction) {
         (Some(x), Some(y)) => {
@@ -365,6 +371,99 @@ fn artifact_load_faults_surface_as_typed_errors() {
     failpoint::clear("core::artifact_load");
     assert!(ServeHandle::from_artifact_path(&path).is_ok());
     std::fs::remove_file(&path).unwrap();
+}
+
+/// A burst answers all targets of one sheet in one funnel pass, so a fault
+/// lands on every target of the pass at once. A panicking region rank
+/// quarantines its shard once — later passes of the burst start from the
+/// sticky flag instead of tripping it again — every outcome after it
+/// reports the shard, and after recovery the burst is what it was.
+#[test]
+fn a_rank_panic_mid_burst_quarantines_once_and_recovery_restores_the_burst() {
+    let _l = chaos_lock();
+    let _g = ChaosGuard::quiet();
+    let cfg = AutoFormulaConfig { n_shards: 2, ..AutoFormulaConfig::test_tiny() };
+    let (handle, corpus) = handle_over(cfg, 4);
+    let burst = burst_over(&corpus);
+    let mut sheets: Vec<&Sheet> = burst.iter().map(|&(sheet, _)| sheet).collect();
+    sheets.dedup_by(|a, b| std::ptr::eq(*a, *b));
+    assert!(burst.len() > sheets.len() && sheets.len() > 1, "a burst of several passes");
+    let opts = PredictOptions::with_variant(PipelineVariant::Full);
+    let baseline = handle.predict_batch_opts(&burst, opts);
+    assert!(baseline.iter().all(|o| !o.degraded));
+
+    #[cfg(feature = "obs")]
+    let mark = af_obs::event_watermark();
+    failpoint::arm("serve::region_rank", FailAction::Panic);
+    let faulted = handle.predict_batch_opts(&burst, opts);
+    failpoint::clear("serve::region_rank");
+    assert_eq!(faulted.len(), burst.len(), "no panic escapes; every query is answered");
+    let quarantined = handle.quarantined();
+    assert!(!quarantined.is_empty());
+    for o in &faulted {
+        assert!(o.degraded && o.shards_skipped >= 1, "{o:?}");
+    }
+    #[cfg(feature = "obs")]
+    {
+        let mut tripped: Vec<usize> = af_obs::events_since(mark)
+            .into_iter()
+            .filter(|e| e.site == "serve::quarantine")
+            .map(|e| e.value as usize)
+            .collect();
+        tripped.sort_unstable();
+        let shards: Vec<usize> = quarantined.iter().map(|q| q.shard).collect();
+        assert_eq!(tripped, shards, "one event per quarantined shard for the whole burst");
+    }
+
+    for q in &quarantined {
+        handle.recover_shard(q.shard);
+    }
+    let recovered = handle.predict_batch_opts(&burst, opts);
+    for (after, before) in recovered.iter().zip(&baseline) {
+        assert!(!after.degraded, "recovered server must serve full fidelity");
+        assert_bitwise_eq(after, before);
+    }
+}
+
+#[test]
+fn injected_scan_errors_skip_shards_for_one_burst_without_quarantine() {
+    let _l = chaos_lock();
+    let _g = ChaosGuard::loud();
+    let cfg = AutoFormulaConfig { n_shards: 2, ..AutoFormulaConfig::test_tiny() };
+    let (handle, corpus) = handle_over(cfg, 3);
+    let burst = burst_over(&corpus);
+    let opts = PredictOptions::with_variant(PipelineVariant::Full);
+    let baseline = handle.predict_batch_opts(&burst, opts);
+
+    failpoint::arm("serve::shard_scan", FailAction::Error);
+    let skipped = handle.predict_batch_opts(&burst, opts);
+    failpoint::clear("serve::shard_scan");
+    for o in &skipped {
+        assert!(o.degraded && o.prediction.is_none() && o.shards_skipped == 2, "{o:?}");
+    }
+    assert!(handle.quarantined().is_empty(), "errors must not quarantine");
+    // The next burst scans every shard again.
+    for (after, before) in handle.predict_batch_opts(&burst, opts).iter().zip(&baseline) {
+        assert!(!after.degraded);
+        assert_bitwise_eq(after, before);
+    }
+}
+
+#[test]
+fn an_expired_deadline_answers_every_query_of_a_burst_at_once() {
+    let _l = chaos_lock();
+    let _g = ChaosGuard::loud();
+    let cfg = AutoFormulaConfig { n_shards: 2, ..AutoFormulaConfig::test_tiny() };
+    let (handle, corpus) = handle_over(cfg, 3);
+    let burst = burst_over(&corpus);
+    let before = handle.stats().deadline_exceeded;
+    let expired = PredictOptions::with_variant(PipelineVariant::Full).deadline_in_ms(0);
+    let outcomes = handle.predict_batch_opts(&burst, expired);
+    assert_eq!(outcomes.len(), burst.len());
+    for o in &outcomes {
+        assert!(o.deadline_exceeded && o.degraded && o.prediction.is_none(), "{o:?}");
+    }
+    assert_eq!(handle.stats().deadline_exceeded, before + burst.len() as u64);
 }
 
 /// With `--features "failpoints obs"`, faults must leave a structured
