@@ -1,7 +1,8 @@
 //! One function per table/figure of §5. Each prints the same rows/series
-//! the paper reports (absolute numbers differ — synthetic corpora and
-//! simulated substrates — but the qualitative shape must hold; see
-//! EXPERIMENTS.md for the paper-vs-measured record).
+//! the paper reports: absolute numbers differ — synthetic corpora and
+//! simulated substrates — but the qualitative shape must hold. Run one
+//! with `cargo run --release -p af-bench --bin <table|fig>` (all of them:
+//! `--bin run_all`).
 
 use crate::metrics::{pr_curve, quality};
 use crate::report::{f2, f3, print_table};

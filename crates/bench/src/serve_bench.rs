@@ -23,7 +23,7 @@
 //! the tail looked like under faults, and whether recovery restored the
 //! healthy tail. Without the feature the block is `null`.
 
-use af_core::pipeline::{AutoFormula, PipelineVariant};
+use af_core::pipeline::{AutoFormula, PredictOptions};
 use af_core::{index::IndexOptions, AutoFormulaConfig};
 use af_corpus::organization::{OrgSpec, Scale};
 use af_embed::{CellFeaturizer, FeatureMask, SbertSim};
@@ -180,7 +180,7 @@ pub(crate) fn mixed_load_samples(
                             let (si, at) = targets[(t + op) % targets.len()];
                             let sheet = &org.workbooks[holdout].sheets[si];
                             let q = Instant::now();
-                            let outcome = handle.predict_with(sheet, at, PipelineVariant::Full);
+                            let outcome = handle.query(&[(sheet, at)], PredictOptions::default());
                             std::hint::black_box(&outcome);
                             reads.push(q.elapsed().as_secs_f64() * 1e3);
                         }
@@ -240,7 +240,7 @@ fn chaos_probe(
             for &(si, at) in targets {
                 let sheet = &org.workbooks[holdout].sheets[si];
                 let q = Instant::now();
-                let o = handle.predict_with(sheet, at, PipelineVariant::Full);
+                let o = handle.query(&[(sheet, at)], PredictOptions::default());
                 std::hint::black_box(&o);
                 ms.push(q.elapsed().as_secs_f64() * 1e3);
                 std::hint::black_box((tag, round));
@@ -281,7 +281,8 @@ fn chaos_probe(
                             let (si, at) = targets[(t + op) % targets.len()];
                             let sheet = &org.workbooks[holdout].sheets[si];
                             let q = Instant::now();
-                            let o = handle.predict_with(sheet, at, PipelineVariant::Full);
+                            let o =
+                                handle.query(&[(sheet, at)], PredictOptions::default()).remove(0);
                             ms.push(q.elapsed().as_secs_f64() * 1e3);
                             deg += o.degraded as usize;
                             ddl += o.deadline_exceeded as usize;
@@ -412,7 +413,7 @@ pub fn measure_full() -> ServeBenchRun {
     for &(si, at) in &targets {
         let sheet = &org.workbooks[holdout].sheets[si];
         let t = Instant::now();
-        let outcome = handle.predict_with(sheet, at, PipelineVariant::Full);
+        let outcome = handle.query(&[(sheet, at)], PredictOptions::default());
         std::hint::black_box(&outcome);
         seq_ms.push(t.elapsed().as_secs_f64() * 1e3);
     }
@@ -437,7 +438,7 @@ pub fn measure_full() -> ServeBenchRun {
                             let (si, at) = targets[(qi + t + round) % targets.len()];
                             let sheet = &org.workbooks[org.workbooks.len() - 1].sheets[si];
                             let q = Instant::now();
-                            let outcome = handle.predict_with(sheet, at, PipelineVariant::Full);
+                            let outcome = handle.query(&[(sheet, at)], PredictOptions::default());
                             std::hint::black_box(&outcome);
                             ms.push(q.elapsed().as_secs_f64() * 1e3);
                         }
@@ -458,7 +459,7 @@ pub fn measure_full() -> ServeBenchRun {
     let batch_queries: Vec<(&af_grid::Sheet, CellRef)> =
         targets.iter().map(|&(si, at)| (&org.workbooks[holdout].sheets[si], at)).collect();
     let t = Instant::now();
-    let batch = handle.predict_batch_with(&batch_queries, PipelineVariant::Full);
+    let batch = handle.query(&batch_queries, PredictOptions::default());
     std::hint::black_box(&batch);
     let batch_seconds = t.elapsed().as_secs_f64();
 

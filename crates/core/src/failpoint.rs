@@ -27,8 +27,8 @@
 //!
 //! | Site | Crate | Faults exercised |
 //! |------|-------|------------------|
-//! | `serve::shard_scan` | af-serve | panic/latency inside a per-segment S1 scan |
-//! | `serve::region_rank` | af-serve | panic/latency inside per-candidate S2 ranking |
+//! | `serve::shard_scan` | af-core (`AutoFormula::funnel`) | panic/error/latency inside a per-segment S1 scan |
+//! | `serve::region_rank` | af-core (`AutoFormula::funnel`) | panic/error/latency inside per-candidate S2 ranking |
 //! | `serve::delta_publish` | af-serve | panic/latency before a shard state publish |
 //! | `serve::compact` | af-serve | panic/error/latency at compaction start |
 //! | `core::artifact_load` | af-core | injected error loading an artifact |

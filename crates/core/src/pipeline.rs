@@ -3,14 +3,19 @@
 
 use crate::config::AutoFormulaConfig;
 use crate::embedder::{SheetEmbedder, SheetEmbedding};
+use crate::fail_point;
 use crate::features::WindowOrigin;
 use crate::index::{coarse_window, IndexOptions, ReferenceIndex, SheetKey, StripScratch};
 use crate::model::RepresentationModel;
 use crate::training::{train_model, TrainReport, TrainingOptions};
+use af_ann::{merge_neighbors, Neighbor};
 use af_embed::CellFeaturizer;
 use af_formula::{parse_formula, Template};
 use af_grid::{CellRef, Sheet, Workbook};
 use af_nn::tensor::l2_sq_normalized;
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::time::Instant;
 
 /// Pipeline ablation variants (Fig. 14).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -27,15 +32,15 @@ pub enum PipelineVariant {
     FineOnly,
 }
 
-/// Per-query serving options: which pipeline variant to run and an
-/// optional wall-clock deadline.
+/// Per-query options: which pipeline variant to run and an optional
+/// wall-clock deadline.
 ///
-/// The deadline is checked by deadline-aware callers (`af-serve`'s
-/// scatter-gather path) between per-shard scans and between the S1/S2/S3
-/// stages: once it passes, remaining work is skipped and the query returns
-/// a best-effort answer from whatever completed, flagged as degraded. The
-/// direct (unsharded) pipeline entry points ignore it — they have no
-/// between-stage yield points worth the check.
+/// [`AutoFormula::funnel`] checks the deadline between per-segment scans,
+/// between candidate sheets and between adapt attempts: once it passes,
+/// remaining work is skipped and the query returns a best-effort answer
+/// from whatever completed, flagged as degraded. The direct entry points
+/// ([`AutoFormula::predict_with`], [`AutoFormula::predict_prepared`]) take
+/// only a variant and never set one.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PredictOptions {
     /// Pipeline ablation variant (default: [`PipelineVariant::Full`]).
@@ -74,6 +79,57 @@ pub struct Prediction {
     pub reference_cell: CellRef,
     /// Signature of the adapted template, e.g. `COUNTIF(_:_,_)`.
     pub template_signature: String,
+}
+
+/// One scannable slice of a reference corpus for [`AutoFormula::funnel`]:
+/// an index, the corpus-wide id of each of its sheets, and the owner (a
+/// shard, for a sharded server) whose exclusion flag covers it.
+#[derive(Clone, Copy)]
+pub struct Segment<'a> {
+    /// The segment's index; its sheet and region ids are local.
+    pub index: &'a ReferenceIndex,
+    /// The global sheet id of each local sheet, strictly ascending — the
+    /// property the bit-identical S1 merge rests on. `None` is the
+    /// identity mapping (a lone, unsharded index).
+    pub globals: Option<&'a [usize]>,
+    /// Position of this segment's owner in the funnel's `excluded` flags.
+    pub owner: usize,
+}
+
+impl Segment<'_> {
+    /// The global id of local sheet `local`.
+    pub fn global(&self, local: usize) -> usize {
+        self.globals.map_or(local, |g| g[local])
+    }
+
+    /// The local id of global sheet `global`, if this segment holds it.
+    pub fn local(&self, global: usize) -> Option<usize> {
+        match self.globals {
+            Some(g) => g.binary_search(&global).ok(),
+            None => (global < self.index.n_sheets()).then_some(global),
+        }
+    }
+}
+
+/// What [`AutoFormula::funnel`] reports for one target.
+#[derive(Debug, Clone)]
+pub struct FunnelResult {
+    /// The prediction, if a region adapted, with
+    /// [`Prediction::reference_sheet_idx`] in global numbering.
+    pub prediction: Option<Prediction>,
+    /// The funnel's `excluded` flags, one per owner, as they stood when
+    /// this target finished.
+    pub excluded: Vec<bool>,
+    /// S1 candidates dropped without S2 ranking (unresolvable id, excluded
+    /// owner, or a failed rank).
+    pub candidates_dropped: usize,
+    /// The deadline passed before this target's pass finished.
+    pub deadline_exceeded: bool,
+}
+
+/// Has this query's deadline passed?
+fn past(deadline: Option<Instant>) -> bool {
+    deadline.is_some_and(|d| Instant::now() >= d)
 }
 
 /// The Auto-Formula system: a trained representation model plus featurizer.
@@ -145,11 +201,12 @@ impl AutoFormula {
         self.predict_prepared(index, &emb, sheet, target, variant)
     }
 
-    /// Predict from an already-computed embedding of the query sheet (the
-    /// micro-batched serving path embeds many query sheets in one tensor
-    /// pass and then runs S1–S3 per query through here). `emb` must carry
-    /// a fine top-left signature when `variant` is
-    /// [`PipelineVariant::FineOnly`].
+    /// Predict from an already-computed embedding of the query sheet: the
+    /// one-segment, one-target call of [`AutoFormula::funnel`] over
+    /// `index` with no deadline. A panic inside the pass unwinds out of
+    /// this call with its original payload. Under
+    /// [`PipelineVariant::FineOnly`] an embedding without a fine top-left
+    /// signature falls back to the coarse S1 scan.
     pub fn predict_prepared(
         &self,
         index: &ReferenceIndex,
@@ -158,52 +215,247 @@ impl AutoFormula {
         target: CellRef,
         variant: PipelineVariant,
     ) -> Option<Prediction> {
+        let segment = Segment { index, globals: None, owner: 0 };
+        self.funnel(
+            &[segment],
+            emb,
+            sheet,
+            &[target],
+            PredictOptions::with_variant(variant),
+            &mut [false],
+            &mut |_, payload| resume_unwind(payload),
+        )
+        .pop()
+        .and_then(|r| r.prediction)
+    }
+
+    /// The S1→S2→S3 funnel (Algorithm 2) for a group of targets on one
+    /// embedded query sheet, scattered over `segments`; one
+    /// [`FunnelResult`] per target, in `targets` order. This is the only
+    /// implementation of the online phase: the direct pipeline is its
+    /// one-segment, one-target call, and a sharded server passes every
+    /// sealed run and delta of every shard. A fill-down burst's targets on
+    /// one sheet share one pass.
+    ///
+    /// What the targets share is what does not depend on the target. S1 is
+    /// a function of the sheet's embedding alone, so it runs once: each
+    /// segment's top-k, globalized, merged by `(distance, global id)`. Each
+    /// candidate sheet is ranked once: its strips are gathered and each
+    /// region's norm computed once, and every target's window is scored
+    /// against a region in one multi-query kernel call with the bits of a
+    /// call of its own. Each target then sorts its own `(distance, S1 rank,
+    /// ordinal)` ranking — the order a stable sort of the regions pushed in
+    /// S1-rank, region-ordinal order gives — and runs its own S3.
+    ///
+    /// Degradation discipline: every per-segment scan, per-candidate rank,
+    /// and per-region adapt runs under `catch_unwind`. `excluded` (one flag
+    /// per owner) says which owners are skipped; an injected error excludes
+    /// the owner for this pass, a panic excludes it and hands the payload
+    /// to `on_panic` at once, and the pass continues over the survivors, so
+    /// every target after it reports the owner skipped. The deadline
+    /// ([`PredictOptions::deadline`]) is checked between segments, between
+    /// candidates, and between adapt attempts, returning the best effort
+    /// of whatever completed. On the healthy, deadline-free path nothing is
+    /// skipped.
+    #[allow(clippy::too_many_arguments)]
+    pub fn funnel(
+        &self,
+        segments: &[Segment<'_>],
+        emb: &SheetEmbedding,
+        sheet: &Sheet,
+        targets: &[CellRef],
+        opts: PredictOptions,
+        excluded: &mut [bool],
+        on_panic: &mut dyn FnMut(usize, Box<dyn Any + Send>),
+    ) -> Vec<FunnelResult> {
+        if targets.is_empty() {
+            return Vec::new();
+        }
+        let variant = opts.variant;
+        let deadline = opts.deadline;
         let cfg = self.cfg();
         let embedder = self.embedder();
+        // Declared before the stage spans so it drops (and records) last.
+        let _pass = af_obs::span!("serve::predict");
+        af_obs::observe!("serve::pass_targets", targets.len());
+        let mut dropped = 0usize;
+        let mut deadline_hit = false;
 
-        // ---- S1: similar sheets ----
-        let candidates = match variant {
-            PipelineVariant::FineOnly => {
-                let sig = emb.fine_topleft.as_ref().expect("signature computed");
-                index
-                    .similar_sheets_fine(sig, cfg.k_sheets)
-                    .unwrap_or_else(|| index.similar_sheets(&emb.coarse, cfg.k_sheets))
+        // ---- S1: scatter, globalize, merge ----
+        // Results are collected per segment (tagged with the owner) so a
+        // panic in one segment can still retract its owner's other
+        // segments' hits before the merge — an excluded owner contributes nothing.
+        let mut per_seg: Vec<(usize, Vec<Neighbor>)> = Vec::with_capacity(segments.len());
+        let s1 = af_obs::span!("serve::s1_scan");
+        for seg in segments {
+            if excluded[seg.owner] {
+                continue;
             }
-            _ => index.similar_sheets(&emb.coarse, cfg.k_sheets),
-        };
+            if past(deadline) {
+                deadline_hit = true;
+                af_obs::event!("serve::deadline", "s1_scan", seg.owner);
+                break;
+            }
+            let _scan = af_obs::span!("serve::shard_scan", shard = seg.owner);
+            type ScanResult = Result<Vec<Neighbor>, crate::failpoint::Injected>;
+            let scanned = catch_unwind(AssertUnwindSafe(|| -> ScanResult {
+                fail_point!("serve::shard_scan", Err);
+                // A `FineOnly` plan always computes the signature, but the
+                // read path never panics on that assumption: a missing
+                // signature degrades to the coarse scan instead.
+                let hits = match (variant, emb.fine_topleft.as_ref()) {
+                    (PipelineVariant::FineOnly, Some(sig)) => seg
+                        .index
+                        .similar_sheets_fine(sig, cfg.k_sheets)
+                        .unwrap_or_else(|| seg.index.similar_sheets(&emb.coarse, cfg.k_sheets)),
+                    _ => seg.index.similar_sheets(&emb.coarse, cfg.k_sheets),
+                };
+                Ok(hits.into_iter().map(|n| Neighbor::new(seg.global(n.id), n.dist)).collect())
+            }));
+            match scanned {
+                Ok(Ok(hits)) => per_seg.push((seg.owner, hits)),
+                // Injected error: transient — skip the owner this pass.
+                Ok(Err(_)) => excluded[seg.owner] = true,
+                Err(payload) => {
+                    on_panic(seg.owner, payload);
+                    excluded[seg.owner] = true;
+                }
+            }
+        }
+        per_seg.retain(|&(owner, _)| !excluded[owner]);
+        let candidates = merge_neighbors(per_seg.into_iter().map(|(_, hits)| hits), cfg.k_sheets);
+        s1.end();
         if candidates.is_empty() {
-            return None;
+            return targets
+                .iter()
+                .map(|_| FunnelResult {
+                    prediction: None,
+                    excluded: excluded.to_vec(),
+                    candidates_dropped: dropped,
+                    deadline_exceeded: deadline_hit,
+                })
+                .collect();
         }
 
-        // ---- S2: reference formula by similar region ----
-        let target_fine = embedder.fine_window(emb, sheet, WindowOrigin::Centered(target));
-        let target_coarse_region = (variant == PipelineVariant::CoarseOnly)
-            .then(|| coarse_window(&embedder, sheet, target));
-        let coarse_query = target_coarse_region.as_deref().map(|c| [c]);
-        let mut ranked: Vec<(usize, f32)> = Vec::new();
+        // ---- S2: rank regions of the merged candidates, every target at once ----
+        let fine: Vec<Vec<f32>> = targets
+            .iter()
+            .map(|&t| embedder.fine_window(emb, sheet, WindowOrigin::Centered(t)))
+            .collect();
+        let fine: Vec<&[f32]> = fine.iter().map(Vec::as_slice).collect();
+        let coarse: Option<Vec<Vec<f32>>> = (variant == PipelineVariant::CoarseOnly)
+            .then(|| targets.iter().map(|&t| coarse_window(&embedder, sheet, t)).collect());
+        let coarse: Option<Vec<&[f32]>> =
+            coarse.as_ref().map(|c| c.iter().map(Vec::as_slice).collect());
+        type Ranked = (f32, usize, usize, usize, usize);
+        let mut ranked: Vec<Vec<Ranked>> = vec![Vec::new(); targets.len()];
+        let mut regions = 0usize;
         let mut scratch = StripScratch::default();
-        for cand in &candidates {
-            let dists = index.sheet_region_distances(
-                cand.id,
-                &[&target_fine],
-                coarse_query.as_ref().map(|c| c.as_slice()),
-                &mut scratch,
-            );
-            let rids = index.regions_of_sheet(cand.id);
-            ranked.extend(rids.iter().copied().zip(dists.iter().copied()));
-        }
-        if ranked.is_empty() {
-            return None;
-        }
-        ranked.sort_by(|a, b| a.1.total_cmp(&b.1));
-
-        // ---- S3: adapt the best parseable reference formula ----
-        for &(rid, dist) in ranked.iter().take(8) {
-            if let Some(p) = self.adapt_region(index, emb, sheet, target, rid, dist, variant) {
-                return Some(p);
+        let s2 = af_obs::span!("serve::s2_rank");
+        for (s1_rank, cand) in candidates.iter().enumerate() {
+            if past(deadline) {
+                deadline_hit = true;
+                af_obs::event!("serve::deadline", "s2_rank", s1_rank);
+                break;
+            }
+            // Resolve the candidate's segment without panicking: an id
+            // that fails to resolve (the torn-id path) drops this one
+            // candidate, not the pass.
+            let Some((seg_idx, local_sheet)) = segments
+                .iter()
+                .enumerate()
+                .find_map(|(i, seg)| seg.local(cand.id).map(|local| (i, local)))
+            else {
+                dropped += 1;
+                continue;
+            };
+            let seg = &segments[seg_idx];
+            if excluded[seg.owner] {
+                dropped += 1;
+                continue;
+            }
+            type RankResult = Result<usize, crate::failpoint::Injected>;
+            let rank = catch_unwind(AssertUnwindSafe(|| -> RankResult {
+                fail_point!("serve::region_rank", Err);
+                let rids = seg.index.regions_of_sheet(local_sheet);
+                // `coarse` is Some exactly when the plan is `CoarseOnly`.
+                let dists = seg.index.sheet_region_distances(
+                    local_sheet,
+                    &fine,
+                    coarse.as_deref(),
+                    &mut scratch,
+                );
+                // Region-major: one row of target distances per region.
+                for (ordinal, (&rid, row)) in
+                    rids.iter().zip(dists.chunks_exact(fine.len())).enumerate()
+                {
+                    for (ranking, &d) in ranked.iter_mut().zip(row) {
+                        ranking.push((d, s1_rank, ordinal, seg_idx, rid));
+                    }
+                }
+                Ok(rids.len())
+            }));
+            match rank {
+                Ok(Ok(n)) => regions += n,
+                Ok(Err(_)) => dropped += 1,
+                Err(payload) => {
+                    on_panic(seg.owner, payload);
+                    excluded[seg.owner] = true;
+                    dropped += 1;
+                }
             }
         }
-        None
+        // An owner excluded mid-S2 retracts the rows it already ranked.
+        for ranking in &mut ranked {
+            ranking.retain(|&(_, _, _, seg_idx, _)| !excluded[segments[seg_idx].owner]);
+        }
+        s2.end();
+        af_obs::observe!("serve::pass_regions", regions);
+
+        // ---- S3, per target: adapt the best parseable reference formula ----
+        let mut results = Vec::with_capacity(targets.len());
+        let s3 = af_obs::span!("serve::s3_adapt");
+        for (mut ranking, &target) in ranked.into_iter().zip(targets) {
+            ranking.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+            let mut prediction = None;
+            let mut late = deadline_hit;
+            for &(dist, _, _, seg_idx, rid) in ranking.iter().take(8) {
+                let seg = &segments[seg_idx];
+                if excluded[seg.owner] {
+                    continue;
+                }
+                if past(deadline) {
+                    late = true;
+                    af_obs::event!("serve::deadline", "s3_adapt", seg.owner);
+                    break;
+                }
+                let adapted = catch_unwind(AssertUnwindSafe(|| {
+                    self.adapt_region(seg.index, emb, sheet, target, rid, dist, variant)
+                }));
+                match adapted {
+                    Ok(Some(mut p)) => {
+                        // `adapt_region` reports the segment-local sheet
+                        // id; re-base to the global numbering.
+                        p.reference_sheet_idx = seg.global(p.reference_sheet_idx);
+                        prediction = Some(p);
+                        break;
+                    }
+                    Ok(None) => {}
+                    Err(payload) => {
+                        on_panic(seg.owner, payload);
+                        excluded[seg.owner] = true;
+                    }
+                }
+            }
+            results.push(FunnelResult {
+                prediction,
+                excluded: excluded.to_vec(),
+                candidates_dropped: dropped,
+                deadline_exceeded: late,
+            });
+        }
+        s3.end();
+        results
     }
 
     /// S3 on a single candidate region: parse the reference formula, map
@@ -214,13 +466,11 @@ impl AutoFormula {
     /// be mapped, or the instantiation fails — callers walk their S2
     /// ranking until a region adapts.
     ///
-    /// This is the per-region granule of
-    /// [`AutoFormula::predict_prepared`], public so a scatter-gather
-    /// serving layer can rank regions *across* index shards and still run
-    /// the identical adaptation: `rid` is local to `index` (one shard or
-    /// delta segment), and the returned
-    /// [`Prediction::reference_sheet_idx`] is local too — sharded callers
-    /// re-base it to their global sheet numbering. The query sheet is read
+    /// This is the per-region granule of [`AutoFormula::funnel`], public so
+    /// a trace can recompose the pass: `rid` is local to `index` (one shard
+    /// or delta segment), and the returned
+    /// [`Prediction::reference_sheet_idx`] is local too — the funnel
+    /// re-bases it to the global sheet numbering. The query sheet is read
     /// through `emb` alone (it holds every stored cell's fine vector).
     #[allow(clippy::too_many_arguments)]
     pub fn adapt_region(
@@ -450,6 +700,94 @@ mod tests {
         let ref_formula: CellRef = "D354".parse().unwrap();
         let c354: CellRef = "C354".parse().unwrap();
         assert_eq!(offset_map(c354, ref_formula, target), Some("C41".parse().unwrap()));
+    }
+
+    /// Algorithm 2 rebuilt from the public granules, one target on one
+    /// index: S1 by `similar_sheets` (or `similar_sheets_fine`), S2 by
+    /// each candidate's `sheet_region_distances` and a stable sort by
+    /// distance, S3 by the first of the top 8 that `adapt_region` adapts.
+    fn recomposed(
+        af: &AutoFormula,
+        index: &ReferenceIndex,
+        sheet: &Sheet,
+        target: CellRef,
+        variant: PipelineVariant,
+    ) -> Option<Prediction> {
+        let k = af.cfg().k_sheets;
+        let embedder = af.embedder();
+        let emb = embedder.embed_sheet(sheet, variant == PipelineVariant::FineOnly);
+        let candidates = match (variant, &emb.fine_topleft) {
+            (PipelineVariant::FineOnly, Some(sig)) => index
+                .similar_sheets_fine(sig, k)
+                .unwrap_or_else(|| index.similar_sheets(&emb.coarse, k)),
+            _ => index.similar_sheets(&emb.coarse, k),
+        };
+        let window = embedder.fine_window(&emb, sheet, WindowOrigin::Centered(target));
+        let coarse = (variant == PipelineVariant::CoarseOnly)
+            .then(|| coarse_window(&embedder, sheet, target));
+        let coarse = coarse.as_deref().map(|c| [c]);
+        let mut scratch = StripScratch::default();
+        let mut ranked: Vec<(usize, f32)> = Vec::new();
+        for cand in &candidates {
+            let dists = index.sheet_region_distances(
+                cand.id,
+                &[&window],
+                coarse.as_ref().map(|c| c.as_slice()),
+                &mut scratch,
+            );
+            ranked.extend(index.regions_of_sheet(cand.id).iter().copied().zip(dists.to_vec()));
+        }
+        ranked.sort_by(|a, b| a.1.total_cmp(&b.1));
+        ranked.iter().take(8).find_map(|&(rid, dist)| {
+            af.adapt_region(index, &emb, sheet, target, rid, dist, variant)
+        })
+    }
+
+    #[test]
+    fn predict_with_equals_the_pass_recomposed_from_public_granules() {
+        let corpus = OrgSpec::pge(Scale::Tiny).generate();
+        let featurizer = CellFeaturizer::new(Arc::new(SbertSim::new(16)), FeatureMask::FULL);
+        let cfg = AutoFormulaConfig::test_tiny();
+        let af =
+            AutoFormula::from_model(RepresentationModel::new(featurizer.dim(), cfg), featurizer);
+        let opts = IndexOptions { fine_sheet_signatures: true, coarse_regions: true };
+        let members: Vec<usize> = (0..4).collect();
+        let index = af.build_index(&corpus.workbooks, &members, opts);
+        // Indexed sheets queried as they are, and held-out sheets with
+        // their target masked.
+        let mut queries: Vec<(Sheet, CellRef)> = Vec::new();
+        for wb in [0, 4, 5] {
+            for sheet in &corpus.workbooks[wb].sheets {
+                for (target, _) in sheet.formulas().take(3) {
+                    let query = if wb < 4 { sheet.clone() } else { masked_sheet(sheet, target) };
+                    queries.push((query, target));
+                }
+            }
+        }
+        for variant in
+            [PipelineVariant::Full, PipelineVariant::CoarseOnly, PipelineVariant::FineOnly]
+        {
+            let mut answered = 0usize;
+            for (sheet, target) in &queries {
+                let ctx = format!("{variant:?} {target:?}");
+                let got = af.predict_with(&index, sheet, *target, variant);
+                let want = recomposed(&af, &index, sheet, *target, variant);
+                match (&got, &want) {
+                    (Some(g), Some(w)) => {
+                        assert_eq!(g.formula, w.formula, "{ctx}");
+                        assert_eq!(g.s2_distance.to_bits(), w.s2_distance.to_bits(), "{ctx}");
+                        assert_eq!(g.reference_sheet, w.reference_sheet, "{ctx}");
+                        assert_eq!(g.reference_sheet_idx, w.reference_sheet_idx, "{ctx}");
+                        assert_eq!(g.reference_cell, w.reference_cell, "{ctx}");
+                        assert_eq!(g.template_signature, w.template_signature, "{ctx}");
+                        answered += 1;
+                    }
+                    (None, None) => {}
+                    _ => panic!("{ctx}: {got:?} vs {want:?}"),
+                }
+            }
+            assert!(answered * 2 >= queries.len(), "{variant:?}: {answered}/{}", queries.len());
+        }
     }
 
     #[test]

@@ -30,13 +30,15 @@
 //!   readers, not on writers, not on the compactor. A write republishes
 //!   one shard; the other `N − 1` are untouched. Readers holding a
 //!   [`Snapshot`] keep serving that exact state until they drop it.
-//! * **One funnel per burst.** [`ServeHandle::predict_batch`] embeds a
+//! * **One funnel, one entry point.** [`ServeHandle::query`] embeds a
 //!   burst's distinct query sheets through the representation model in
-//!   one tensor pass, then answers all targets of a sheet in one funnel
-//!   pass: one S1, one ranking of each candidate sheet scoring every
-//!   target at once, then S3 per target — bit-identical to issuing the
-//!   queries one at a time, which is the one-target case of the same
-//!   funnel.
+//!   one tensor pass, then answers all targets of a sheet in one pass of
+//!   af-core's `AutoFormula::funnel` over every sealed run and delta of
+//!   every shard: one S1, one ranking of each candidate sheet scoring
+//!   every target at once, then S3 per target — bit-identical to issuing
+//!   the queries one at a time, which is the one-target case of the same
+//!   funnel. The direct pipeline is its one-segment case, so the two
+//!   paths share every S2 and S3 step by construction.
 //! * **Artifacts in, artifacts out.** [`ServeHandle::from_artifact`]
 //!   cold-starts a server from bytes produced by `AutoFormula::save`
 //!   (re-splitting by the artifact's stored shard layout when present);
@@ -46,7 +48,7 @@
 //! * **Graceful degradation.** Every per-segment scan runs under
 //!   `catch_unwind`: a shard that panics is quarantined (skipped by
 //!   queries until [`ServeHandle::recover_shard`]) while the healthy
-//!   shards keep answering. [`ServeHandle::predict_with`] returns a
+//!   shards keep answering. [`ServeHandle::query`] returns a
 //!   [`ServeOutcome`] — the prediction plus `degraded` /
 //!   `shards_skipped` / `deadline_exceeded` flags — so callers can tell a
 //!   full answer from a partial one. Per-query deadlines
@@ -105,10 +107,11 @@ use af_check::StdFamily;
 use af_core::artifact::{write_atomic, ArtifactError, ShardLayout, StoreOptions};
 use af_core::config::{AnnBackend, AutoFormulaConfig};
 use af_core::fail_point;
-use af_core::features::WindowOrigin;
-use af_core::index::{coarse_window, ReferenceIndex, SheetKey, SheetMeta, StripScratch};
-use af_core::pipeline::{AutoFormula, PipelineVariant, PredictOptions, Prediction};
-use af_core::{SheetEmbedder, SheetEmbedding};
+use af_core::index::{ReferenceIndex, SheetKey, SheetMeta};
+use af_core::pipeline::{
+    AutoFormula, FunnelResult, PipelineVariant, PredictOptions, Prediction, Segment,
+};
+use af_core::SheetEmbedder;
 use af_grid::{CellRef, Sheet, Workbook};
 use bytes::Bytes;
 use std::marker::PhantomData;
@@ -450,10 +453,10 @@ pub struct QuarantinedShard {
     pub since_epoch: u64,
 }
 
-/// The result of one deadline-aware, degradation-aware prediction: what
-/// [`ServeHandle::predict_with`] and [`ServeHandle::predict_batch_with`]
-/// return. A non-degraded outcome is bit-identical to the PR-6 pipeline;
-/// a degraded one is the best effort of whatever completed — the flags
+/// The result of one deadline-aware, degradation-aware query: what
+/// [`ServeHandle::query`] returns per query. A non-degraded outcome is
+/// bit-identical to the direct pipeline (`AutoFormula::predict_with` on
+/// the unsharded index, on the exact `Flat` backend); a degraded one is the best effort of whatever completed — the flags
 /// say what was missing so callers can retry, alert, or serve partial.
 #[derive(Debug, Clone)]
 pub struct ServeOutcome {
@@ -583,11 +586,6 @@ fn quarantine(health: &ShardHealth, epoch: u64, counters: &Counters, shard: usiz
     }
 }
 
-/// Has this query's deadline passed?
-fn past(deadline: Option<Instant>) -> bool {
-    deadline.is_some_and(|d| Instant::now() >= d)
-}
-
 // ------------------------------------------------------------- snapshot
 
 /// One immutable serving state: the trained system plus a consistent set
@@ -608,32 +606,24 @@ pub struct Snapshot {
     counters: Arc<Counters>,
 }
 
-/// One scannable segment of a snapshot — a sealed run or a delta — with
-/// the shard that owns it.
-struct Segment<'a> {
-    index: &'a ReferenceIndex,
-    globals: &'a [usize],
-    shard: usize,
-}
-
 impl Snapshot {
-    /// Every non-empty segment, quarantined shards included — persistence
-    /// ([`Snapshot::keys`], [`Snapshot::merged`]) must never lose a
-    /// quarantined shard's data; only the query path excludes them.
+    /// Every sealed run and delta, owned by its shard, quarantined shards
+    /// included — persistence ([`Snapshot::keys`], [`Snapshot::merged`])
+    /// must never lose a quarantined shard's data; only the query path
+    /// excludes them.
     fn segments(&self) -> impl Iterator<Item = Segment<'_>> {
         self.shards.iter().enumerate().flat_map(|(shard, st)| {
             st.segments().map(move |run| Segment {
                 index: &run.index,
-                globals: &run.globals,
-                shard,
+                globals: Some(&run.globals),
+                owner: shard,
             })
         })
     }
 
     /// The segment owning `global`, plus the segment-local sheet id.
     fn locate(&self, global: usize) -> Option<(Segment<'_>, usize)> {
-        self.segments()
-            .find_map(|seg| seg.globals.binary_search(&global).ok().map(|local| (seg, local)))
+        self.segments().find_map(|seg| seg.local(global).map(|local| (seg, local)))
     }
 
     /// Quarantine `shard` (sticky; cleared only by
@@ -663,8 +653,8 @@ impl Snapshot {
     pub fn keys(&self) -> Vec<SheetKey> {
         let mut pairs: Vec<(usize, SheetKey)> = Vec::with_capacity(self.n_sheets());
         for seg in self.segments() {
-            for (local, &g) in seg.globals.iter().enumerate() {
-                pairs.push((g, seg.index.keys[local]));
+            for (local, &key) in seg.index.keys.iter().enumerate() {
+                pairs.push((seg.global(local), key));
             }
         }
         pairs.sort_by_key(|&(g, _)| g);
@@ -692,7 +682,7 @@ impl Snapshot {
                 seg.index
                     .similar_sheets(coarse_query, k)
                     .into_iter()
-                    .map(|n| Neighbor::new(seg.globals[n.id], n.dist))
+                    .map(|n| Neighbor::new(seg.global(n.id), n.dist))
                     .collect::<Vec<_>>()
             }),
             k,
@@ -700,50 +690,20 @@ impl Snapshot {
     }
 
     /// Predict with the confidence threshold applied, against this
-    /// snapshot.
+    /// snapshot: one query on the full pipeline through
+    /// [`Snapshot::query`].
     pub fn predict(&self, sheet: &Sheet, target: CellRef) -> Option<Prediction> {
         let theta = self.system.cfg().theta_region;
-        self.predict_with(sheet, target, PipelineVariant::Full).filter(|p| p.s2_distance <= theta)
+        self.query(&[(sheet, target)], PredictOptions::default())
+            .pop()?
+            .prediction
+            .filter(|p| p.s2_distance <= theta)
     }
 
-    /// Predict without thresholding, any pipeline variant. The prediction
-    /// half of [`Snapshot::predict_outcome`], for callers that don't need
-    /// the degradation flags.
-    pub fn predict_with(
-        &self,
-        sheet: &Sheet,
-        target: CellRef,
-        variant: PipelineVariant,
-    ) -> Option<Prediction> {
-        self.predict_outcome(sheet, target, PredictOptions::with_variant(variant)).prediction
-    }
-
-    /// Predict without thresholding, with full control: pipeline variant
-    /// plus an optional per-query deadline. Returns the prediction and the
-    /// degradation flags ([`ServeOutcome`]).
-    pub fn predict_outcome(
-        &self,
-        sheet: &Sheet,
-        target: CellRef,
-        opts: PredictOptions,
-    ) -> ServeOutcome {
-        let embedder = self.system.embedder();
-        let emb = embedder.embed_sheet(sheet, opts.variant == PipelineVariant::FineOnly);
-        // The funnel answers every target it is given: one in, one out.
-        let mut outcomes = self.predict_prepared(&emb, sheet, &[target], opts);
-        outcomes.swap_remove(0)
-    }
-
-    /// Bookkeeping shared by every exit of `predict_prepared`, once per
-    /// target: count the query, fold the skip/drop/deadline tallies into
-    /// counters, and build the outcome.
-    fn outcome(
-        &self,
-        prediction: Option<Prediction>,
-        excluded: &[bool],
-        candidates_dropped: usize,
-        deadline_exceeded: bool,
-    ) -> ServeOutcome {
+    /// Bookkeeping for one funnel result: count the query, fold the
+    /// skip/drop/deadline tallies into counters, and build the outcome.
+    fn outcome(&self, result: FunnelResult) -> ServeOutcome {
+        let FunnelResult { prediction, excluded, candidates_dropped, deadline_exceeded } = result;
         let shards_skipped = excluded.iter().filter(|&&x| x).count();
         let degraded = shards_skipped > 0 || candidates_dropped > 0 || deadline_exceeded;
         // ordering: Relaxed — independent monotonic counters; stats()
@@ -763,240 +723,22 @@ impl Snapshot {
         ServeOutcome { prediction, degraded, shards_skipped, candidates_dropped, deadline_exceeded }
     }
 
-    /// The sharded S1→S2→S3 funnel for a group of targets on one embedded
-    /// query sheet, one [`ServeOutcome`] per target in `targets` order. For
-    /// each target it mirrors `AutoFormula::predict_prepared` exactly (same
-    /// scan primitives, same tie order) with the sheet loop scattered
-    /// across segments. A single predict is the one-target case; a
-    /// fill-down burst's targets on one sheet share one pass.
+    /// Answer queries against this snapshot, without thresholding: the
+    /// serving entry point, for a lone query (a one-element slice) and a
+    /// burst alike. Distinct query sheets (deduplicated by identity — a
+    /// burst is naturally many targets on few sheets) go through the
+    /// representation model in one tensor pass, then each sheet's targets
+    /// share one [`AutoFormula::funnel`] pass over every sealed run and
+    /// delta of every shard: one S1, one ranking of each candidate sheet.
+    /// Outcomes come back in query order, each bit-identical to querying
+    /// it alone. One deadline ([`PredictOptions::deadline`]) covers the
+    /// whole call; queries reached after it expires return immediately
+    /// with `deadline_exceeded` set.
     ///
-    /// What the targets share is what does not depend on the target. S1 is
-    /// a function of the sheet's embedding alone, so it runs once. Each
-    /// candidate sheet is ranked once: its strips are gathered and each
-    /// region's norm computed once, and every target's window is scored
-    /// against a region in one multi-query kernel call with the bits of a
-    /// call of its own. Each target then sorts its own `(distance, S1 rank,
-    /// ordinal)` ranking, runs its own S3 and gets its own outcome.
-    ///
-    /// Degradation discipline: every per-segment scan, per-candidate rank,
-    /// and per-region adapt runs under `catch_unwind`. A panic quarantines
-    /// the offending shard (sticky — see [`ShardHealth`]) and the pass
-    /// continues over the survivors, so every target after it reports the
-    /// shard skipped; the deadline is checked between segments, between
-    /// candidates, and between adapt attempts, returning the best effort
-    /// of whatever completed. On the healthy, deadline-free path nothing is
-    /// skipped and every result is bit-identical to the unsharded
-    /// pipeline.
-    fn predict_prepared(
-        &self,
-        emb: &SheetEmbedding,
-        sheet: &Sheet,
-        targets: &[CellRef],
-        opts: PredictOptions,
-    ) -> Vec<ServeOutcome> {
-        if targets.is_empty() {
-            return Vec::new();
-        }
-        let variant = opts.variant;
-        let deadline = opts.deadline;
-        let cfg = self.system.cfg();
-        let embedder = self.system.embedder();
-        // Declared before the stage spans so it drops (and records) last.
-        let _pass = af_obs::span!("serve::predict");
-        af_obs::observe!("serve::pass_targets", targets.len());
-        let segments: Vec<Segment<'_>> = self.segments().collect();
-        // Per-pass shard exclusion, seeded from the sticky quarantine
-        // flags; a mid-pass panic adds to it (and to the shared flags).
-        let mut excluded: Vec<bool> = self.health.iter().map(|h| h.is_quarantined()).collect();
-        let mut dropped = 0usize;
-        let mut deadline_hit = false;
-
-        // ---- S1: scatter, globalize, merge ----
-        // Results are collected per segment (tagged with the owning shard)
-        // so a panic in one segment can still retract its shard's other
-        // segments' hits before the merge — a quarantined shard contributes nothing.
-        let mut per_seg: Vec<(usize, Vec<Neighbor>)> = Vec::with_capacity(segments.len());
-        let s1 = af_obs::span!("serve::s1_scan");
-        for seg in &segments {
-            if excluded[seg.shard] {
-                continue;
-            }
-            if past(deadline) {
-                deadline_hit = true;
-                af_obs::event!("serve::deadline", "s1_scan", seg.shard);
-                break;
-            }
-            let _scan = af_obs::span!("serve::shard_scan", shard = seg.shard);
-            type ScanResult = Result<Vec<Neighbor>, af_core::failpoint::Injected>;
-            let scanned = catch_unwind(AssertUnwindSafe(|| -> ScanResult {
-                fail_point!("serve::shard_scan", Err);
-                // A `FineOnly` plan always computes the signature, but the
-                // read path never panics on that assumption: a missing
-                // signature degrades to the coarse scan instead.
-                let hits = match (variant, emb.fine_topleft.as_ref()) {
-                    (PipelineVariant::FineOnly, Some(sig)) => seg
-                        .index
-                        .similar_sheets_fine(sig, cfg.k_sheets)
-                        .unwrap_or_else(|| seg.index.similar_sheets(&emb.coarse, cfg.k_sheets)),
-                    _ => seg.index.similar_sheets(&emb.coarse, cfg.k_sheets),
-                };
-                Ok(hits.into_iter().map(|n| Neighbor::new(seg.globals[n.id], n.dist)).collect())
-            }));
-            match scanned {
-                Ok(Ok(hits)) => per_seg.push((seg.shard, hits)),
-                // Injected error: transient — skip the shard this pass,
-                // no quarantine.
-                Ok(Err(_)) => excluded[seg.shard] = true,
-                // Panic: quarantine until an operator recovers the shard.
-                Err(_) => {
-                    self.quarantine(seg.shard);
-                    excluded[seg.shard] = true;
-                }
-            }
-        }
-        per_seg.retain(|&(shard, _)| !excluded[shard]);
-        let candidates = merge_neighbors(per_seg.into_iter().map(|(_, hits)| hits), cfg.k_sheets);
-        s1.end();
-        if candidates.is_empty() {
-            return targets
-                .iter()
-                .map(|_| self.outcome(None, &excluded, dropped, deadline_hit))
-                .collect();
-        }
-
-        // ---- S2: rank regions of the merged candidates, every target at once ----
-        // The unsharded pipeline pushes (rid, d) in (S1-rank, region-
-        // ordinal) order and stable-sorts by distance; sorting the explicit
-        // triple reproduces that order exactly, including ties.
-        let fine: Vec<Vec<f32>> = targets
-            .iter()
-            .map(|&t| embedder.fine_window(emb, sheet, WindowOrigin::Centered(t)))
-            .collect();
-        let fine: Vec<&[f32]> = fine.iter().map(Vec::as_slice).collect();
-        let coarse: Option<Vec<Vec<f32>>> = (variant == PipelineVariant::CoarseOnly)
-            .then(|| targets.iter().map(|&t| coarse_window(&embedder, sheet, t)).collect());
-        let coarse: Option<Vec<&[f32]>> =
-            coarse.as_ref().map(|c| c.iter().map(Vec::as_slice).collect());
-        type Ranked = (f32, usize, usize, usize, usize);
-        let mut ranked: Vec<Vec<Ranked>> = vec![Vec::new(); targets.len()];
-        let mut regions = 0usize;
-        let mut scratch = StripScratch::default();
-        let s2 = af_obs::span!("serve::s2_rank");
-        for (s1_rank, cand) in candidates.iter().enumerate() {
-            if past(deadline) {
-                deadline_hit = true;
-                af_obs::event!("serve::deadline", "s2_rank", s1_rank);
-                break;
-            }
-            // Resolve the candidate's segment without panicking: an id
-            // that fails to resolve (the torn-id path) drops this one
-            // candidate, not the pass.
-            let Some((seg_idx, local_sheet)) = segments.iter().enumerate().find_map(|(i, seg)| {
-                seg.globals.binary_search(&cand.id).ok().map(|local| (i, local))
-            }) else {
-                dropped += 1;
-                continue;
-            };
-            let seg = &segments[seg_idx];
-            if excluded[seg.shard] {
-                dropped += 1;
-                continue;
-            }
-            type RankResult = Result<usize, af_core::failpoint::Injected>;
-            let rank = catch_unwind(AssertUnwindSafe(|| -> RankResult {
-                fail_point!("serve::region_rank", Err);
-                let rids = seg.index.regions_of_sheet(local_sheet);
-                // `coarse` is Some exactly when the plan is `CoarseOnly`.
-                let dists = seg.index.sheet_region_distances(
-                    local_sheet,
-                    &fine,
-                    coarse.as_deref(),
-                    &mut scratch,
-                );
-                // Region-major: one row of target distances per region.
-                for (ordinal, (&rid, row)) in
-                    rids.iter().zip(dists.chunks_exact(fine.len())).enumerate()
-                {
-                    for (ranking, &d) in ranked.iter_mut().zip(row) {
-                        ranking.push((d, s1_rank, ordinal, seg_idx, rid));
-                    }
-                }
-                Ok(rids.len())
-            }));
-            match rank {
-                Ok(Ok(n)) => regions += n,
-                Ok(Err(_)) => dropped += 1,
-                Err(_) => {
-                    self.quarantine(seg.shard);
-                    excluded[seg.shard] = true;
-                    dropped += 1;
-                }
-            }
-        }
-        // A shard quarantined mid-S2 retracts the rows it already ranked.
-        for ranking in &mut ranked {
-            ranking.retain(|&(_, _, _, seg_idx, _)| !excluded[segments[seg_idx].shard]);
-        }
-        s2.end();
-        af_obs::observe!("serve::pass_regions", regions);
-
-        // ---- S3, per target: adapt the best parseable reference formula ----
-        let mut outcomes = Vec::with_capacity(targets.len());
-        let s3 = af_obs::span!("serve::s3_adapt");
-        for (mut ranking, &target) in ranked.into_iter().zip(targets) {
-            ranking.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-            let mut prediction = None;
-            let mut late = deadline_hit;
-            for &(dist, _, _, seg_idx, rid) in ranking.iter().take(8) {
-                let seg = &segments[seg_idx];
-                if excluded[seg.shard] {
-                    continue;
-                }
-                if past(deadline) {
-                    late = true;
-                    af_obs::event!("serve::deadline", "s3_adapt", seg.shard);
-                    break;
-                }
-                let adapted = catch_unwind(AssertUnwindSafe(|| {
-                    self.system.adapt_region(seg.index, emb, sheet, target, rid, dist, variant)
-                }));
-                match adapted {
-                    Ok(Some(mut p)) => {
-                        // `adapt_region` reports the segment-local sheet
-                        // id; re-base to the global numbering this
-                        // snapshot exposes.
-                        p.reference_sheet_idx = seg.globals[p.reference_sheet_idx];
-                        prediction = Some(p);
-                        break;
-                    }
-                    Ok(None) => {}
-                    Err(_) => {
-                        self.quarantine(seg.shard);
-                        excluded[seg.shard] = true;
-                    }
-                }
-            }
-            outcomes.push(self.outcome(prediction, &excluded, dropped, late));
-        }
-        s3.end();
-        outcomes
-    }
-
-    /// Answer a burst of queries against this snapshot. Distinct query
-    /// sheets (deduplicated by identity — a burst is naturally many
-    /// targets on few sheets) go through the representation model in one
-    /// tensor pass, then each sheet's targets share one funnel pass: one
-    /// S1, one ranking of each candidate sheet (see `predict_prepared`).
-    /// Outcomes come back in query order, each bit-identical to calling
-    /// [`Snapshot::predict_outcome`] for its query alone. One deadline
-    /// ([`PredictOptions::deadline`]) covers the whole batch; queries
-    /// reached after it expires return immediately with
-    /// `deadline_exceeded` set.
-    pub fn predict_batch_outcome(
-        &self,
-        queries: &[(&Sheet, CellRef)],
-        opts: PredictOptions,
-    ) -> Vec<ServeOutcome> {
+    /// Quarantined shards are skipped; a panic inside a shard's scan,
+    /// rank or adapt quarantines that shard at once — visible to every
+    /// other reader — and the pass continues over the survivors.
+    pub fn query(&self, queries: &[(&Sheet, CellRef)], opts: PredictOptions) -> Vec<ServeOutcome> {
         // Each distinct sheet with the positions of its queries, in order
         // of first appearance.
         let mut groups: Vec<(&Sheet, Vec<usize>)> = Vec::new();
@@ -1009,28 +751,28 @@ impl Snapshot {
         let sheets: Vec<&Sheet> = groups.iter().map(|&(sheet, _)| sheet).collect();
         let embedder = self.system.embedder();
         let embs = embedder.embed_sheets(&sheets, opts.variant == PipelineVariant::FineOnly);
+        let segments: Vec<Segment<'_>> = self.segments().collect();
         let mut outcomes: Vec<Option<ServeOutcome>> = vec![None; queries.len()];
         for ((sheet, members), emb) in groups.iter().zip(&embs) {
             let targets: Vec<CellRef> = members.iter().map(|&qi| queries[qi].1).collect();
-            for (&qi, o) in members.iter().zip(self.predict_prepared(emb, sheet, &targets, opts)) {
-                outcomes[qi] = Some(o);
+            // Per-pass shard exclusion, seeded from the sticky quarantine
+            // flags; a mid-pass panic adds to it (and to the shared flags).
+            let mut excluded: Vec<bool> = self.health.iter().map(|h| h.is_quarantined()).collect();
+            let results = self.system.funnel(
+                &segments,
+                emb,
+                sheet,
+                &targets,
+                opts,
+                &mut excluded,
+                &mut |shard, _| self.quarantine(shard),
+            );
+            for (&qi, result) in members.iter().zip(results) {
+                outcomes[qi] = Some(self.outcome(result));
             }
         }
         // Every query is in one group, and the funnel answers every target.
         outcomes.into_iter().flatten().collect()
-    }
-
-    /// [`Snapshot::predict_batch_outcome`] without the degradation flags —
-    /// just the predictions, one per query.
-    pub fn predict_batch_with(
-        &self,
-        queries: &[(&Sheet, CellRef)],
-        variant: PipelineVariant,
-    ) -> Vec<Option<Prediction>> {
-        self.predict_batch_outcome(queries, PredictOptions::with_variant(variant))
-            .into_iter()
-            .map(|o| o.prediction)
-            .collect()
     }
 
     /// Merge every segment back into one index in global sheet order,
@@ -1043,8 +785,8 @@ impl Snapshot {
         let mut rows: Vec<(usize, u32, &ReferenceIndex, usize)> =
             Vec::with_capacity(self.n_sheets());
         for seg in self.segments() {
-            for (local, &g) in seg.globals.iter().enumerate() {
-                rows.push((g, seg.shard as u32, seg.index, local));
+            for local in 0..seg.index.n_sheets() {
+                rows.push((seg.global(local), seg.owner as u32, seg.index, local));
             }
         }
         rows.sort_by_key(|&(g, _, _, _)| g);
@@ -1384,65 +1126,52 @@ impl ServeHandle {
         self.snapshot().predict(sheet, target)
     }
 
-    /// Predict without thresholding, with full per-query control: pipeline
-    /// variant plus an optional deadline. The [`ServeOutcome`] carries the
-    /// prediction and what (if anything) was skipped to produce it.
-    pub fn predict_opts(
-        &self,
-        sheet: &Sheet,
-        target: CellRef,
-        opts: PredictOptions,
-    ) -> ServeOutcome {
-        self.snapshot().predict_outcome(sheet, target, opts)
-    }
-
-    /// Predict without thresholding, any pipeline variant, no deadline.
-    /// Returns a [`ServeOutcome`]; a caller that only wants the prediction
-    /// reads `.prediction` (on a healthy server `degraded` is `false` and
-    /// the prediction is bit-identical to the direct pipeline's).
-    pub fn predict_with(
-        &self,
-        sheet: &Sheet,
-        target: CellRef,
-        variant: PipelineVariant,
-    ) -> ServeOutcome {
-        self.predict_opts(sheet, target, PredictOptions::with_variant(variant))
-    }
-
-    /// Answer a burst of queries with one micro-batched embedding pass
-    /// against one consistent snapshot (see
-    /// [`Snapshot::predict_batch_outcome`]). Results are bit-identical to
-    /// calling [`ServeHandle::predict_opts`] per query on the same epoch,
-    /// just cheaper. One deadline covers the whole batch.
-    pub fn predict_batch_opts(
-        &self,
-        queries: &[(&Sheet, CellRef)],
-        opts: PredictOptions,
-    ) -> Vec<ServeOutcome> {
-        self.snapshot().predict_batch_outcome(queries, opts)
-    }
-
-    /// [`ServeHandle::predict_batch_opts`] without a deadline, one
-    /// [`ServeOutcome`] per query.
-    pub fn predict_batch_with(
-        &self,
-        queries: &[(&Sheet, CellRef)],
-        variant: PipelineVariant,
-    ) -> Vec<ServeOutcome> {
-        self.predict_batch_opts(queries, PredictOptions::with_variant(variant))
-    }
-
-    /// [`ServeHandle::predict_batch_with`] on the full pipeline, with the
-    /// confidence threshold applied per query. One snapshot serves the
-    /// whole call, so the threshold and the predictions always come from
-    /// the same epoch.
+    /// [`ServeHandle::predict`] for a burst, one thresholded prediction per
+    /// query. One snapshot serves the whole call, so the threshold and the
+    /// predictions always come from the same epoch.
     pub fn predict_batch(&self, queries: &[(&Sheet, CellRef)]) -> Vec<Option<Prediction>> {
         let snap = self.snapshot();
         let theta = snap.system.cfg().theta_region;
-        snap.predict_batch_with(queries, PipelineVariant::Full)
-            .into_iter()
-            .map(|p| p.filter(|p| p.s2_distance <= theta))
-            .collect()
+        let outcomes = snap.query(queries, PredictOptions::default());
+        outcomes.into_iter().map(|o| o.prediction.filter(|p| p.s2_distance <= theta)).collect()
+    }
+
+    /// Answer queries without thresholding, with full per-call control —
+    /// pipeline variant plus an optional deadline — against one snapshot
+    /// (see [`Snapshot::query`]). Each [`ServeOutcome`] carries the
+    /// prediction and what, if anything, was skipped to produce it; on a
+    /// healthy server with no deadline `degraded` is `false` and the
+    /// prediction is bit-identical to the direct pipeline's.
+    ///
+    /// ```no_run
+    /// # use af_corpus::organization::{OrgSpec, Scale};
+    /// # use af_core::index::IndexOptions;
+    /// # use af_core::{AutoFormula, AutoFormulaConfig, RepresentationModel};
+    /// # use af_embed::{CellFeaturizer, FeatureMask, SbertSim};
+    /// # use std::sync::Arc;
+    /// use af_core::PredictOptions;
+    /// use af_serve::ServeHandle;
+    /// # let corpus = OrgSpec::pge(Scale::Tiny).generate();
+    /// # let featurizer = CellFeaturizer::new(Arc::new(SbertSim::new(16)), FeatureMask::FULL);
+    /// # let cfg = AutoFormulaConfig::test_tiny();
+    /// # let af = AutoFormula::from_model(RepresentationModel::new(featurizer.dim(), cfg), featurizer);
+    /// # let index = af.build_index(&corpus.workbooks, &[0, 1, 2], IndexOptions::default());
+    /// # let handle = ServeHandle::new(af, index);
+    /// # let sheet = &corpus.workbooks[3].sheets[0];
+    /// # let (target, _) = sheet.formulas().next().unwrap();
+    ///
+    /// // A lone query is a one-element slice; this one gets 5 ms.
+    /// let opts = PredictOptions::default().deadline_in_ms(5);
+    /// let out = &handle.query(&[(sheet, target)], opts)[0];
+    /// // out.prediction         : Option<Prediction> — best answer assembled in time
+    /// // out.degraded           : any shard skipped, candidate dropped, or deadline hit
+    /// // out.shards_skipped     : shards excluded (quarantined or faulted this query)
+    /// // out.candidates_dropped : S2 candidates lost to per-candidate faults
+    /// // out.deadline_exceeded  : the deadline cut the pipeline short
+    /// # let _ = out;
+    /// ```
+    pub fn query(&self, queries: &[(&Sheet, CellRef)], opts: PredictOptions) -> Vec<ServeOutcome> {
+        self.snapshot().query(queries, opts)
     }
 
     /// Incrementally index one more workbook: each sheet is hash-routed to
@@ -1572,15 +1301,21 @@ mod tests {
             .collect()
     }
 
+    /// One query through [`ServeHandle::query`], no deadline.
+    fn one(handle: &ServeHandle, sheet: &Sheet, at: CellRef) -> ServeOutcome {
+        handle.query(&[(sheet, at)], PredictOptions::default()).remove(0)
+    }
+
     /// Every segment's globals strictly ascending and no global id
     /// appearing in two segments — the invariants the bit-identical merge
     /// and `locate` rest on, checked on a live snapshot.
     fn assert_coherent(snap: &Snapshot) {
         let mut all: Vec<usize> = Vec::new();
         for seg in snap.segments() {
-            assert_eq!(seg.globals.len(), seg.index.n_sheets(), "globals/sheets out of sync");
-            assert!(seg.globals.windows(2).all(|w| w[0] < w[1]), "globals not ascending");
-            all.extend_from_slice(seg.globals);
+            let globals = seg.globals.expect("a served segment maps its sheets");
+            assert_eq!(globals.len(), seg.index.n_sheets(), "globals/sheets out of sync");
+            assert!(globals.windows(2).all(|w| w[0] < w[1]), "globals not ascending");
+            all.extend_from_slice(globals);
         }
         let n = all.len();
         all.sort_unstable();
@@ -1598,7 +1333,7 @@ mod tests {
         let handle = ServeHandle::new(system_with(AutoFormulaConfig::test_tiny()), index.clone());
         for (sheet, target) in query_targets(&corpus, 0).into_iter().take(10) {
             let direct = af.predict_with(&index, sheet, target, PipelineVariant::Full);
-            let served = handle.predict_with(sheet, target, PipelineVariant::Full);
+            let served = one(&handle, sheet, target);
             assert!(!served.degraded, "healthy server must not degrade");
             assert_eq!(direct.map(|p| p.formula), served.prediction.map(|p| p.formula));
         }
@@ -1624,18 +1359,17 @@ mod tests {
                 assert_eq!(x.id, y.id, "{ctx}");
                 assert_eq!(x.dist.to_bits(), y.dist.to_bits(), "{ctx}");
             }
-            let pa = a.predict_with(sheet, target, PipelineVariant::Full);
-            let pb = b.predict_with(sheet, target, PipelineVariant::Full);
+            let pa = a.query(&[(sheet, target)], PredictOptions::default()).remove(0).prediction;
+            let pb = b.query(&[(sheet, target)], PredictOptions::default()).remove(0).prediction;
             assert_same_prediction(pa.as_ref(), pb.as_ref(), ctx);
         }
         // The same queries as one burst on `b`: a pass spans every segment
         // of every shard, whatever the layout.
-        let burst =
-            b.predict_batch_outcome(queries, PredictOptions::with_variant(PipelineVariant::Full));
+        let burst = b.query(queries, PredictOptions::default());
         assert_eq!(burst.len(), queries.len(), "{ctx}");
         for (&(sheet, target), o) in queries.iter().zip(&burst) {
             assert!(!o.degraded, "{ctx}");
-            let pa = a.predict_with(sheet, target, PipelineVariant::Full);
+            let pa = a.query(&[(sheet, target)], PredictOptions::default()).remove(0).prediction;
             assert_same_prediction(pa.as_ref(), o.prediction.as_ref(), &format!("{ctx}, burst"));
         }
     }
@@ -1890,7 +1624,7 @@ mod tests {
                 [PipelineVariant::Full, PipelineVariant::CoarseOnly, PipelineVariant::FineOnly]
             {
                 for burst in [&queries, &interleaved] {
-                    let batched = handle.predict_batch_with(burst, variant);
+                    let batched = handle.query(burst, PredictOptions::with_variant(variant));
                     assert_eq!(batched.len(), burst.len());
                     for (&(sheet, target), b) in burst.iter().zip(&batched) {
                         let ctx = format!("{n_shards} shards, {variant:?}, {target:?}");
@@ -1955,8 +1689,8 @@ mod tests {
         assert_eq!(reloaded.n_sheets(), handle.n_sheets());
         assert_eq!(reloaded.n_regions(), handle.n_regions());
         for (sheet, target) in query_targets(&corpus, 0).into_iter().take(8) {
-            let a = handle.predict_with(sheet, target, PipelineVariant::Full);
-            let b = reloaded.predict_with(sheet, target, PipelineVariant::Full);
+            let a = one(&handle, sheet, target);
+            let b = one(&reloaded, sheet, target);
             assert_eq!(a.prediction.map(|p| p.formula), b.prediction.map(|p| p.formula));
         }
         assert!(ServeHandle::from_artifact(b"garbage").is_err());
@@ -1989,7 +1723,7 @@ mod tests {
         assert!(queries.len() >= 2);
         for &(sheet, at) in queries.iter().take(2) {
             let _ = handle.predict(sheet, at);
-            let _ = handle.predict_with(sheet, at, PipelineVariant::Full);
+            let _ = one(&handle, sheet, at);
         }
         let _ = handle.predict_batch(&queries);
         let s1 = handle.stats();
@@ -2085,8 +1819,8 @@ mod tests {
         let mapped = ServeHandle::from_artifact_path(&path).expect("mmap serve");
         assert_eq!(mapped.n_sheets(), handle.n_sheets());
         for (sheet, target) in query_targets(&corpus, 0).into_iter().take(6) {
-            let a = handle.predict_with(sheet, target, PipelineVariant::Full);
-            let b = mapped.predict_with(sheet, target, PipelineVariant::Full);
+            let a = one(&handle, sheet, target);
+            let b = one(&mapped, sheet, target);
             assert_eq!(a.prediction.map(|p| p.formula), b.prediction.map(|p| p.formula));
         }
         // The mapped handle can still grow (tables convert to owned on
@@ -2116,7 +1850,7 @@ mod tests {
         assert_eq!(handle.n_sheets(), index.n_sheets());
         let mut predicted = 0usize;
         for (sheet, target) in query_targets(&corpus, 0).into_iter().take(6) {
-            if let Some(p) = handle.predict_with(sheet, target, PipelineVariant::Full).prediction {
+            if let Some(p) = one(&handle, sheet, target).prediction {
                 assert!(p.s2_distance.is_finite());
                 predicted += 1;
             }
@@ -2168,7 +1902,10 @@ mod tests {
                         assert_coherent(&snap);
                         let (wb, si, at) = queries[(served + t) % queries.len()];
                         let sheet = &corpus.workbooks[wb].sheets[si];
-                        let _ = snap.predict_with(sheet, at, PipelineVariant::Full);
+                        let _ = snap
+                            .query(&[(sheet, at)], PredictOptions::default())
+                            .remove(0)
+                            .prediction;
                         served += 1;
                     }
                     assert!(served > 0);
@@ -2213,10 +1950,8 @@ mod tests {
         assert!(!queries.is_empty());
         assert!(handle.quarantined().is_empty());
 
-        let baseline: Vec<ServeOutcome> = queries
-            .iter()
-            .map(|&(s, at)| handle.predict_with(s, at, PipelineVariant::Full))
-            .collect();
+        let baseline: Vec<ServeOutcome> =
+            queries.iter().map(|&(s, at)| one(&handle, s, at)).collect();
         assert!(baseline.iter().all(|o| !o.degraded && o.shards_skipped == 0));
 
         handle.quarantine_shard(1);
@@ -2224,7 +1959,7 @@ mod tests {
         assert_eq!(handle.stats().quarantined_shards, 1);
         let degraded_before = handle.stats().degraded_queries;
         for &(sheet, at) in &queries {
-            let o = handle.predict_with(sheet, at, PipelineVariant::Full);
+            let o = one(&handle, sheet, at);
             assert!(o.degraded, "quarantined shard must mark queries degraded");
             assert_eq!(o.shards_skipped, 1);
         }
@@ -2242,7 +1977,7 @@ mod tests {
         assert!(handle.quarantined().is_empty());
         assert_eq!(handle.stats().quarantined_shards, 0);
         for (&(sheet, at), before) in queries.iter().zip(&baseline) {
-            let after = handle.predict_with(sheet, at, PipelineVariant::Full);
+            let after = one(&handle, sheet, at);
             assert!(!after.degraded);
             assert_bitwise_eq(&after, before);
         }
@@ -2257,7 +1992,7 @@ mod tests {
         // An already-expired deadline: nothing completes, the outcome says
         // so, and nothing panics.
         let expired = PredictOptions::with_variant(PipelineVariant::Full).deadline_in_ms(0);
-        let o = handle.predict_opts(sheet, at, expired);
+        let o = handle.query(&[(sheet, at)], expired).remove(0);
         assert!(o.deadline_exceeded && o.degraded);
         assert!(o.prediction.is_none(), "no stage ran before the deadline");
         assert!(handle.stats().deadline_exceeded >= 1);
@@ -2265,13 +2000,13 @@ mod tests {
         // A generous deadline degrades nothing and is bit-identical to the
         // deadline-free call.
         let generous = PredictOptions::with_variant(PipelineVariant::Full).deadline_in_ms(60_000);
-        let relaxed = handle.predict_opts(sheet, at, generous);
+        let relaxed = handle.query(&[(sheet, at)], generous).remove(0);
         assert!(!relaxed.degraded && !relaxed.deadline_exceeded);
-        assert_bitwise_eq(&relaxed, &handle.predict_with(sheet, at, PipelineVariant::Full));
+        assert_bitwise_eq(&relaxed, &one(&handle, sheet, at));
 
         // Batch: one expired deadline covers every query in the burst.
         let queries: Vec<_> = query_targets(&corpus, 0).into_iter().take(3).collect();
-        for o in handle.predict_batch_opts(&queries, expired) {
+        for o in handle.query(&queries, expired) {
             assert!(o.deadline_exceeded && o.prediction.is_none());
         }
     }
@@ -2288,23 +2023,21 @@ mod tests {
         let (handle, corpus) = handle_over_with(cfg, 3);
         handle.add_workbook(&corpus.workbooks[3]);
         let queries: Vec<_> = query_targets(&corpus, 0).into_iter().take(6).collect();
-        let baseline: Vec<ServeOutcome> = queries
-            .iter()
-            .map(|&(s, at)| handle.predict_with(s, at, PipelineVariant::Full))
-            .collect();
+        let baseline: Vec<ServeOutcome> =
+            queries.iter().map(|&(s, at)| one(&handle, s, at)).collect();
         for o in &baseline {
             assert!(!o.degraded && o.shards_skipped == 0 && o.candidates_dropped == 0);
         }
         // Quarantining the only shard leaves nothing to serve from…
         handle.quarantine_shard(0);
         for &(sheet, at) in &queries {
-            let o = handle.predict_with(sheet, at, PipelineVariant::Full);
+            let o = one(&handle, sheet, at);
             assert!(o.degraded && o.prediction.is_none() && o.shards_skipped == 1);
         }
         // …and recovery restores bit-identical service.
         handle.recover_shard(0);
         for (&(sheet, at), before) in queries.iter().zip(&baseline) {
-            assert_bitwise_eq(&handle.predict_with(sheet, at, PipelineVariant::Full), before);
+            assert_bitwise_eq(&one(&handle, sheet, at), before);
         }
     }
 

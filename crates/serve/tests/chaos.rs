@@ -97,6 +97,11 @@ fn burst_over(corpus: &af_corpus::OrgCorpus) -> Vec<(&Sheet, CellRef)> {
     [0, 4, 5].iter().flat_map(|&wb| query_targets(corpus, wb)).collect()
 }
 
+/// One query through [`ServeHandle::query`], no deadline.
+fn one(handle: &ServeHandle, sheet: &Sheet, at: CellRef) -> ServeOutcome {
+    handle.query(&[(sheet, at)], PredictOptions::default()).remove(0)
+}
+
 fn assert_bitwise_eq(a: &ServeOutcome, b: &ServeOutcome) {
     match (&a.prediction, &b.prediction) {
         (Some(x), Some(y)) => {
@@ -116,14 +121,13 @@ fn scan_panics_quarantine_shards_and_recovery_restores_service() {
     let cfg = AutoFormulaConfig { n_shards: 3, ..AutoFormulaConfig::test_tiny() };
     let (handle, corpus) = handle_over(cfg, 4);
     let queries: Vec<_> = query_targets(&corpus, 0).into_iter().take(4).collect();
-    let baseline: Vec<ServeOutcome> =
-        queries.iter().map(|&(s, at)| handle.predict_with(s, at, PipelineVariant::Full)).collect();
+    let baseline: Vec<ServeOutcome> = queries.iter().map(|&(s, at)| one(&handle, s, at)).collect();
     assert!(baseline.iter().all(|o| !o.degraded));
 
     // Every segment scan panics: the query must still *return* — all three
     // shards quarantined, no prediction, no propagated panic.
     failpoint::arm("serve::shard_scan", FailAction::Panic);
-    let o = handle.predict_with(queries[0].0, queries[0].1, PipelineVariant::Full);
+    let o = one(&handle, queries[0].0, queries[0].1);
     assert!(o.degraded && o.prediction.is_none());
     assert_eq!(o.shards_skipped, 3);
     assert_eq!(handle.quarantined().len(), 3);
@@ -132,7 +136,7 @@ fn scan_panics_quarantine_shards_and_recovery_restores_service() {
     // Disarming the fault does NOT lift quarantine — it is sticky until an
     // explicit recovery.
     failpoint::clear("serve::shard_scan");
-    let still = handle.predict_with(queries[0].0, queries[0].1, PipelineVariant::Full);
+    let still = one(&handle, queries[0].0, queries[0].1);
     assert!(still.degraded && still.prediction.is_none());
     assert_eq!(handle.quarantined().len(), 3);
 
@@ -140,7 +144,7 @@ fn scan_panics_quarantine_shards_and_recovery_restores_service() {
         handle.recover_shard(shard);
     }
     for (&(sheet, at), before) in queries.iter().zip(&baseline) {
-        let after = handle.predict_with(sheet, at, PipelineVariant::Full);
+        let after = one(&handle, sheet, at);
         assert!(!after.degraded, "recovered server must serve full fidelity");
         assert_bitwise_eq(&after, before);
     }
@@ -157,16 +161,16 @@ fn injected_scan_errors_skip_without_quarantine() {
     // A typed error is transient: the shard is skipped for this query only
     // and is NOT quarantined.
     failpoint::arm("serve::shard_scan", FailAction::Error);
-    let o = handle.predict_with(sheet, at, PipelineVariant::Full);
+    let o = one(&handle, sheet, at);
     assert!(o.degraded && o.prediction.is_none());
     assert_eq!(o.shards_skipped, 2);
     assert!(handle.quarantined().is_empty(), "errors must not quarantine");
     failpoint::clear("serve::shard_scan");
-    assert!(!handle.predict_with(sheet, at, PipelineVariant::Full).degraded);
+    assert!(!one(&handle, sheet, at).degraded);
 
     // Same for per-candidate S2 errors: candidates drop, the query lives.
     failpoint::arm("serve::region_rank", FailAction::Error);
-    let o = handle.predict_with(sheet, at, PipelineVariant::Full);
+    let o = one(&handle, sheet, at);
     assert!(o.degraded && o.candidates_dropped > 0);
     assert!(handle.quarantined().is_empty());
     failpoint::clear("serve::region_rank");
@@ -184,15 +188,15 @@ fn injected_latency_trips_deadlines_without_degrading_results_otherwise() {
     // first segment and the deadline check before the next one trips.
     failpoint::arm("serve::shard_scan", FailAction::Sleep(Duration::from_millis(40)));
     let opts = PredictOptions::with_variant(PipelineVariant::Full).deadline_in_ms(10);
-    let o = handle.predict_opts(sheet, at, opts);
+    let o = handle.query(&[(sheet, at)], opts).remove(0);
     assert!(o.deadline_exceeded && o.degraded, "latency must trip the deadline");
     assert!(handle.quarantined().is_empty(), "slowness is not a quarantine offense");
 
     // Without a deadline the same latency just makes the full answer slow.
-    let slow = handle.predict_with(sheet, at, PipelineVariant::Full);
+    let slow = one(&handle, sheet, at);
     assert!(!slow.degraded);
     failpoint::clear("serve::shard_scan");
-    let fast = handle.predict_with(sheet, at, PipelineVariant::Full);
+    let fast = one(&handle, sheet, at);
     assert_bitwise_eq(&slow, &fast);
 }
 
@@ -251,7 +255,7 @@ fn wedged_compactor_restarts_and_backpressure_bounds_deltas() {
     let queries = query_targets(&corpus, 0);
     assert!(!queries.is_empty());
     for &(sheet, at) in queries.iter().take(4) {
-        assert!(!handle.predict_with(sheet, at, PipelineVariant::Full).degraded);
+        assert!(!one(&handle, sheet, at).degraded);
     }
 }
 
@@ -284,7 +288,7 @@ fn publish_panic_aborts_the_write_without_tearing_state() {
     assert_eq!(handle.epoch(), epoch_before);
     assert_eq!(handle.n_sheets(), sheets_before);
     let (sheet, at) = query_targets(&corpus, 0)[0];
-    assert!(!handle.predict_with(sheet, at, PipelineVariant::Full).degraded);
+    assert!(!one(&handle, sheet, at).degraded);
 
     // The same holds one step later. The compactor panics at its fail
     // point, before it seals or builds anything (a panic further in, mid-
@@ -305,7 +309,7 @@ fn publish_panic_aborts_the_write_without_tearing_state() {
         assert_eq!((now.sealed_runs, now.base_sheets), (1, before.base_sheets), "{now:?}");
     }
     assert_eq!(stats.shards.iter().map(|s| s.delta_sheets).sum::<usize>(), added);
-    assert!(!handle.predict_with(sheet, at, PipelineVariant::Full).degraded);
+    assert!(!one(&handle, sheet, at).degraded);
 
     // Disarmed, the supervised retry seals what the panics left behind.
     failpoint::clear("serve::compact");
@@ -389,13 +393,13 @@ fn a_rank_panic_mid_burst_quarantines_once_and_recovery_restores_the_burst() {
     sheets.dedup_by(|a, b| std::ptr::eq(*a, *b));
     assert!(burst.len() > sheets.len() && sheets.len() > 1, "a burst of several passes");
     let opts = PredictOptions::with_variant(PipelineVariant::Full);
-    let baseline = handle.predict_batch_opts(&burst, opts);
+    let baseline = handle.query(&burst, opts);
     assert!(baseline.iter().all(|o| !o.degraded));
 
     #[cfg(feature = "obs")]
     let mark = af_obs::event_watermark();
     failpoint::arm("serve::region_rank", FailAction::Panic);
-    let faulted = handle.predict_batch_opts(&burst, opts);
+    let faulted = handle.query(&burst, opts);
     failpoint::clear("serve::region_rank");
     assert_eq!(faulted.len(), burst.len(), "no panic escapes; every query is answered");
     let quarantined = handle.quarantined();
@@ -418,7 +422,7 @@ fn a_rank_panic_mid_burst_quarantines_once_and_recovery_restores_the_burst() {
     for q in &quarantined {
         handle.recover_shard(q.shard);
     }
-    let recovered = handle.predict_batch_opts(&burst, opts);
+    let recovered = handle.query(&burst, opts);
     for (after, before) in recovered.iter().zip(&baseline) {
         assert!(!after.degraded, "recovered server must serve full fidelity");
         assert_bitwise_eq(after, before);
@@ -433,17 +437,17 @@ fn injected_scan_errors_skip_shards_for_one_burst_without_quarantine() {
     let (handle, corpus) = handle_over(cfg, 3);
     let burst = burst_over(&corpus);
     let opts = PredictOptions::with_variant(PipelineVariant::Full);
-    let baseline = handle.predict_batch_opts(&burst, opts);
+    let baseline = handle.query(&burst, opts);
 
     failpoint::arm("serve::shard_scan", FailAction::Error);
-    let skipped = handle.predict_batch_opts(&burst, opts);
+    let skipped = handle.query(&burst, opts);
     failpoint::clear("serve::shard_scan");
     for o in &skipped {
         assert!(o.degraded && o.prediction.is_none() && o.shards_skipped == 2, "{o:?}");
     }
     assert!(handle.quarantined().is_empty(), "errors must not quarantine");
     // The next burst scans every shard again.
-    for (after, before) in handle.predict_batch_opts(&burst, opts).iter().zip(&baseline) {
+    for (after, before) in handle.query(&burst, opts).iter().zip(&baseline) {
         assert!(!after.degraded);
         assert_bitwise_eq(after, before);
     }
@@ -458,7 +462,7 @@ fn an_expired_deadline_answers_every_query_of_a_burst_at_once() {
     let burst = burst_over(&corpus);
     let before = handle.stats().deadline_exceeded;
     let expired = PredictOptions::with_variant(PipelineVariant::Full).deadline_in_ms(0);
-    let outcomes = handle.predict_batch_opts(&burst, expired);
+    let outcomes = handle.query(&burst, expired);
     assert_eq!(outcomes.len(), burst.len());
     for o in &outcomes {
         assert!(o.deadline_exceeded && o.degraded && o.prediction.is_none(), "{o:?}");
@@ -480,7 +484,7 @@ fn quarantine_events_name_the_tripped_shards() {
 
     let mark = af_obs::event_watermark();
     failpoint::arm("serve::shard_scan", FailAction::Panic);
-    let o = handle.predict_with(sheet, at, PipelineVariant::Full);
+    let o = one(&handle, sheet, at);
     failpoint::clear("serve::shard_scan");
     assert!(o.degraded);
 
@@ -501,7 +505,7 @@ fn quarantine_events_name_the_tripped_shards() {
     // Repeated degraded queries against already-quarantined shards must
     // NOT re-emit: the event marks the transition, not the state.
     let mark = af_obs::event_watermark();
-    let _ = handle.predict_with(sheet, at, PipelineVariant::Full);
+    let _ = one(&handle, sheet, at);
     assert!(af_obs::events_since(mark).iter().all(|e| e.site != "serve::quarantine"));
 }
 
@@ -521,7 +525,7 @@ fn deadline_trips_emit_an_event_naming_the_stage() {
     let mark = af_obs::event_watermark();
     failpoint::arm("serve::shard_scan", FailAction::Sleep(Duration::from_millis(40)));
     let opts = PredictOptions::with_variant(PipelineVariant::Full).deadline_in_ms(10);
-    let o = handle.predict_opts(sheet, at, opts);
+    let o = handle.query(&[(sheet, at)], opts).remove(0);
     failpoint::clear("serve::shard_scan");
     assert!(o.deadline_exceeded);
 
@@ -532,11 +536,8 @@ fn deadline_trips_emit_an_event_naming_the_stage() {
 
     // A comfortably-met deadline emits nothing.
     let mark = af_obs::event_watermark();
-    let o = handle.predict_opts(
-        sheet,
-        at,
-        PredictOptions::with_variant(PipelineVariant::Full).deadline_in_ms(60_000),
-    );
+    let generous = PredictOptions::with_variant(PipelineVariant::Full).deadline_in_ms(60_000);
+    let o = handle.query(&[(sheet, at)], generous).remove(0);
     assert!(!o.deadline_exceeded);
     assert!(af_obs::events_since(mark).iter().all(|e| e.site != "serve::deadline"));
 }
@@ -557,9 +558,7 @@ fn randomized_faults_under_concurrent_load_never_break_the_contract() {
     assert!(!queries.is_empty());
     let baseline: Vec<ServeOutcome> = queries
         .iter()
-        .map(|&(wb, si, at)| {
-            handle.predict_with(&corpus.workbooks[wb].sheets[si], at, PipelineVariant::Full)
-        })
+        .map(|&(wb, si, at)| one(&handle, &corpus.workbooks[wb].sheets[si], at))
         .collect();
 
     // A reproducible storm: occasional scan panics, rank errors, and
@@ -588,11 +587,7 @@ fn randomized_faults_under_concurrent_load_never_break_the_contract() {
                     let sheet = &corpus.workbooks[wb].sheets[si];
                     // The contract: the call RETURNS — a ServeOutcome,
                     // never an unwind (a panic here would fail the test).
-                    let o = snap.predict_outcome(
-                        sheet,
-                        at,
-                        PredictOptions::with_variant(PipelineVariant::Full),
-                    );
+                    let o = snap.query(&[(sheet, at)], PredictOptions::default()).remove(0);
                     // And a non-degraded outcome on the original epoch is
                     // the full-fidelity answer, faults notwithstanding.
                     if !o.degraded && snap.epoch == 0 && served < queries.len() {
@@ -623,7 +618,7 @@ fn randomized_faults_under_concurrent_load_never_break_the_contract() {
         handle.recover_shard(shard);
     }
     for &(wb, si, at) in queries.iter().take(4) {
-        let o = handle.predict_with(&corpus.workbooks[wb].sheets[si], at, PipelineVariant::Full);
+        let o = one(&handle, &corpus.workbooks[wb].sheets[si], at);
         assert!(!o.degraded);
     }
 }

@@ -2,7 +2,7 @@
 //! evaluate — the full paper pipeline at test scale.
 
 use auto_formula::core::index::IndexOptions;
-use auto_formula::core::pipeline::{AutoFormula, PipelineVariant};
+use auto_formula::core::pipeline::{AutoFormula, PipelineVariant, PredictOptions};
 use auto_formula::core::{AutoFormulaConfig, TrainingOptions};
 use auto_formula::corpus::organization::{OrgSpec, Scale};
 use auto_formula::corpus::split::{split, SplitKind};
@@ -209,7 +209,7 @@ fn served_artifact_answers_like_the_library_pipeline() {
     let sheet = &org.workbooks[0].sheets[0];
     let (target, _) = sheet.formulas().next().expect("a formula cell");
     let direct = af.predict_with(&index, sheet, target, PipelineVariant::Full);
-    let served = handle.predict_with(sheet, target, PipelineVariant::Full);
+    let served = handle.query(&[(sheet, target)], PredictOptions::default()).remove(0);
     assert!(!served.degraded, "healthy server must answer at full fidelity");
     assert_eq!(direct.map(|p| p.formula), served.prediction.map(|p| p.formula));
 

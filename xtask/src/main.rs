@@ -9,12 +9,13 @@
 //!
 //! Rules (waivable per-site with `// lint: allow(<rule>) — reason`):
 //!
-//! * `no_panic` — `crates/serve/src` (non-test): no `.unwrap()`,
-//!   `.expect(`, `panic!`, `unreachable!`, `todo!`, `unimplemented!`.
-//!   A panic on the serve read path would quarantine a healthy shard
-//!   (the catch_unwind supervisor can't tell a bug from corruption), so
-//!   the read path must degrade, not assert. Write-path sites carry an
-//!   explicit waiver naming why they're exempt.
+//! * `no_panic` — the read path: `crates/serve/src` and
+//!   `crates/core/src/pipeline.rs`, where the S1→S2→S3 funnel lives
+//!   (non-test): no `.unwrap()`, `.expect(`, `panic!`, `unreachable!`,
+//!   `todo!`, `unimplemented!`. A panic on the serve read path would
+//!   quarantine a healthy shard (the catch_unwind supervisor can't tell a
+//!   bug from corruption), so the read path must degrade, not assert.
+//!   Write-path sites carry an explicit waiver naming why they're exempt.
 //! * `safety_comment` — every `unsafe` occurrence (block, impl, fn) in
 //!   any crate's `src` needs a `// SAFETY:` comment on the same line or
 //!   in the contiguous comment/code block above it.
@@ -134,6 +135,12 @@ fn repo_root() -> PathBuf {
 
 // ------------------------------------------------------- per-file scan
 
+/// Files under the `no_panic` rule: the serving crate and the module
+/// holding the funnel every query runs.
+fn on_read_path(path: &str) -> bool {
+    path.contains("crates/serve/src") || path.ends_with("crates/core/src/pipeline.rs")
+}
+
 /// One source line, pre-split into its code part (trailing `//` comment
 /// stripped, empty for comment-only lines) and raw text (for comment
 /// content lookups).
@@ -144,7 +151,7 @@ struct Line<'a> {
 
 fn lint_file(file: &Path, src: &str, arch: &str, out: &mut Vec<Violation>) {
     let path_str = file.to_string_lossy().replace('\\', "/");
-    let in_serve = path_str.contains("crates/serve/src");
+    let on_read_path = on_read_path(&path_str);
     let in_check = path_str.contains("crates/check/src");
     let in_obs = path_str.contains("crates/obs/src");
 
@@ -164,8 +171,8 @@ fn lint_file(file: &Path, src: &str, arch: &str, out: &mut Vec<Violation>) {
         }
         let in_test = test_mask[i];
 
-        // R1 no_panic: serving crate, non-test code only.
-        if in_serve && !in_test {
+        // R1 no_panic: read path, non-test code only.
+        if on_read_path && !in_test {
             const PANICKY: &[&str] =
                 &[".unwrap()", ".expect(", "panic!(", "unreachable!(", "todo!(", "unimplemented!("];
             for pat in PANICKY {
@@ -507,6 +514,15 @@ mod tests {
         );
         assert_eq!(obs_site_name("macro_rules! span {"), None);
         assert_eq!(obs_site_name("let x = 1;"), None);
+    }
+
+    #[test]
+    fn no_panic_covers_the_serving_crate_and_the_funnel() {
+        assert!(on_read_path("/repo/crates/serve/src/lib.rs"));
+        assert!(on_read_path("/repo/crates/serve/src/protocol.rs"));
+        assert!(on_read_path("/repo/crates/core/src/pipeline.rs"));
+        assert!(!on_read_path("/repo/crates/core/src/artifact.rs"));
+        assert!(!on_read_path("/repo/crates/core/src/pipeline.rs.bak"));
     }
 
     #[test]
