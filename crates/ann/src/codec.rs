@@ -38,8 +38,8 @@ pub enum CodecError {
     /// A structural invariant does not hold (out-of-range id, mismatched
     /// lengths, zero dimension, …).
     Invalid(&'static str),
-    /// A vector-store payload failed to decode (bad codec tag, truncated
-    /// quantized block, non-finite scale/offset, …).
+    /// A vector-store payload failed to decode (unknown or removed codec
+    /// tag, truncated block, …).
     Store(af_store::StoreError),
 }
 

@@ -15,9 +15,9 @@ use bytes::{BufMut, Bytes, BytesMut};
 ///
 /// Vectors live in an [`af_store::DenseStore`], so the scan runs on any
 /// codec: exact `f32` (the default — bit-identical to the pre-store
-/// implementation), or `f16`/`int8` quantized rows compared against the
-/// f32 query with the asymmetric kernels (no dequantized copy is ever
-/// materialized — the scan reads 2–4× fewer bytes).
+/// implementation), or `f16` rows compared against the f32 query with the
+/// asymmetric kernel (no dequantized copy is ever materialized — the scan
+/// reads half the bytes).
 #[derive(Debug, Clone)]
 pub struct FlatIndex {
     store: DenseStore,
@@ -76,12 +76,6 @@ impl FlatIndex {
         idx
     }
 
-    /// Row `id` as a borrowed f32 slice — exact codec only (quantized rows
-    /// have no f32 image in memory; see [`FlatIndex::vector_owned`]).
-    pub fn vector(&self, id: usize) -> &[f32] {
-        self.store.row_f32(id).expect("FlatIndex::vector requires the exact f32 codec")
-    }
-
     /// Row `id` dequantized into a fresh vector (any codec).
     pub fn vector_owned(&self, id: usize) -> Vec<f32> {
         self.store.row_owned(id)
@@ -114,37 +108,11 @@ impl FlatIndex {
         Ok(FlatIndex { store, parallel_threshold, max_scan_threads })
     }
 
-    /// The per-query ADC lookup table when the store is trained PQ —
-    /// built once per search and shared by every scan worker, so probed
-    /// rows are gathered straight from their code bytes.
-    fn adc_table(&self, query: &[f32]) -> Option<af_store::AdcTable> {
-        match &self.store {
-            DenseStore::Pq(p) => p.adc_table(query),
-            _ => None,
-        }
-    }
-
-    fn scan_range(
-        &self,
-        query: &[f32],
-        k: usize,
-        lo: usize,
-        hi: usize,
-        adc: Option<&af_store::AdcTable>,
-    ) -> Vec<Neighbor> {
+    fn scan_range(&self, query: &[f32], k: usize, lo: usize, hi: usize) -> Vec<Neighbor> {
         let mut top = TopK::new(k);
-        if let (Some(t), DenseStore::Pq(p)) = (adc, &self.store) {
-            // Fused ADC gather — bit-identical to `l2_sq_row` (the PQ
-            // distance is *defined* as the ADC sum), so this branch can
-            // never change a ranking, only the per-row cost.
-            for id in lo..hi {
-                top.push(Neighbor::new(id, p.l2_sq_adc(t, id)));
-            }
-        } else {
-            for id in lo..hi {
-                let d = self.store.l2_sq_row(query, id);
-                top.push(Neighbor::new(id, d));
-            }
+        for id in lo..hi {
+            let d = self.store.l2_sq_row(query, id);
+            top.push(Neighbor::new(id, d));
         }
         top.into_sorted()
     }
@@ -195,21 +163,19 @@ impl VectorIndex for FlatIndex {
         if self.max_scan_threads != 0 {
             threads = threads.min(self.max_scan_threads);
         }
-        let adc = self.adc_table(query);
         if work < threshold || threads < 2 {
-            return self.scan_range(query, k, 0, n, adc.as_ref());
+            return self.scan_range(query, k, 0, n);
         }
         // Never spawn more workers than there are vectors to scan.
         let n_chunks = threads.min(n);
         let chunk = n.div_ceil(n_chunks);
         let mut partials: Vec<Vec<Neighbor>> = Vec::with_capacity(n_chunks);
         std::thread::scope(|s| {
-            let adc = adc.as_ref();
             let handles: Vec<_> = (0..n_chunks)
                 .map(|c| {
                     let lo = c * chunk;
                     let hi = ((c + 1) * chunk).min(n);
-                    s.spawn(move || self.scan_range(query, k, lo, hi, adc))
+                    s.spawn(move || self.scan_range(query, k, lo, hi))
                 })
                 .collect();
             for h in handles {
@@ -290,7 +256,7 @@ mod tests {
         }
         let query = &all[n * dim..];
         let fast = idx.search(query, 10);
-        let slow = idx.scan_range(query, 10, 0, n, None);
+        let slow = idx.scan_range(query, 10, 0, n);
         assert_eq!(fast, slow);
     }
 
@@ -302,37 +268,10 @@ mod tests {
     }
 
     #[test]
-    fn pq_fused_scan_is_bit_identical_to_the_row_scan() {
-        // Enough rows to train the PQ codebooks (≥ 256), then the fused
-        // ADC search must equal a table-free generic scan bit for bit —
-        // serial and parallel alike.
-        let dim = 16;
-        let n = 400;
-        let all = crate::test_util::lcg_vectors(n + 1, dim, 5);
-        let mut idx = FlatIndex::new(dim);
-        for v in all[..n * dim].chunks(dim) {
-            idx.add(v);
-        }
-        let pq = idx.to_codec(Codec::Pq { m: 0 });
-        assert_eq!(pq.codec().tag(), 4, "must be trained PQ, not a silent fallback");
-        let query = &all[n * dim..];
-        let fused = pq.search(query, 7);
-        let generic = pq.scan_range(query, 7, 0, n, None);
-        assert_eq!(fused.len(), generic.len());
-        for (a, b) in fused.iter().zip(&generic) {
-            assert_eq!(a.id, b.id);
-            assert_eq!(a.dist.to_bits(), b.dist.to_bits());
-        }
-        // Forced-parallel fused path agrees too.
-        let par = pq.clone().with_parallelism(1, 0).search(query, 7);
-        assert_eq!(par, fused);
-    }
-
-    #[test]
     fn configurable_parallelism_agrees_with_serial() {
         let q = [42.4, 0.0];
         let mut idx = grid_index();
-        let serial = idx.scan_range(&q, 3, 0, idx.len(), None);
+        let serial = idx.scan_range(&q, 3, 0, idx.len());
         // Force the parallel path even on this tiny corpus.
         idx.set_parallelism(1, 0);
         assert_eq!(idx.search(&q, 3), serial);

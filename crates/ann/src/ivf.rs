@@ -185,7 +185,7 @@ impl IvfFlatIndex {
         };
         let stored_codec = if v2 {
             let tag = codec::get_u8(data)?;
-            Codec::from_tag(tag).ok_or(CodecError::Invalid("unknown ivf storage codec tag"))?
+            Codec::from_tag(tag).ok_or(af_store::StoreError::BadCodec(tag))?
         } else {
             Codec::F32
         };
@@ -291,25 +291,9 @@ impl VectorIndex for IvfFlatIndex {
         cd.sort_by(|a, b| a.1.total_cmp(&b.1));
         let mut top = TopK::new(k);
         for &(c, _) in cd.iter().take(self.params.n_probe.max(1)) {
-            let ids = &self.list_ids[c];
             let data = &self.list_data[c];
-            match data {
-                // Trained PQ list: build the per-query ADC table once and
-                // gather raw code bytes — no dequantization, bit-identical
-                // to `l2_sq_row` (the PQ distance *is* the ADC sum). The
-                // table costs ~256 row scans and a trained list holds at
-                // least that many rows, so it amortizes within the list.
-                DenseStore::Pq(p) if p.is_trained() => {
-                    let t = p.adc_table(query).expect("trained PQ list has a codebook");
-                    for (j, &id) in ids.iter().enumerate() {
-                        top.push(Neighbor::new(id, p.l2_sq_adc(&t, j)));
-                    }
-                }
-                _ => {
-                    for (j, &id) in ids.iter().enumerate() {
-                        top.push(Neighbor::new(id, data.l2_sq_row(query, j)));
-                    }
-                }
+            for (j, &id) in self.list_ids[c].iter().enumerate() {
+                top.push(Neighbor::new(id, data.l2_sq_row(query, j)));
             }
         }
         top.into_sorted()
@@ -508,47 +492,6 @@ mod tests {
                 ivf.search(query, 5).iter().map(|n| n.id).collect::<Vec<_>>(),
                 flat.search(query, 5).iter().map(|n| n.id).collect::<Vec<_>>()
             );
-        }
-    }
-
-    #[test]
-    fn pq_lists_scan_fused_and_match_the_generic_path() {
-        // Big enough that several lists cross the PQ training threshold
-        // (256 rows): those lists take the fused ADC branch, the rest scan
-        // pending raw rows exactly. Either way the search must be
-        // bit-identical to a manual generic scan over the same lists.
-        let dim = 16;
-        let n = 1500;
-        let data = random_data(n, dim, 31);
-        let ivf = IvfFlatIndex::build(
-            &data,
-            dim,
-            IvfParams { n_lists: 4, n_probe: 4, ..Default::default() },
-        );
-        let pq = ivf.to_codec(Codec::Pq { m: 0 });
-        assert!(
-            pq.list_data.iter().any(|s| matches!(
-                s,
-                DenseStore::Pq(p) if p.is_trained()
-            )),
-            "at least one list must train for the fused branch to run"
-        );
-        for q in [0usize, 500, 1499] {
-            let query = &data[q * dim..(q + 1) * dim];
-            let fused = pq.search(query, 10);
-            // Generic reference: same lists, the trait-level row distance.
-            let mut top = crate::metric::TopK::new(10);
-            for (ids, store) in pq.list_ids.iter().zip(&pq.list_data) {
-                for (j, &id) in ids.iter().enumerate() {
-                    top.push(Neighbor::new(id, store.l2_sq_row(query, j)));
-                }
-            }
-            let generic = top.into_sorted();
-            assert_eq!(fused.len(), generic.len());
-            for (a, b) in fused.iter().zip(&generic) {
-                assert_eq!(a.id, b.id, "query {q}");
-                assert_eq!(a.dist.to_bits(), b.dist.to_bits(), "query {q}");
-            }
         }
     }
 

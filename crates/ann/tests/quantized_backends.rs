@@ -1,15 +1,15 @@
 //! Quantized scan paths across all three backends: re-encoding an index
-//! into `f16`/`int8` must keep serving (high recall against the exact
+//! into `f16` must keep serving (high recall against the exact
 //! scan, incremental `add` still works), `f32` must stay bit-identical,
 //! and the legacy (v1) wire layout must keep decoding.
 
 use af_ann::test_util::lcg_vectors;
 use af_ann::{
-    load_index, save_index, save_index_with, FlatIndex, HnswIndex, HnswParams, IvfFlatIndex,
-    IvfParams, VectorIndex,
+    load_index, save_index, save_index_with, CodecError, FlatIndex, HnswIndex, HnswParams,
+    IvfFlatIndex, IvfParams, VectorIndex,
 };
-use af_store::Codec;
-use bytes::{Buf, BufMut, BytesMut};
+use af_store::{Codec, StoreError};
+use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 fn backends(data: &[f32], dim: usize) -> Vec<(&'static str, Box<dyn VectorIndex>)> {
     vec![
@@ -50,22 +50,14 @@ fn quantized_round_trip_serves_with_high_recall_on_every_backend() {
     let data = lcg_vectors(600, dim, 41);
     let queries = lcg_vectors(40, dim, 42);
     for (name, idx) in backends(&data, dim) {
-        // PQ gets an explicit 2-dim subspace split here: this corpus is
-        // uniform random (no cell structure to exploit), so the auto
-        // split's 8-dim subspaces would be a recall test of the corpus,
-        // not of the scan path. Real-corpus recall for the auto split is
-        // gated in `af-bench` (BENCH_store.json).
-        for codec in [Codec::F16, Codec::Int8, Codec::Pq { m: 8 }] {
-            let mut bytes = save_index_with(idx.as_ref(), codec);
-            let loaded = load_index(&mut bytes).expect("quantized round trip");
-            assert_eq!(bytes.remaining(), 0, "{name}/{codec:?}");
-            // PQ resolves its auto subspace count at encode time, so
-            // compare tags rather than the full codec value.
-            assert_eq!(loaded.codec().tag(), codec.tag(), "{name}");
-            assert_eq!(loaded.len(), idx.len(), "{name}");
-            let r = recall_at_k(idx.as_ref(), loaded.as_ref(), &queries, dim, 10);
-            assert!(r >= 0.9, "{name}/{codec:?}: recall@10 {r}");
-        }
+        let codec = Codec::F16;
+        let mut bytes = save_index_with(idx.as_ref(), codec);
+        let loaded = load_index(&mut bytes).expect("quantized round trip");
+        assert_eq!(bytes.remaining(), 0, "{name}/{codec:?}");
+        assert_eq!(loaded.codec(), codec, "{name}");
+        assert_eq!(loaded.len(), idx.len(), "{name}");
+        let r = recall_at_k(idx.as_ref(), loaded.as_ref(), &queries, dim, 10);
+        assert!(r >= 0.9, "{name}/{codec:?}: recall@10 {r}");
     }
 }
 
@@ -98,20 +90,19 @@ fn add_after_quantized_load_keeps_serving() {
     let data = lcg_vectors(200, dim, 45);
     let extra = lcg_vectors(30, dim, 46);
     for (name, idx) in backends(&data, dim) {
-        for codec in [Codec::F16, Codec::Int8, Codec::Pq { m: 0 }] {
-            let mut bytes = save_index_with(idx.as_ref(), codec);
-            let mut loaded = load_index(&mut bytes).unwrap();
-            for (i, v) in extra.chunks(dim).enumerate() {
-                assert_eq!(loaded.add(v), 200 + i, "{name}/{codec:?}");
-            }
-            // Self-query each appended vector: its quantized image must be
-            // its own nearest neighbor (the quantization error is far
-            // smaller than the inter-point distances of this corpus).
-            for (i, v) in extra.chunks(dim).enumerate() {
-                let hit = &loaded.search(v, 1)[0];
-                assert_eq!(hit.id, 200 + i, "{name}/{codec:?}");
-                assert!(hit.dist < 1e-3, "{name}/{codec:?}: {}", hit.dist);
-            }
+        let codec = Codec::F16;
+        let mut bytes = save_index_with(idx.as_ref(), codec);
+        let mut loaded = load_index(&mut bytes).unwrap();
+        for (i, v) in extra.chunks(dim).enumerate() {
+            assert_eq!(loaded.add(v), 200 + i, "{name}/{codec:?}");
+        }
+        // Self-query each appended vector: its quantized image must be
+        // its own nearest neighbor (the quantization error is far
+        // smaller than the inter-point distances of this corpus).
+        for (i, v) in extra.chunks(dim).enumerate() {
+            let hit = &loaded.search(v, 1)[0];
+            assert_eq!(hit.id, 200 + i, "{name}/{codec:?}");
+            assert!(hit.dist < 1e-3, "{name}/{codec:?}: {}", hit.dist);
         }
     }
 }
@@ -121,16 +112,15 @@ fn quantized_truncation_errors_never_panics() {
     let dim = 6;
     let data = lcg_vectors(50, dim, 47);
     for (name, idx) in backends(&data, dim) {
-        for codec in [Codec::F16, Codec::Int8, Codec::Pq { m: 0 }] {
-            let bytes = save_index_with(idx.as_ref(), codec);
-            for cut in 0..bytes.len() {
-                let mut head = bytes.slice(0..cut);
-                assert!(
-                    load_index(&mut head).is_err(),
-                    "{name}/{codec:?}: truncation to {cut}/{} must fail cleanly",
-                    bytes.len()
-                );
-            }
+        let codec = Codec::F16;
+        let bytes = save_index_with(idx.as_ref(), codec);
+        for cut in 0..bytes.len() {
+            let mut head = bytes.slice(0..cut);
+            assert!(
+                load_index(&mut head).is_err(),
+                "{name}/{codec:?}: truncation to {cut}/{} must fail cleanly",
+                bytes.len()
+            );
         }
     }
 }
@@ -140,14 +130,14 @@ fn default_encode_preserves_the_index_codec() {
     let dim = 8;
     let data = lcg_vectors(100, dim, 48);
     let flat = FlatIndex::from_vectors(dim, data.chunks(dim).map(|c| c.to_vec()));
-    let int8 = flat.to_codec(Codec::Int8);
+    let f16 = flat.to_codec(Codec::F16);
     // encode() (no codec argument) must round-trip the quantized state
-    // losslessly: same codes, bit-identical searches.
-    let mut bytes = save_index(&int8);
+    // losslessly: same rows, bit-identical searches.
+    let mut bytes = save_index(&f16);
     let loaded = load_index(&mut bytes).unwrap();
-    assert_eq!(loaded.codec(), Codec::Int8);
+    assert_eq!(loaded.codec(), Codec::F16);
     let q = lcg_vectors(1, dim, 49);
-    let (a, b) = (int8.search(&q, 5), loaded.search(&q, 5));
+    let (a, b) = (f16.search(&q, 5), loaded.search(&q, 5));
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.id, y.id);
         assert_eq!(x.dist.to_bits(), y.dist.to_bits());
@@ -157,20 +147,31 @@ fn default_encode_preserves_the_index_codec() {
 #[test]
 fn empty_ivf_round_trip_preserves_its_codec() {
     // Regression: an empty index has no list stores to carry the codec
-    // tag, so a round trip silently downgraded a cold-start int8 index
-    // to f32 — every later `add` stored 4x the requested bytes.
+    // tag, so a round trip silently downgraded a cold-start quantized
+    // index to f32 — every later `add` stored more than the requested bytes.
     let dim = 6;
-    let ivf = IvfFlatIndex::build_with_codec(&[], dim, Codec::Int8, IvfParams::default());
-    assert_eq!(ivf.codec(), Codec::Int8);
+    let ivf = IvfFlatIndex::build_with_codec(&[], dim, Codec::F16, IvfParams::default());
+    assert_eq!(ivf.codec(), Codec::F16);
     let mut bytes = save_index(&ivf);
+    // The header's codec byte follows the backend tag, dim, n, the four
+    // params and the trained flag; the removed codecs' tags are rejected.
+    for tag in [3u8, 4] {
+        let mut bad = bytes.to_vec();
+        assert_eq!(bad[46], Codec::F16.tag());
+        bad[46] = tag;
+        assert_eq!(
+            load_index(&mut Bytes::from(bad)).err(),
+            Some(CodecError::Store(StoreError::BadCodec(tag)))
+        );
+    }
     let mut loaded = load_index(&mut bytes).expect("empty ivf round trip");
-    assert_eq!(loaded.codec(), Codec::Int8, "codec must survive an empty round trip");
+    assert_eq!(loaded.codec(), Codec::F16, "codec must survive an empty round trip");
     // Cold-start growth after the round trip still quantizes.
     let grow = lcg_vectors(40, dim, 52);
     for v in grow.chunks(dim) {
         loaded.add(v);
     }
-    assert_eq!(loaded.codec(), Codec::Int8);
+    assert_eq!(loaded.codec(), Codec::F16);
     assert_eq!(loaded.search(&grow[..dim], 1)[0].id, 0);
 }
 

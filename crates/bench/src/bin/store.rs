@@ -37,25 +37,25 @@ fn main() {
         store_bench::write_json(&r, std::path::Path::new(&out));
         println!("\nwrote {out}");
 
-        // Committed fidelity floors for the PQ codec: the smoke job runs
-        // this binary, so a regression in PQ recall or end-to-end
+        // Committed fidelity floors for the f16 codec: the smoke job runs
+        // this binary, so a regression in f16 recall or end-to-end
         // prediction agreement fails CI loudly instead of silently
         // shipping a worse artifact format. With only ~17 prediction
         // queries at tiny each S2 near-tie flip costs ~6% agreement, so
         // the full floor only applies once the query set is large enough
         // to make it meaningful.
-        const PQ_RECALL_FLOOR: f64 = 0.95;
-        let pq_agreement_floor: f64 = if r.prediction_queries >= 50 { 0.90 } else { 0.75 };
-        for v in r.variants.iter().filter(|v| v.codec == "pq") {
+        const F16_RECALL_FLOOR: f64 = 0.95;
+        let f16_agreement_floor: f64 = if r.prediction_queries >= 50 { 0.90 } else { 0.75 };
+        for v in r.variants.iter().filter(|v| v.codec == "f16") {
             assert!(
-                v.flat_recall_at_k >= PQ_RECALL_FLOOR,
-                "pq recall@10 {:.4} fell below the committed floor {PQ_RECALL_FLOOR}",
+                v.flat_recall_at_k >= F16_RECALL_FLOOR,
+                "f16 recall@10 {:.4} fell below the committed floor {F16_RECALL_FLOOR}",
                 v.flat_recall_at_k,
             );
             assert!(
-                v.prediction_agreement >= pq_agreement_floor,
-                "pq prediction agreement {:.4} fell below the committed floor \
-                 {pq_agreement_floor}",
+                v.prediction_agreement >= f16_agreement_floor,
+                "f16 prediction agreement {:.4} fell below the committed floor \
+                 {f16_agreement_floor}",
                 v.prediction_agreement,
             );
         }

@@ -13,7 +13,7 @@
 //!   family-duplicate ties);
 //! * **prediction agreement** — fraction of holdout queries where the
 //!   quantized artifact's end-to-end prediction matches the exact
-//!   artifact's (the serving-level answer to "is int8 good enough?").
+//!   artifact's (the serving-level answer to "is f16 good enough?").
 //!
 //! Results are written to `BENCH_store.json`. The committed file is the
 //! small-scale baseline; the CI smoke job regenerates tiny-scale numbers
@@ -86,7 +86,7 @@ fn flat_recall(exact: &FlatIndex, probe: &FlatIndex, queries: &[f32], dim: usize
         let Some(worst) = truth.last() else { continue };
         let cutoff = worst.dist * (1.0 + 1e-5) + 1e-9;
         for n in probe.search(q, K) {
-            let true_d = af_nn::kernel::l2_sq(q, exact.vector(n.id));
+            let true_d = af_nn::kernel::l2_sq(q, &exact.vector_owned(n.id));
             hits += (true_d <= cutoff) as usize;
         }
         total += truth.len();
@@ -306,26 +306,12 @@ mod tests {
         agree as f64 / targets.len() as f64
     }
 
-    /// int8 quantizes *per-cell* rows: every row is one cell's fine
-    /// vector with its own scale and offset, the windows are gathered and
-    /// normalized in f32 after the one dequantization at load, and
-    /// serving stays at full agreement with the exact system. (The name
-    /// is from when a second, fat layout — whole windows as int8 rows,
-    /// one coarse step across heterogeneous cells, ≈0.98 agreement — had
-    /// a tolerance to pin; see `int8_fat_rows_lose_precision_that_per_
-    /// cell_rows_keep` in af-store for why that layout lost precision.)
+    /// An f16 artifact's cell tables are dequantized once at load and
+    /// every window is gathered and normalized in f32 after that; on this
+    /// corpus serving agrees with the exact system on every query.
     #[test]
-    fn int8_fat_agreement_stays_within_the_accepted_tolerance() {
-        assert_eq!(holdout_agreement(Codec::Int8), 1.0, "int8 must stay at full agreement");
-    }
-
-    /// The PQ analog. Per-sheet cell tables at this scale stay below the
-    /// 256-row training threshold, so their blocks remain pending (raw
-    /// f32) and serving must be **exact**; trained-PQ agreement is gated
-    /// by the `store` bench binary's committed floors.
-    #[test]
-    fn pq_agreement_stays_within_the_accepted_tolerance() {
-        assert_eq!(holdout_agreement(Codec::Pq { m: 0 }), 1.0, "pq must stay at full agreement");
+    fn f16_artifact_agrees_with_every_exact_prediction() {
+        assert_eq!(holdout_agreement(Codec::F16), 1.0, "f16 must stay at full agreement");
     }
 
     #[test]
@@ -338,7 +324,7 @@ mod tests {
             recall_queries: 4,
             prediction_queries: 9,
             variants: vec![VariantResult {
-                codec: "int8",
+                codec: "f16",
                 artifact_bytes: 1234,
                 ratio_vs_f32: 0.2,
                 load_ms: 1.5,

@@ -17,10 +17,10 @@
 //!
 //! **Format v2** puts every embedding table behind an `af_store` block
 //! with a per-section codec tag: exact `f32` (the default — bit-identical
-//! round trips, zero-copy adoption), or `f16`/`int8`/PQ quantization
-//! ([`StoreOptions::codec`], smaller files; the ANN vectors serve through
-//! asymmetric distance kernels, the cell tables are dequantized once at
-//! load). The fine branch is stored **once per cell**: each sheet's sorted
+//! round trips, zero-copy adoption), or `f16` ([`StoreOptions::codec`],
+//! a quarter smaller; the ANN vectors serve through an asymmetric
+//! distance kernel, the cell tables are dequantized once at load). The
+//! fine branch is stored **once per cell**: each sheet's sorted
 //! cell references beside one table of their fine vectors, plus the two
 //! constant vectors — exactly what the index holds in memory, so a load
 //! adopts it as it is and every region window is gathered from it at
@@ -39,6 +39,9 @@
 //! no longer has window tables — nor converted exactly: normalization
 //! discarded each window's scale, so the cells cannot be recovered from
 //! the windows. Rebuild the index from the workbooks and save again.
+//! Tables written with the removed int8 and product-quantized codecs
+//! (store tags 3 and 4) load to the same typed error as any unknown tag:
+//! [`StoreError::BadCodec`], bare or inside [`ArtifactError::Index`].
 //!
 //! [`AutoFormula::load`] reads from a byte slice;
 //! [`AutoFormula::load_mmap`] maps the file page-on-demand instead, so
@@ -131,8 +134,8 @@ fn decode_shards(data: &mut Bytes, n_sheets: usize) -> Result<ShardLayout, Artif
 pub struct StoreOptions {
     /// Storage codec for every embedding table (ANN vectors, per-sheet
     /// cell vectors, coarse region vectors). [`Codec::F32`] (the default)
-    /// keeps bit-exact round trips; `F16`/`Int8`/`Pq` shrink the file,
-    /// with recall and agreement measured in `BENCH_store.json`.
+    /// keeps bit-exact round trips; [`Codec::F16`] shrinks the file by a
+    /// quarter, with recall and agreement measured in `BENCH_store.json`.
     pub codec: Codec,
     /// No longer read. It chose between the per-cell layout and a fat
     /// per-window one; the per-cell layout is now the only one, whatever
@@ -290,25 +293,6 @@ fn get_string(data: &mut Bytes, what: &'static str) -> Result<String, ArtifactEr
 /// 0 mod 4 is 0 mod 4 in the final buffer (and in a page-aligned mmap).
 fn put_vec_table<S: StoreSink>(buf: &mut S, table: &VecTable, codec: Codec) {
     af_store::put_store_as(buf, table.store(), codec);
-}
-
-/// Resolve an auto PQ codec (`Codec::Pq { m: 0 }`) against a table's
-/// dimension: when the table is a concatenation of fine cell vectors
-/// (`dim` a multiple of `fine_cell_dim`), place one sub-quantizer per
-/// cell slot so subspace boundaries land exactly on cell boundaries.
-/// Window slots have heterogeneous magnitudes (headers vs. data vs.
-/// empties), and a subspace straddling two slots would spend its 256
-/// centroids on the cross product of both distributions
-/// (ARCHITECTURE.md §5). Only the fine-signature ANN vectors are whole
-/// windows; other tables (coarse embeddings, per-sheet cell vectors) keep
-/// the auto split chosen by the store itself.
-fn table_codec(codec: Codec, dim: usize, fine_cell_dim: usize) -> Codec {
-    match codec {
-        Codec::Pq { m: 0 } if fine_cell_dim > 0 && dim.is_multiple_of(fine_cell_dim) => {
-            Codec::Pq { m: (dim / fine_cell_dim) as u16 }
-        }
-        c => c,
-    }
 }
 
 /// Run a boxed ANN index's `encode_with` (a `BytesMut`-only trait
@@ -509,9 +493,7 @@ fn encode_index<S: StoreSink>(
     match &index.fine_sheets {
         Some(idx) => {
             buf.write_u8(1);
-            // Fine-signature vectors are whole windows: resolve an auto
-            // PQ split onto cell boundaries (see `table_codec`).
-            encode_ann_index(buf, idx.as_ref(), table_codec(codec, idx.dim(), fine_cell_dim));
+            encode_ann_index(buf, idx.as_ref(), codec);
         }
         None => buf.write_u8(0),
     }
@@ -1186,19 +1168,20 @@ mod tests {
 
     #[test]
     fn quantized_artifacts_load_and_serve() {
+        // The default index, and one with both optional structures: its
+        // coarse region vectors and fine signatures are f16 tables that
+        // stay quantized after load, served by all three variants.
         let (af, index, corpus) = small_system();
-        let exact = af.save(&index);
-        for codec in [Codec::F16, Codec::Int8, Codec::Pq { m: 0 }] {
-            let opts = StoreOptions { codec, ..StoreOptions::default() };
-            let bytes = af.save_with(&index, opts).expect("save");
-            // PQ shrinks only tables whose row count clears the training
-            // threshold; per-sheet cell tables at this scale stay pending
-            // as raw f32 + header, so its size win is corpus-dependent —
-            // it is benchmarked properly in BENCH_store.json; the other
-            // codecs shrink everywhere.
-            if codec.tag() != 4 {
-                assert!(bytes.len() < exact.len(), "{opts:?} must shrink the artifact");
-            }
+        let members: Vec<usize> = (0..4).collect();
+        let both = IndexOptions { fine_sheet_signatures: true, coarse_regions: true };
+        let full_index = af.build_index(&corpus.workbooks, &members, both);
+        let variants =
+            [PipelineVariant::Full, PipelineVariant::CoarseOnly, PipelineVariant::FineOnly];
+        for (index, variants) in [(&index, &variants[..1]), (&full_index, &variants[..])] {
+            let exact = af.save(index);
+            let opts = StoreOptions { codec: Codec::F16, ..StoreOptions::default() };
+            let bytes = af.save_with(index, opts).expect("save");
+            assert!(bytes.len() < exact.len(), "{opts:?} must shrink the artifact");
             let (loaded, loaded_index) = AutoFormula::load(&bytes).expect("load");
             assert_eq!(loaded_index.n_sheets(), index.n_sheets());
             assert_eq!(loaded_index.n_regions(), index.n_regions());
@@ -1206,10 +1189,12 @@ mod tests {
             // and the self-query case still finds itself.
             let sheet = &corpus.workbooks[0].sheets[0];
             let (target, _) = sheet.formulas().next().expect("formula cell");
-            let pred = loaded
-                .predict_with(&loaded_index, sheet, target, PipelineVariant::Full)
-                .unwrap_or_else(|| panic!("{opts:?} must serve"));
-            assert!(pred.s2_distance < 1e-2, "{opts:?}: self-region distance");
+            for &variant in variants {
+                let pred = loaded
+                    .predict_with(&loaded_index, sheet, target, variant)
+                    .unwrap_or_else(|| panic!("{variant:?} must serve"));
+                assert!(pred.s2_distance < 1e-2, "{variant:?}: self-region distance");
+            }
         }
     }
 

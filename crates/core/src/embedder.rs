@@ -49,10 +49,10 @@ pub(crate) struct SheetFineCells {
 
 impl SheetFineCells {
     /// `refs` strictly sorted row-major, row `i` of `vecs` the vector of
-    /// `refs[i]`. A quantized table (out of an `f16` / `int8` / PQ
-    /// artifact) is dequantized here, once: every gather afterwards is
-    /// plain `f32` copies, whatever the file codec. An exact table is kept
-    /// as it is — possibly a zero-copy view into the artifact buffer.
+    /// `refs[i]`. A quantized table (out of an `f16` artifact) is
+    /// dequantized here, once: every gather afterwards is plain `f32`
+    /// copies, whatever the file codec. An exact table is kept as it is —
+    /// possibly a zero-copy view into the artifact buffer.
     pub(crate) fn new(refs: Vec<CellRef>, vecs: VecTable) -> SheetFineCells {
         assert_eq!(refs.len(), vecs.rows(), "one vector per stored cell");
         let vecs = match vecs.codec() {
@@ -492,7 +492,9 @@ mod tests {
                 };
                 let f8 = emb.fine.vecs.dim();
                 out.extend_from_slice(match stored {
-                    Some(at) => emb.fine.vecs.row(emb.fine.refs.binary_search(&at).unwrap()),
+                    Some(at) => {
+                        emb.fine.vecs.row_f32(emb.fine.refs.binary_search(&at).unwrap()).unwrap()
+                    }
                     None if r < 0 || c < 0 => &emb.fine_invalid[..f8],
                     None => &emb.fine_empty[..f8],
                 });
@@ -597,7 +599,7 @@ mod tests {
         let origin = (u32::MAX as i64 - 1, u32::MAX as i64 - 1);
         emb.gather().rect(origin, rows, cols, &mut raw);
         assert_eq!(bits(&raw), bits(&naive_rect(&sheet, &emb, origin, rows, cols)));
-        let corner = emb.fine.vecs.row(emb.n_cached_cells() - 1);
+        let corner = emb.fine.vecs.row_f32(emb.n_cached_cells() - 1).unwrap();
         assert_eq!(raw[(cols + 1) * model.cfg.fine_cell_dim..][..corner.len()], *corner);
     }
 

@@ -70,10 +70,9 @@ pub struct SheetMeta {
 /// exact `f32` (owned); loaded from an artifact, exact blocks are
 /// **zero-copy views** into the artifact buffer (possibly an mmap). The
 /// coarse-region table adopts whatever codec the artifact was written
-/// with and serves `f16`/`int8`/PQ rows through the asymmetric distance
-/// kernels; mutation quantizes pushed vectors to the table's codec and
-/// converts views to owned copies first — the write path pays, readers
-/// never do.
+/// with and serves `f16` rows through the asymmetric distance kernel;
+/// mutation quantizes pushed vectors to the table's codec and converts
+/// views to owned copies first — the write path pays, readers never do.
 pub(crate) struct VecTable {
     store: DenseStore,
 }
@@ -125,13 +124,6 @@ impl VecTable {
         }
     }
 
-    /// Row `i` as a borrowed slice — exact (`f32`) tables only. Quantized
-    /// tables have no f32 image in memory; use [`VecTable::row_owned`] or
-    /// the fused [`VecTable::l2_sq`].
-    pub(crate) fn row(&self, i: usize) -> &[f32] {
-        self.store.row_f32(i).expect("row() requires the exact f32 codec")
-    }
-
     /// Row `i` dequantized into a fresh vector (any codec).
     pub(crate) fn row_owned(&self, i: usize) -> Vec<f32> {
         self.store.row_owned(i)
@@ -144,7 +136,7 @@ impl VecTable {
     }
 
     /// Asymmetric squared-L2 distance between the f32 `query` and row `i`
-    /// — on exact tables bit-identical to `l2_sq(query, row(i))`, on
+    /// — on exact tables bit-identical to `l2_sq` of the f32 row, on
     /// quantized tables computed without materializing the row.
     #[inline]
     pub(crate) fn l2_sq(&self, i: usize, query: &[f32]) -> f32 {
@@ -386,8 +378,8 @@ impl ReferenceIndex {
     /// used to silently desync the optional indexes — `fine_sheets`
     /// skipped the add (shifting every later id returned by
     /// [`ReferenceIndex::similar_sheets_fine`]) and `coarse_region_vecs`
-    /// stopped growing while `regions` grew (out-of-bounds panic in
-    /// [`ReferenceIndex::coarse_region_vec`] for new regions).
+    /// stopped growing while `regions` grew (an out-of-bounds panic when
+    /// the coarse-only ablation ranked a new region).
     pub fn add_workbook(
         &mut self,
         embedder: &SheetEmbedder<'_>,
@@ -706,10 +698,6 @@ impl ReferenceIndex {
         }
         distances
     }
-
-    pub fn coarse_region_vec(&self, region_id: usize) -> Option<&[f32]> {
-        self.coarse_region_vecs.as_ref().map(|v| v.row(region_id))
-    }
 }
 
 fn sheet_meta(sheet: &Sheet) -> SheetMeta {
@@ -795,10 +783,26 @@ mod tests {
         );
         let emb = embedder.embed_sheet(&corpus.workbooks[0].sheets[0], true);
         assert!(idx.similar_sheets_fine(emb.fine_topleft.as_ref().unwrap(), 2).is_some());
-        assert!(idx.coarse_region_vec(0).is_some());
+        // Region 0's stored coarse vector is its cell's coarse window.
+        let entry = &idx.regions[0];
+        let key = idx.keys[entry.sheet_idx];
+        let sheet = &corpus.workbooks[key.workbook].sheets[key.sheet];
+        let query = coarse_window(&embedder, sheet, entry.cell);
+        let d = coarse_distances(&idx, entry.sheet_idx, &query);
+        assert_eq!(d.len(), idx.regions_of_sheet(entry.sheet_idx).len());
+        let at = idx.regions_of_sheet(entry.sheet_idx).iter().position(|&r| r == 0).unwrap();
+        assert_eq!(d[at], 0.0);
         let plain =
             ReferenceIndex::build(&embedder, &corpus.workbooks, &members, IndexOptions::default());
-        assert!(plain.coarse_region_vec(0).is_none());
+        assert!(coarse_distances(&plain, entry.sheet_idx, &query).is_empty());
+    }
+
+    /// The coarse-only S2 distances of every region of `sheet_idx` to one
+    /// coarse `query`: one per region when the index stores coarse region
+    /// vectors, none otherwise.
+    fn coarse_distances(idx: &ReferenceIndex, sheet_idx: usize, query: &[f32]) -> Vec<f32> {
+        let mut scratch = StripScratch::default();
+        idx.sheet_region_distances(sheet_idx, &[], Some(&[query]), &mut scratch).to_vec()
     }
 
     #[test]
@@ -933,11 +937,15 @@ mod tests {
                             "{tag} region {rid} param {pi}"
                         );
                     }
-                    assert_eq!(
-                        incremental.coarse_region_vec(rid).is_some(),
-                        opts.coarse_regions,
-                        "{tag} region {rid}"
-                    );
+                }
+                // Coarse region vectors exist exactly when requested and
+                // rank like the full build's.
+                let query = vec![0.5; model.cfg.coarse_dim];
+                for si in 0..full.n_sheets() {
+                    let d = coarse_distances(&incremental, si, &query);
+                    let n = if opts.coarse_regions { full.regions_of_sheet(si).len() } else { 0 };
+                    assert_eq!(d.len(), n, "{tag} sheet {si}");
+                    assert_eq!(d, coarse_distances(&full, si, &query), "{tag} sheet {si}");
                 }
             }
         }
@@ -950,7 +958,8 @@ mod tests {
         // an index *built* with signatures+coarse-regions silently skipped
         // the fine-sheet add — every id returned by `similar_sheets_fine`
         // for later sheets was off by the number of skipped adds — and the
-        // analogous desync made `coarse_region_vec` panic out of bounds.
+        // analogous desync made the coarse-only ranking of a new region
+        // panic out of bounds.
         // Options are now derived from `self`, so the incremental path
         // cannot diverge from the build-time structures.
         let (model, feat, corpus) = setup();
@@ -972,9 +981,9 @@ mod tests {
         // Every region added incrementally must have a coarse region vector
         // (pre-fix shape: `regions` grew while `coarse_region_vecs` could
         // not, panicking here).
-        for &rid in idx.regions_of_sheet(new_sheet_idx) {
-            assert!(idx.coarse_region_vec(rid).is_some());
-        }
+        let query = vec![0.5; model.cfg.coarse_dim];
+        let d = coarse_distances(&idx, new_sheet_idx, &query);
+        assert_eq!(d.len(), idx.regions_of_sheet(new_sheet_idx).len());
     }
 
     #[test]

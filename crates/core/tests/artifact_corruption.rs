@@ -111,9 +111,8 @@ fn bit_flips_never_panic() {
 
 #[test]
 fn truncated_quantized_and_compact_artifacts_never_panic() {
-    // The v2-specific payloads: quantized blocks (f16 images, int8
-    // scale/offset/code runs) and the per-sheet cell tables (cell refs +
-    // stores). Truncation anywhere must error cleanly.
+    // The v2-specific payloads: quantized blocks (f16 images) and the
+    // per-sheet cell tables (cell refs + stores). Truncation anywhere must error cleanly.
     for opts in layout_variants() {
         let artifact = small_artifact_with(opts);
         let mut cuts = interesting_offsets(&artifact);
@@ -176,70 +175,16 @@ fn first_cell_table_at(artifact: &[u8]) -> usize {
 }
 
 #[test]
-fn int8_codec_tag_flip_and_poisoned_scales_are_rejected() {
+fn unknown_codec_tag_flip_is_rejected() {
     let artifact =
-        small_artifact_with(StoreOptions { codec: Codec::Int8, ..StoreOptions::default() });
+        small_artifact_with(StoreOptions { codec: Codec::F16, ..StoreOptions::default() });
     let pos = first_cell_table_at(&artifact);
-    assert_eq!(artifact[pos], 3, "an int8 cell table on the wire");
+    assert_eq!(artifact[pos], 2, "an f16 cell table on the wire");
 
     // Codec tag flipped to an unknown value → clean error.
     let mut bad_tag = artifact.clone();
     bad_tag[pos] = 99;
     assert!(AutoFormula::load(&bad_tag).is_err(), "unknown codec tag must be rejected");
-
-    // Scales begin after tag(1) + dim(4) + rows(8) + pad(1 + n). Poison
-    // the first scale with NaN, Inf, and a negative: all must be rejected
-    // before they can leak into a distance computation.
-    let pad = artifact[pos + 13] as usize;
-    let scales_at = pos + 14 + pad;
-    for poison in [f32::NAN, f32::INFINITY, -1.0f32] {
-        let mut bad = artifact.clone();
-        bad[scales_at..scales_at + 4].copy_from_slice(&poison.to_le_bytes());
-        assert!(
-            AutoFormula::load(&bad).is_err(),
-            "scale {poison} must be rejected at the boundary"
-        );
-    }
-    // The offsets block sits right after the scales; a non-finite offset
-    // is rejected too.
-    let rows = u64::from_be_bytes(artifact[pos + 5..pos + 13].try_into().unwrap()) as usize;
-    let offsets_at = scales_at + rows * 4;
-    let mut bad = artifact.clone();
-    bad[offsets_at..offsets_at + 4].copy_from_slice(&f32::NAN.to_le_bytes());
-    assert!(AutoFormula::load(&bad).is_err(), "NaN offset must be rejected");
-
-    // Sanity: the untouched artifact loads.
-    assert!(AutoFormula::load(&artifact).is_ok());
-}
-
-#[test]
-fn pq_codec_tag_flip_and_bad_headers_are_rejected() {
-    // The PQ block's own header: tag byte 4, big-endian u32 dim, u64
-    // rows, a pad run, then the u16 subspace count and the trained flag.
-    // (Trained-codebook poisoning — non-finite f16 centroids — is covered
-    // at the store layer in `af_store::pq`; tiny artifacts stay below the
-    // training threshold, so the wire here is a pending block.)
-    let artifact =
-        small_artifact_with(StoreOptions { codec: Codec::Pq { m: 0 }, ..StoreOptions::default() });
-    let pos = first_cell_table_at(&artifact);
-    assert_eq!(artifact[pos], 4, "a pq cell table on the wire");
-
-    // Codec tag flipped to an unknown value → clean error.
-    let mut bad_tag = artifact.clone();
-    bad_tag[pos] = 99;
-    assert!(AutoFormula::load(&bad_tag).is_err(), "unknown codec tag must be rejected");
-
-    let pad = artifact[pos + 13] as usize;
-    let m_at = pos + 14 + pad;
-    // Zeroed subspace count → rejected (m must be 1 ..= dim).
-    let mut bad_m = artifact.clone();
-    bad_m[m_at] = 0;
-    bad_m[m_at + 1] = 0;
-    assert!(AutoFormula::load(&bad_m).is_err(), "zero pq subspace count must be rejected");
-    // Out-of-range trained flag → rejected.
-    let mut bad_flag = artifact.clone();
-    bad_flag[m_at + 2] = 7;
-    assert!(AutoFormula::load(&bad_flag).is_err(), "pq trained flag > 1 must be rejected");
 
     // Sanity: the untouched artifact loads.
     assert!(AutoFormula::load(&artifact).is_ok());

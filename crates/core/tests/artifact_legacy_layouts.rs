@@ -3,7 +3,9 @@
 //! Format v1, and the v2/v3 *fat* fine layout (one stored window per
 //! region and parameter), can be neither served — the index holds cells,
 //! not windows — nor converted exactly, so the loader names the problem
-//! instead: no panic, and no partially built index.
+//! instead: no panic, and no partially built index. Tables written with
+//! the removed int8 (tag 3) and product-quantized (tag 4) store codecs
+//! load to the same typed `BadCodec` error as any unknown tag.
 //!
 //! The v1 fixtures under `tests/data/` were generated **once** from the
 //! PR-4 codebase (commit 4a79415, before the v2 writer landed), one per
@@ -13,9 +15,10 @@ use af_core::artifact::SUPPORTED_VERSIONS;
 use af_core::index::IndexOptions;
 use af_core::model::RepresentationModel;
 use af_core::pipeline::AutoFormula;
-use af_core::{ArtifactError, AutoFormulaConfig};
+use af_core::{ArtifactError, AutoFormulaConfig, Codec, StoreOptions};
 use af_corpus::organization::{OrgSpec, Scale};
 use af_embed::{CellFeaturizer, FeatureMask, SbertSim};
+use af_store::StoreError;
 use std::sync::Arc;
 
 #[test]
@@ -60,4 +63,53 @@ fn fat_layout_flag_is_rejected_as_a_removed_layout() {
     // Any other flag value is plain corruption.
     fat[consts - 1] = 2;
     assert!(matches!(AutoFormula::load(&fat), Err(ArtifactError::Invalid(_))));
+}
+
+#[test]
+fn removed_codec_tags_are_rejected_as_bad_codecs() {
+    let corpus = OrgSpec::pge(Scale::Tiny).generate();
+    let featurizer = CellFeaturizer::new(Arc::new(SbertSim::new(16)), FeatureMask::FULL);
+    let cfg = AutoFormulaConfig::test_tiny();
+    let af = AutoFormula::from_model(RepresentationModel::new(featurizer.dim(), cfg), featurizer);
+    let index = af.build_index(&corpus.workbooks, &[0], IndexOptions::default());
+    let opts = StoreOptions { codec: Codec::F16, ..StoreOptions::default() };
+    let artifact = af.save_with(&index, opts).expect("save").to_vec();
+    assert!(AutoFormula::load(&artifact).is_ok());
+
+    // The coarse ANN store: f16 tag 2, dim = coarse_dim, rows = sheets,
+    // right after the flat index's tag (4) and two u64 scan knobs.
+    let mut pat = vec![2u8];
+    pat.extend_from_slice(&(cfg.coarse_dim as u32).to_be_bytes());
+    pat.extend_from_slice(&(index.n_sheets() as u64).to_be_bytes());
+    let coarse = (17..artifact.len() - pat.len())
+        .find(|&at| artifact[at..].starts_with(&pat) && artifact[at - 17] == 4)
+        .expect("coarse ANN store");
+    // The first cell table: past the exact constants store (f32 tag 1,
+    // dim = fine_cell_dim, rows = 2) and the first sheet's cell refs.
+    let f8 = cfg.fine_cell_dim;
+    let mut pat = vec![1u8];
+    pat.extend_from_slice(&(f8 as u32).to_be_bytes());
+    pat.extend_from_slice(&2u64.to_be_bytes());
+    let consts = artifact.windows(pat.len()).position(|w| w == pat).expect("constants store");
+    let sheet = consts + 14 + artifact[consts + 13] as usize + 2 * f8 * 4;
+    let n_cells = u64::from_be_bytes(artifact[sheet..sheet + 8].try_into().unwrap()) as usize;
+    let cells = sheet + 8 + n_cells * 8;
+    assert_eq!((artifact[coarse], artifact[cells]), (2, 2), "f16 stores on the wire");
+
+    for tag in [3u8, 4] {
+        let mut bad = artifact.clone();
+        bad[cells] = tag;
+        assert_eq!(
+            AutoFormula::load(&bad).err(),
+            Some(ArtifactError::Store(StoreError::BadCodec(tag))),
+            "cell table tag {tag}"
+        );
+        let mut bad = artifact.clone();
+        bad[coarse] = tag;
+        assert_eq!(
+            AutoFormula::load(&bad).err(),
+            Some(ArtifactError::Index(af_ann::CodecError::Store(StoreError::BadCodec(tag)))),
+            "coarse ANN tag {tag}"
+        );
+    }
 }

@@ -1833,20 +1833,18 @@ mod tests {
     }
 
     #[test]
-    fn serves_from_a_product_quantized_artifact() {
-        // The PQ codec end to end through serving: a PQ artifact written
-        // with the streaming save loads into a handle, predicts, and
-        // keeps growing. (At tiny scale the tables stay below the PQ
-        // training threshold and serve exactly; trained-PQ recall and
-        // agreement are gated in `af-bench`.)
+    fn serves_from_a_quantized_artifact() {
+        // The f16 codec end to end through serving: an f16 artifact
+        // written with the streaming save is mapped into a handle,
+        // predicts, and keeps growing.
         let (af, corpus) = system_and_corpus();
         let members: Vec<usize> = (0..3).collect();
         let index = af.build_index(&corpus.workbooks, &members, IndexOptions::default());
         let mut path = std::env::temp_dir();
-        path.push(format!("af_serve_pq_{}.afar", std::process::id()));
-        let opts = StoreOptions { codec: af_core::Codec::Pq { m: 0 }, ..StoreOptions::default() };
-        af.save_to_path_with(&index, opts, None, &path).expect("pq save");
-        let handle = ServeHandle::from_artifact_path(&path).expect("pq serve");
+        path.push(format!("af_serve_f16_{}.afar", std::process::id()));
+        let opts = StoreOptions { codec: af_core::Codec::F16, ..StoreOptions::default() };
+        af.save_to_path_with(&index, opts, None, &path).expect("f16 save");
+        let handle = ServeHandle::from_artifact_path(&path).expect("f16 serve");
         assert_eq!(handle.n_sheets(), index.n_sheets());
         let mut predicted = 0usize;
         for (sheet, target) in query_targets(&corpus, 0).into_iter().take(6) {
@@ -1855,7 +1853,7 @@ mod tests {
                 predicted += 1;
             }
         }
-        assert!(predicted > 0, "a pq artifact must serve predictions");
+        assert!(predicted > 0, "an f16 artifact must serve predictions");
         handle.add_workbook(&corpus.workbooks[3]);
         assert!(handle.n_sheets() > index.n_sheets());
         drop(handle);

@@ -1,5 +1,5 @@
 //! Asymmetric distance and dequantization kernels: an **f32 query** against
-//! a **quantized table row**, fused — the row is never materialized as f32.
+//! an **f16 table row**, fused — the row is never materialized as f32.
 //!
 //! These follow the shape of `af_nn::kernel` exactly (the same `LANES`-wide
 //! independent accumulators and the same fixed reduction tree), so a fused
@@ -37,97 +37,12 @@ pub fn l2_sq_f16(query: &[f32], row: &[u16]) -> f32 {
     reduce_lanes(lanes) + tail
 }
 
-/// Squared L2 distance between an f32 query and an int8 row stored as
-/// `offset + scale · code` (per-vector affine scalar quantization).
-#[inline]
-pub fn l2_sq_u8(query: &[f32], codes: &[u8], scale: f32, offset: f32) -> f32 {
-    debug_assert_eq!(query.len(), codes.len());
-    let mut lanes = [0.0f32; LANES];
-    let mut cq = query.chunks_exact(LANES);
-    let mut cc = codes.chunks_exact(LANES);
-    for (xq, xc) in (&mut cq).zip(&mut cc) {
-        for k in 0..LANES {
-            let d = xq[k] - (offset + scale * xc[k] as f32);
-            lanes[k] += d * d;
-        }
-    }
-    let mut tail = 0.0f32;
-    for (q, c) in cq.remainder().iter().zip(cc.remainder()) {
-        let d = q - (offset + scale * *c as f32);
-        tail += d * d;
-    }
-    reduce_lanes(lanes) + tail
-}
-
-/// Fused ADC scan of one PQ code row against a per-query lookup table:
-/// `Σ_j lut[j·256 + codes[j]]`, accumulated in the same `LANES`-wide
-/// structure and reduction tree as every other kernel here. `lut` must
-/// hold exactly `codes.len() · 256` entries (asserted), one block of 256
-/// precomputed sub-distances per subspace.
-///
-/// Bit-identical to [`adc_reference`] with a `sub_dist` that reproduces
-/// the table entries — the table is a memoization, not a reordering.
-#[inline]
-pub fn adc_gather(lut: &[f32], codes: &[u8]) -> f32 {
-    assert_eq!(lut.len(), codes.len() * 256, "ADC table must be m × 256");
-    let mut lanes = [0.0f32; LANES];
-    let mut cc = codes.chunks_exact(LANES);
-    let mut j = 0usize;
-    for ch in &mut cc {
-        for k in 0..LANES {
-            // SAFETY: the entry assert pins `lut.len() == codes.len()·256`;
-            // `j + k < codes.len()` (chunks_exact never runs past the
-            // codes slice) and `ch[k] < 256` (u8), so the index is
-            // `< codes.len()·256 == lut.len()`.
-            lanes[k] += unsafe { *lut.get_unchecked((j + k) * 256 + ch[k] as usize) };
-        }
-        j += LANES;
-    }
-    let mut tail = 0.0f32;
-    for (k, &c) in cc.remainder().iter().enumerate() {
-        tail += lut[(j + k) * 256 + c as usize];
-    }
-    reduce_lanes(lanes) + tail
-}
-
-/// Table-free reference for [`adc_gather`]: accumulate
-/// `Σ_j sub_dist(j, codes[j])` through the identical lane split and
-/// reduction tree. With `sub_dist(j, c)` computing the same value the
-/// table caches at `lut[j·256 + c]`, the two are bit-identical — the
-/// equivalence the PQ tests assert.
-#[inline]
-pub fn adc_reference(codes: &[u8], mut sub_dist: impl FnMut(usize, u8) -> f32) -> f32 {
-    let mut lanes = [0.0f32; LANES];
-    let mut cc = codes.chunks_exact(LANES);
-    let mut j = 0usize;
-    for ch in &mut cc {
-        for k in 0..LANES {
-            lanes[k] += sub_dist(j + k, ch[k]);
-        }
-        j += LANES;
-    }
-    let mut tail = 0.0f32;
-    for (k, &c) in cc.remainder().iter().enumerate() {
-        tail += sub_dist(j + k, c);
-    }
-    reduce_lanes(lanes) + tail
-}
-
 /// Dequantize an f16 row into `out`.
 #[inline]
 pub fn dequant_f16_into(row: &[u16], out: &mut [f32]) {
     debug_assert_eq!(row.len(), out.len());
     for (o, &h) in out.iter_mut().zip(row) {
         *o = f16_to_f32(h);
-    }
-}
-
-/// Dequantize an int8 row (`offset + scale · code`) into `out`.
-#[inline]
-pub fn dequant_u8_into(codes: &[u8], scale: f32, offset: f32, out: &mut [f32]) {
-    debug_assert_eq!(codes.len(), out.len());
-    for (o, &c) in out.iter_mut().zip(codes) {
-        *o = offset + scale * c as f32;
     }
 }
 
@@ -150,50 +65,5 @@ mod tests {
             dequant_f16_into(&row, &mut dq);
             assert_eq!(l2_sq_f16(&q, &row).to_bits(), l2_sq(&q, &dq).to_bits(), "n={n}");
         }
-    }
-
-    #[test]
-    fn u8_distance_is_bit_identical_to_dequant_plus_l2() {
-        for n in [0, 1, 7, 8, 9, 16, 31, 240] {
-            let q = query(n);
-            let codes: Vec<u8> = (0..n).map(|i| (i * 37 % 256) as u8).collect();
-            let (scale, offset) = (0.0123f32, -0.83f32);
-            let mut dq = vec![0.0f32; n];
-            dequant_u8_into(&codes, scale, offset, &mut dq);
-            assert_eq!(
-                l2_sq_u8(&q, &codes, scale, offset).to_bits(),
-                l2_sq(&q, &dq).to_bits(),
-                "n={n}"
-            );
-        }
-    }
-
-    #[test]
-    fn adc_gather_is_bit_identical_to_the_reference() {
-        // Covers full chunks and remainder lanes; the synthetic table is
-        // irregular enough that any lane/order slip changes the bits.
-        for m in [0usize, 1, 7, 8, 9, 16, 31, 40] {
-            let lut: Vec<f32> =
-                (0..m * 256).map(|i| ((i as f32 * 0.017).sin() * 3.0).abs()).collect();
-            let codes: Vec<u8> = (0..m).map(|j| (j * 89 % 256) as u8).collect();
-            let fused = adc_gather(&lut, &codes);
-            let refd = adc_reference(&codes, |j, c| lut[j * 256 + c as usize]);
-            assert_eq!(fused.to_bits(), refd.to_bits(), "m={m}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "ADC table must be m × 256")]
-    fn adc_gather_rejects_a_short_table() {
-        adc_gather(&[0.0; 255], &[0u8]);
-    }
-
-    #[test]
-    fn zero_scale_row_is_constant() {
-        let q = query(9);
-        let codes = vec![200u8; 9];
-        let d = l2_sq_u8(&q, &codes, 0.0, 0.25);
-        let naive: f32 = q.iter().map(|v| (v - 0.25) * (v - 0.25)).sum();
-        assert!((d - naive).abs() < 1e-5);
     }
 }

@@ -1,9 +1,8 @@
-//! Property tests: the quantized codecs' round-trip error against the f32
-//! source must stay inside the analytic bounds for arbitrary vectors —
-//! f16 within half a ulp (≤ 2⁻¹¹ relative in the normal range), int8
-//! within half a quantization level (`(max−min)/510` per vector) — and
-//! the asymmetric distance kernels must agree bit-for-bit with
-//! dequantize-then-`l2_sq` for arbitrary shapes including remainder lanes.
+//! Property tests: the f16 codec's round-trip error against the f32
+//! source must stay inside the analytic bound for arbitrary vectors —
+//! half a ulp (≤ 2⁻¹¹ relative in the normal range) — and the asymmetric
+//! distance kernel must agree bit-for-bit with dequantize-then-`l2_sq`
+//! for arbitrary shapes including remainder lanes.
 
 use af_nn::kernel::{l2_sq, LANES};
 use af_store::{Codec, DenseStore, VectorStore};
@@ -39,39 +38,18 @@ proptest! {
     }
 
     #[test]
-    fn int8_round_trip_error_bound(dim in dims_with_remainders(), seed in 0u64..2000) {
-        let v = vec_of(dim, seed);
-        let (lo, hi) = v.iter().fold((f32::INFINITY, f32::NEG_INFINITY), |(l, h), &x| {
-            (l.min(x), h.max(x))
-        });
-        let mut s = DenseStore::new(dim, Codec::Int8);
-        s.push(&v);
-        let dq = s.row_owned(0);
-        let bound = (hi - lo).max(0.0) / 510.0 + 1e-5;
-        for (a, b) in v.iter().zip(&dq) {
-            prop_assert!((a - b).abs() <= bound, "{a} vs {b} (bound {bound})");
-        }
-    }
-
-    #[test]
     fn asymmetric_distance_equals_dequant_distance(
         dim in dims_with_remainders(),
         seed in 0u64..500,
     ) {
         let q = vec_of(dim, seed ^ 0xABCD);
-        for codec in [Codec::F16, Codec::Int8] {
-            let mut s = DenseStore::new(dim, codec);
-            for r in 0..3u64 {
-                s.push(&vec_of(dim, seed.wrapping_add(r)));
-            }
-            for i in 0..3 {
-                let dq = s.row_owned(i);
-                prop_assert_eq!(
-                    s.l2_sq_row(&q, i).to_bits(),
-                    l2_sq(&q, &dq).to_bits(),
-                    "{:?} row {}", codec, i
-                );
-            }
+        let mut s = DenseStore::new(dim, Codec::F16);
+        for r in 0..3u64 {
+            s.push(&vec_of(dim, seed.wrapping_add(r)));
+        }
+        for i in 0..3 {
+            let dq = s.row_owned(i);
+            prop_assert_eq!(s.l2_sq_row(&q, i).to_bits(), l2_sq(&q, &dq).to_bits(), "row {}", i);
         }
     }
 
@@ -85,54 +63,10 @@ proptest! {
         let q = vec_of(dim, seed ^ 0x5EED);
         let v = vec_of(dim, seed);
         let exact = l2_sq(&q, &v);
-        for (codec, tol) in [(Codec::F16, 1e-2f32), (Codec::Int8, 3e-1f32)] {
-            let mut s = DenseStore::new(dim, codec);
-            s.push(&v);
-            let approx = s.l2_sq_row(&q, 0);
-            prop_assert!(
-                (approx - exact).abs() <= tol * (1.0 + exact),
-                "{:?}: {} vs {}", codec, approx, exact
-            );
-        }
-    }
-
-    #[test]
-    fn pq_round_trip_error_stays_inside_the_subspace_spread(
-        dim in 2usize..40,
-        m in 0usize..6,
-        rows in 8usize..40,
-        seed in 0u64..300,
-    ) {
-        // A trained PQ row decodes to per-subspace centroids: each decoded
-        // component must stay within the data's per-component spread (a
-        // centroid is a mean of training sub-rows or an exact sample, and
-        // the f16 rounding adds at most half a ulp). Also: the fused ADC
-        // scan matches the table-free definition bit for bit on arbitrary
-        // shapes.
-        let mut flat = Vec::with_capacity(rows * dim);
-        for r in 0..rows as u64 {
-            flat.extend(vec_of(dim, seed.wrapping_add(r)));
-        }
-        let s = af_store::PqStore::trained_from_rows(dim, m, &flat);
-        let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
-        for &x in &flat {
-            lo = lo.min(x);
-            hi = hi.max(x);
-        }
-        let slack = (hi - lo).abs() * 4.9e-4 + 1e-6; // f16 rounding of a mean
-        for i in 0..s.rows() {
-            for b in s.row_owned(i) {
-                prop_assert!(
-                    b >= lo - slack && b <= hi + slack,
-                    "decoded {} outside [{}, {}]", b, lo, hi
-                );
-            }
-        }
-        let q = vec_of(dim, seed ^ 0xF00D);
-        let table = s.adc_table(&q).unwrap();
-        for i in 0..s.rows() {
-            prop_assert_eq!(s.l2_sq_adc(&table, i).to_bits(), s.l2_sq_row(&q, i).to_bits());
-        }
+        let mut s = DenseStore::new(dim, Codec::F16);
+        s.push(&v);
+        let approx = s.l2_sq_row(&q, 0);
+        prop_assert!((approx - exact).abs() <= 1e-2 * (1.0 + exact), "{} vs {}", approx, exact);
     }
 
     #[test]
