@@ -67,16 +67,16 @@ fn main() {
             &["config", "read p99 (ms)", "add p99 (ms)", "mixed p99 (ms)"],
             &[
                 vec![
-                    "single index, no deltas".into(),
+                    "no deltas".into(),
                     format!("{:.3}", r.mixed_baseline.read_p99_ms),
                     format!("{:.3}", r.mixed_baseline.add_p99_ms),
                     format!("{:.3}", r.mixed_baseline.mixed_p99_ms),
                 ],
                 vec![
-                    format!("{} shards + deltas", r.mixed_shards),
-                    format!("{:.3}", r.mixed_sharded.read_p99_ms),
-                    format!("{:.3}", r.mixed_sharded.add_p99_ms),
-                    format!("{:.3}", r.mixed_sharded.mixed_p99_ms),
+                    "deltas".into(),
+                    format!("{:.3}", r.mixed_deltas.read_p99_ms),
+                    format!("{:.3}", r.mixed_deltas.add_p99_ms),
+                    format!("{:.3}", r.mixed_deltas.mixed_p99_ms),
                 ],
                 vec![
                     "p99 speedup".into(),

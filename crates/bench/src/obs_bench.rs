@@ -6,7 +6,7 @@
 //! ([`af_obs::set_enabled`]): the same obs-enabled binary runs the mixed
 //! add-while-query workload with recording disabled (cheap branch per
 //! site) and enabled (full span + histogram work) — order-balanced
-//! off/on pairs, each run on a fresh warmed-up sharded handle, with the
+//! off/on pairs, each run on a fresh warmed-up handle, with the
 //! raw per-operation latencies pooled per configuration (three pairs
 //! minimum, up to five while the pooled p99s disagree). The enabled
 //! pooled mixed p99 must stay within 5% (plus a 0.5 ms absolute
@@ -23,7 +23,7 @@
 //! `serve::compact` samples, not an empty site.
 
 use crate::serve_bench::{
-    mixed_load, mixed_load_samples, mixed_report, MixedLoadReport, ServeBenchRun, MIXED_SHARDS,
+    mixed_load, mixed_load_samples, mixed_report, MixedLoadReport, ServeBenchRun,
 };
 use af_core::pipeline::AutoFormula;
 use af_serve::ServeHandle;
@@ -67,7 +67,7 @@ fn within_budget(off_ms: f64, on_ms: f64) -> bool {
 /// at the add tail (the ~12 slowest publishes per run), an order
 /// statistic whose intrinsic run-to-run swing exceeds the 5% budget
 /// even pooled; the read p99 is a ~1000-sample statistic over the most
-/// heavily instrumented path (S1/S2/S3 spans, per-shard scan, histogram
+/// heavily instrumented path (S1/S2/S3 spans, per-segment scan, histogram
 /// records on every op), so a real instrumentation regression cannot
 /// hide from it. A lucky add tail can't pass a broken build; an unlucky
 /// one can't fail a good build.
@@ -77,11 +77,10 @@ fn gate_passes(off: &MixedLoadReport, on: &MixedLoadReport) -> bool {
 }
 
 /// Build the probe handle: the artifact `measure_full()` saved, served
-/// over `MIXED_SHARDS` shards with the given delta capacity.
+/// with the given delta capacity.
 fn probe_handle(run: &ServeBenchRun, delta_max_sheets: usize) -> ServeHandle {
     let (mut af, index) =
         AutoFormula::load_bytes_artifact(run.artifact.clone()).expect("artifact loads");
-    af.model.cfg.n_shards = MIXED_SHARDS;
     af.model.cfg.delta_max_sheets = delta_max_sheets;
     ServeHandle::new(af, index)
 }
@@ -95,7 +94,7 @@ pub fn measure(run: &ServeBenchRun) -> ObsBenchReport {
     // artifact state and no background compaction can land on either
     // side of the comparison. The mixed tail on a compacting handle is
     // fold-collision luck with ~2× run-to-run swing, which swamps any
-    // instrumentation signal. (`0` would disable deltas — O(shard)
+    // instrumentation signal. (`0` would disable deltas — O(corpus)
     // synchronous adds — which is the wrong workload entirely.)
     //
     // Off/on pairs with the order alternating between them, pooling the

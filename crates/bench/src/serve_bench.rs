@@ -53,9 +53,6 @@ const MIXED_OPS_PER_THREAD: usize = 75;
 /// pooled p99 sits in the write tail — the latency an operation actually
 /// sees when it lands behind an ingest.
 const MIXED_ADD_EVERY: usize = 25;
-/// Shard count for the sharded side of the mixed probe (also the shard
-/// count the obs probe serves with).
-pub(crate) const MIXED_SHARDS: usize = 4;
 
 /// One measured serving configuration.
 #[derive(Debug, Clone)]
@@ -80,17 +77,15 @@ pub struct ServeBenchReport {
     pub concurrent_queries_per_sec: f64,
     /// Micro-batched `predict_batch` throughput (one embed pass per burst).
     pub batch_queries_per_sec: f64,
-    /// Sustained add-while-query probe, single index (`n_shards = 1`,
-    /// delta segments disabled — every write clones the whole index).
+    /// Sustained add-while-query probe with delta segments disabled —
+    /// every write clones the whole index.
     pub mixed_baseline: MixedLoadReport,
-    /// Same probe, sharded with delta segments (`n_shards = MIXED_SHARDS`,
-    /// writes clone only the owning shard's delta).
-    pub mixed_sharded: MixedLoadReport,
-    /// Shard count used for `mixed_sharded`.
-    pub mixed_shards: usize,
-    /// `mixed_baseline.mixed_p99_ms / mixed_sharded.mixed_p99_ms` — how
-    /// much the sharded delta write path improves tail latency under
-    /// mixed read/write load.
+    /// Same probe with delta segments (the default config): writes clone
+    /// only the delta.
+    pub mixed_deltas: MixedLoadReport,
+    /// `mixed_baseline.mixed_p99_ms / mixed_deltas.mixed_p99_ms` — how
+    /// much the delta write path improves tail latency under mixed
+    /// read/write load.
     pub mixed_p99_speedup: f64,
     /// Degraded-mode probe (`--features failpoints` builds only).
     pub chaos: Option<ChaosReport>,
@@ -98,20 +93,20 @@ pub struct ServeBenchReport {
 
 /// Numbers from the fault-injecting closed loop: queries served while
 /// probabilistic faults (scan panics, rank errors, compaction failures)
-/// race concurrent writes, then again after faults clear and shards
-/// recover.
+/// race concurrent writes, then again after faults clear and the index
+/// recovers.
 #[derive(Debug, Clone)]
 pub struct ChaosReport {
     /// Queries issued under fault injection. Every one returned an
     /// outcome — the loop would have panicked otherwise.
     pub ops: usize,
-    /// Outcomes flagged degraded (shard skipped, candidate dropped, or
+    /// Outcomes flagged degraded (index skipped, candidate dropped, or
     /// deadline cut).
     pub degraded: usize,
     /// Outcomes whose per-query deadline expired.
     pub deadline_exceeded: usize,
-    /// Shards quarantined when the storm ended (before recovery).
-    pub quarantined_at_end: usize,
+    /// The index was quarantined when the storm ended (before recovery).
+    pub quarantined_at_end: bool,
     /// Compactor supervision incidents during the storm.
     pub compactor_restarts: u64,
     /// Writes that fell back to inline compaction during the storm.
@@ -120,7 +115,7 @@ pub struct ChaosReport {
     pub healthy_p99_ms: f64,
     /// Query p99 while faults were firing (degraded answers included).
     pub faulted_p99_ms: f64,
-    /// Query p99 after `clear` + `recover_shard` — the recovery check.
+    /// Query p99 after `clear` + `recover` — the recovery check.
     pub recovered_p99_ms: f64,
 }
 
@@ -217,9 +212,9 @@ pub(crate) fn mixed_report(mut read_ms: Vec<f64>, mut add_ms: Vec<f64>) -> Mixed
 }
 
 /// The fault-injecting closed loop (only built with `failpoints`): serve
-/// a sharded handle with small deltas, arm probabilistic faults, run a
+/// a handle with small deltas, arm probabilistic faults, run a
 /// multi-threaded read loop against concurrent writes, then clear the
-/// faults, recover every shard, and re-measure.
+/// faults, recover the index, and re-measure.
 #[cfg(feature = "failpoints")]
 fn chaos_probe(
     artifact: &bytes::Bytes,
@@ -230,7 +225,6 @@ fn chaos_probe(
     let holdout = org.workbooks.len() - 1;
     let (mut af, index) =
         AutoFormula::load_bytes_artifact(artifact.clone()).expect("artifact loads");
-    af.model.cfg.n_shards = MIXED_SHARDS;
     af.model.cfg.delta_max_sheets = 2;
     let handle = ServeHandle::new(af, index);
 
@@ -301,13 +295,11 @@ fn chaos_probe(
         }
     });
     faulted.sort_by(|a, b| a.total_cmp(b));
-    let quarantined_at_end = handle.quarantined().len();
+    let quarantined_at_end = handle.quarantined_since().is_some();
 
     failpoint::clear_all();
     std::panic::set_hook(hook);
-    for shard in 0..handle.n_shards() {
-        handle.recover_shard(shard);
-    }
+    handle.recover();
     let recovered = run_queries("recovered");
     let stats_after = handle.stats();
 
@@ -464,24 +456,21 @@ pub fn measure_full() -> ServeBenchRun {
     let batch_seconds = t.elapsed().as_secs_f64();
 
     // Sustained add-while-query: the same artifact served two ways. The
-    // baseline is the pre-shard architecture (one index, every write
-    // clones all of it); the contender shards the index and absorbs
-    // writes into per-shard delta segments.
+    // baseline disables delta segments (every write clones the whole
+    // index); the contender absorbs writes into the delta.
     let (mut base_af, base_index) =
         AutoFormula::load_bytes_artifact(artifact.clone()).expect("artifact loads");
-    base_af.model.cfg.n_shards = 1;
     base_af.model.cfg.delta_max_sheets = 0;
     let baseline_handle = ServeHandle::new(base_af, base_index);
     let mixed_baseline = mixed_load(&baseline_handle, &org, &targets);
     drop(baseline_handle);
 
-    let (mut shard_af, shard_index) =
+    let (delta_af, delta_index) =
         AutoFormula::load_bytes_artifact(artifact.clone()).expect("artifact loads");
-    shard_af.model.cfg.n_shards = MIXED_SHARDS;
-    let sharded_handle = ServeHandle::new(shard_af, shard_index);
-    let mixed_sharded = mixed_load(&sharded_handle, &org, &targets);
-    drop(sharded_handle);
-    let mixed_p99_speedup = mixed_baseline.mixed_p99_ms / mixed_sharded.mixed_p99_ms.max(1e-9);
+    let delta_handle = ServeHandle::new(delta_af, delta_index);
+    let mixed_deltas = mixed_load(&delta_handle, &org, &targets);
+    drop(delta_handle);
+    let mixed_p99_speedup = mixed_baseline.mixed_p99_ms / mixed_deltas.mixed_p99_ms.max(1e-9);
 
     // Degraded-mode probe — a no-op `None` unless built with `failpoints`.
     let chaos = chaos_probe(&artifact, &org, &targets);
@@ -504,8 +493,7 @@ pub fn measure_full() -> ServeBenchRun {
         concurrent_queries_per_sec: concurrent_queries as f64 / concurrent_seconds.max(1e-9),
         batch_queries_per_sec: batch_queries.len() as f64 / batch_seconds.max(1e-9),
         mixed_baseline,
-        mixed_sharded,
-        mixed_shards: MIXED_SHARDS,
+        mixed_deltas,
         mixed_p99_speedup,
         chaos,
     };
@@ -585,9 +573,8 @@ pub fn to_json(r: &ServeBenchReport) -> String {
             "  \"mixed_threads\": {},\n",
             "  \"mixed_ops_per_thread\": {},\n",
             "  \"mixed_add_every\": {},\n",
-            "  \"mixed_shards\": {},\n",
             "  \"mixed_baseline\": {},\n",
-            "  \"mixed_sharded\": {},\n",
+            "  \"mixed_deltas\": {},\n",
             "  \"mixed_p99_speedup\": {:.2},\n",
             "  \"chaos\": {}\n",
             "}}\n"
@@ -611,9 +598,8 @@ pub fn to_json(r: &ServeBenchReport) -> String {
         MIXED_THREADS,
         MIXED_OPS_PER_THREAD,
         MIXED_ADD_EVERY,
-        r.mixed_shards,
         mixed_json(&r.mixed_baseline),
-        mixed_json(&r.mixed_sharded),
+        mixed_json(&r.mixed_deltas),
         r.mixed_p99_speedup,
         chaos_json(&r.chaos),
     )
@@ -681,7 +667,7 @@ mod tests {
                 reads: 100,
                 adds: 12,
             },
-            mixed_sharded: MixedLoadReport {
+            mixed_deltas: MixedLoadReport {
                 read_p50_ms: 1.0,
                 read_p99_ms: 3.0,
                 add_p50_ms: 5.0,
@@ -690,7 +676,6 @@ mod tests {
                 reads: 120,
                 adds: 12,
             },
-            mixed_shards: 4,
             mixed_p99_speedup: 5.0,
             chaos: None,
         };
@@ -698,7 +683,7 @@ mod tests {
         assert!(json.contains("\"artifact_bytes\": 1234"));
         assert!(json.contains("\"load_speedup\": 20.0"));
         assert!(json.contains("\"mixed_p99_speedup\": 5.00"));
-        assert!(json.contains("\"mixed_shards\": 4"));
+        assert!(json.contains("\"mixed_deltas\": {"));
         assert!(json.contains("\"chaos\": null"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
 
@@ -707,7 +692,7 @@ mod tests {
                 ops: 640,
                 degraded: 37,
                 deadline_exceeded: 4,
-                quarantined_at_end: 1,
+                quarantined_at_end: true,
                 compactor_restarts: 6,
                 inline_compactions: 2,
                 healthy_p99_ms: 2.0,
@@ -718,6 +703,7 @@ mod tests {
         };
         let json = to_json(&with_chaos);
         assert!(json.contains("\"degraded\": 37"));
+        assert!(json.contains("\"quarantined_at_end\": true"));
         assert!(json.contains("\"compactor_restarts\": 6"));
         assert!(json.contains("\"recovered_p99_ms\": 2.100"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());

@@ -8,7 +8,7 @@
 //! | `FEATURIZER` | 2 | embedder name, dim, feature mask, trained vocabulary |
 //! | `MODEL` | 3 | representation-model weights (`af_nn` snapshot blocks) |
 //! | `INDEX` | 4 | the full [`ReferenceIndex`]: keys, sheet metadata, region provenance (formula, cell, parameter cells), every sheet's per-cell fine vectors, and the ANN structures of whichever backend built them (flat vectors / HNSW graph / IVF lists + centroids) |
-//! | `SHARDS` | 5 | *(v3, optional)* the serving shard layout: router tag + shard count + per-sheet shard assignment ([`ShardLayout`]) |
+//! | `SHARDS` | 5 | *(v3, legacy)* a per-sheet shard assignment that sharded servers of earlier versions wrote; never read |
 //!
 //! Layout: magic `AFAR`, version, a section table (id, offset, length —
 //! offsets relative to the payload that follows the table), then the
@@ -24,13 +24,14 @@
 //! cell references beside one table of their fine vectors, plus the two
 //! constant vectors — exactly what the index holds in memory, so a load
 //! adopts it as it is and every region window is gathered from it at
-//! query time. **Format v3** extends the CONFIG section with the
-//! serving-shard knobs (`n_shards`, `delta_max_sheets`; v2 artifacts
-//! decode with the defaults) and adds the optional `SHARDS` section: a
-//! sharded server saves its merged global-order index plus the per-sheet
-//! shard assignment, so a reload re-splits into exactly the shards that
-//! were serving — not merely an equivalent partition.
-//! [`AutoFormula::save`] writes v3.
+//! query time. **Format v3** extends the CONFIG section with two serving
+//! knobs (`n_shards`, `delta_max_sheets`; v2 artifacts decode with the
+//! defaults). `n_shards` is still written and validated but nothing reads
+//! it: serving keeps one partition. Sharded servers of earlier versions
+//! also wrote a `SHARDS` section beside their index, which they had
+//! already merged back into global sheet order. The loader never asks
+//! for that section, so such an artifact loads as one partition in its
+//! saved order. [`AutoFormula::save`] writes v3.
 //!
 //! **Removed layouts.** Format v1 and the v2/v3 *fat* fine layout (flag
 //! byte 0: one normalized window per region and per parameter instead of
@@ -63,6 +64,7 @@ use af_grid::{CellRef, ViewWindow};
 use af_nn::serialize::SnapshotError;
 use af_store::{Codec, StoreError, StoreSink, VectorStore};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use std::convert::Infallible;
 use std::fmt;
 use std::path::Path;
 
@@ -75,59 +77,8 @@ const SEC_CONFIG: u16 = 1;
 const SEC_FEATURIZER: u16 = 2;
 const SEC_MODEL: u16 = 3;
 const SEC_INDEX: u16 = 4;
-const SEC_SHARDS: u16 = 5;
-
-/// Router tag inside the SHARDS section: deterministic hash of the sheet's
-/// provenance key, modulo the shard count (the only router so far).
-const ROUTER_HASH_BY_SHEET: u8 = 0;
-
-/// The serving shard layout a v3 artifact can carry (`SHARDS` section):
-/// how many shards were serving and which shard owned each sheet, in the
-/// merged index's global sheet order. `af-serve` persists this on
-/// `to_artifact` so a reload reproduces the exact partition — sheets added
-/// at runtime were routed by hashing, and re-hashing on load with a
-/// *different* `n_shards` would still work, but round-tripping the
-/// assignment keeps the layout stable across config edits.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardLayout {
-    /// Number of serving shards (≥ 1).
-    pub n_shards: usize,
-    /// Shard that owns each sheet, indexed by global sheet id.
-    pub assignment: Vec<u32>,
-}
-
-fn encode_shards<S: StoreSink>(buf: &mut S, layout: &ShardLayout) {
-    buf.write_u8(ROUTER_HASH_BY_SHEET);
-    buf.write_u32(layout.n_shards as u32);
-    buf.write_u64(layout.assignment.len() as u64);
-    for &s in &layout.assignment {
-        buf.write_u32(s);
-    }
-}
-
-fn decode_shards(data: &mut Bytes, n_sheets: usize) -> Result<ShardLayout, ArtifactError> {
-    const W: &str = "shard layout";
-    if get_u8(data, W)? != ROUTER_HASH_BY_SHEET {
-        return Err(ArtifactError::Invalid("unknown shard router tag"));
-    }
-    let n_shards = get_u32(data, W)? as usize;
-    if n_shards == 0 {
-        return Err(ArtifactError::Invalid("shard count must be positive"));
-    }
-    let n = get_count(data, 4, W)?;
-    if n != n_sheets {
-        return Err(ArtifactError::Invalid("shard assignment length disagrees with sheet count"));
-    }
-    let mut assignment = Vec::with_capacity(n);
-    for _ in 0..n {
-        let s = get_u32(data, W)?;
-        if s as usize >= n_shards {
-            return Err(ArtifactError::Invalid("shard assignment out of range"));
-        }
-        assignment.push(s);
-    }
-    Ok(ShardLayout { n_shards, assignment })
-}
+/// Sections every save writes: CONFIG, FEATURIZER, MODEL and INDEX.
+const N_SECTIONS: usize = 4;
 
 /// How [`AutoFormula::save_with`] encodes the embedding tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -381,9 +332,9 @@ fn encode_config<S: StoreSink>(buf: &mut S, cfg: &AutoFormulaConfig, feat_dim: u
             buf.write_u64(p.seed);
         }
     }
-    // v3 tail: serving-shard knobs. Older readers never reach these bytes
-    // (they reject version 3 up front); older *artifacts* decode with the
-    // defaults below.
+    // v3 tail: serving knobs. Older readers never reach these bytes (they
+    // reject version 3 up front); older *artifacts* decode with the
+    // defaults below. `n_shards` is written and validated, never served.
     buf.write_u64(cfg.n_shards as u64);
     buf.write_u64(cfg.delta_max_sheets as u64);
 }
@@ -535,7 +486,9 @@ fn encode_index<S: StoreSink>(
         }
         None => buf.write_u8(0),
     }
-    buf.write_f64(index.build_seconds);
+    // Reserved, always zero: anything time- or run-dependent here would
+    // make two builds from the same inputs save different bytes.
+    buf.write_f64(0.0);
 }
 
 fn decode_index(
@@ -643,7 +596,7 @@ fn decode_index(
         1 => Some(get_vec_table(data, cfg.coarse_dim, n_regions, "coarse region vecs")?),
         _ => return Err(ArtifactError::Invalid("coarse region flag must be 0 or 1")),
     };
-    let build_seconds = get_f64(data, "build seconds")?;
+    let _reserved = get_f64(data, "reserved")?;
 
     Ok(ReferenceIndex {
         keys,
@@ -657,7 +610,6 @@ fn decode_index(
         window: cfg.window,
         coarse_region_vecs,
         regions_by_sheet,
-        build_seconds,
     })
 }
 
@@ -762,39 +714,20 @@ impl AutoFormula {
     /// into one self-contained artifact (format v3, exact `f32`:
     /// bit-identical round trips).
     pub fn save(&self, index: &ReferenceIndex) -> Bytes {
-        self.save_with(index, StoreOptions::default()).expect("an unsharded save cannot fail")
+        self.save_with(index, StoreOptions::default()).expect("an in-memory save cannot fail")
     }
 
     /// [`AutoFormula::save`] with an explicit [`StoreOptions::codec`]
     /// (quantized tables, smaller files; recall and agreement measured in
-    /// `BENCH_store.json`).
+    /// `BENCH_store.json`). Never fails today; the `Result` is kept for
+    /// callers written against it.
     pub fn save_with(
         &self,
         index: &ReferenceIndex,
         opts: StoreOptions,
     ) -> Result<Bytes, ArtifactError> {
-        self.save_sharded(index, opts, None)
-    }
-
-    /// [`AutoFormula::save_with`] plus an optional serving [`ShardLayout`]
-    /// persisted in the `SHARDS` section. `index` must be the *merged*
-    /// index in global sheet order (what `af-serve` reconstitutes before
-    /// saving); the layout records which shard owned each of its sheets.
-    pub fn save_sharded(
-        &self,
-        index: &ReferenceIndex,
-        opts: StoreOptions,
-        layout: Option<&ShardLayout>,
-    ) -> Result<Bytes, ArtifactError> {
-        if let Some(layout) = layout {
-            if layout.assignment.len() != index.keys.len() {
-                return Err(ArtifactError::Invalid(
-                    "shard assignment length disagrees with sheet count",
-                ));
-            }
-        }
         let _save = af_obs::span!("artifact::save");
-        let mut sections: Vec<(u16, BytesMut)> = vec![
+        let mut sections: [(u16, BytesMut); N_SECTIONS] = [
             (SEC_CONFIG, {
                 let mut b = BytesMut::new();
                 encode_config(&mut b, self.cfg(), self.model.feat_dim);
@@ -816,11 +749,6 @@ impl AutoFormula {
                 b
             }),
         ];
-        if let Some(layout) = layout {
-            let mut b = BytesMut::new();
-            encode_shards(&mut b, layout);
-            sections.push((SEC_SHARDS, b));
-        }
         // Pad every section body to a multiple of 4 so section offsets stay
         // 4-byte aligned in the final buffer (the embedding-table blocks
         // inside INDEX rely on it for their zero-copy views; decoders of
@@ -867,10 +795,12 @@ impl AutoFormula {
         self.save_to_path_with(index, StoreOptions::default(), None, path)
     }
 
-    /// [`AutoFormula::save_to_path`] with explicit storage options and an
-    /// optional serving shard layout (see [`AutoFormula::save_sharded`]).
+    /// [`AutoFormula::save_to_path`] with explicit storage options.
+    /// `no_layout` can only be `None`: the parameter once carried a
+    /// serving shard layout and stays for the benchmark's call sites,
+    /// until the benchmark next changes.
     ///
-    /// Unlike [`AutoFormula::save_sharded`], which concatenates every
+    /// Unlike [`AutoFormula::save_with`], which concatenates every
     /// section in memory, this **streams** each section straight into the
     /// temp file through a [`StoreSink`]: peak save memory stays bounded
     /// by the largest staged block (the section table and the ANN
@@ -883,15 +813,11 @@ impl AutoFormula {
         &self,
         index: &ReferenceIndex,
         opts: StoreOptions,
-        layout: Option<&ShardLayout>,
+        no_layout: Option<Infallible>,
         path: &Path,
     ) -> Result<(), ArtifactError> {
-        if let Some(layout) = layout {
-            if layout.assignment.len() != index.keys.len() {
-                return Err(ArtifactError::Invalid(
-                    "shard assignment length disagrees with sheet count",
-                ));
-            }
+        if let Some(never) = no_layout {
+            match never {}
         }
         let _save = af_obs::span!("artifact::save");
         let io_err = |e: std::io::Error| ArtifactError::Io(e.to_string());
@@ -900,26 +826,25 @@ impl AutoFormula {
         let tmp = dir.join(format!(".{name}.tmp.{}", std::process::id()));
         // Any failure from here on removes the temporary before returning.
         let stream = |tmp: &Path| -> Result<(), ArtifactError> {
-            let n_sections = 4 + usize::from(layout.is_some());
-            let header = 12 + n_sections * 18;
+            let header = 12 + N_SECTIONS * 18;
             let table_pad = (4 - header % 4) % 4;
             let mut sink = FileSink::create(tmp).map_err(io_err)?;
             sink.write_u32(MAGIC);
             sink.write_u16(VERSION);
             sink.write_u16(0); // flags, reserved
-            sink.write_u32(n_sections as u32);
+            sink.write_u32(N_SECTIONS as u32);
             // Zeroed placeholder for the section table (+ alignment pad):
             // offsets and lengths are known only after streaming, so
             // `finish` seeks back and writes the real entries before the
             // fsync + rename publishes the file.
-            sink.write_bytes(&vec![0u8; n_sections * 18 + table_pad]);
+            sink.write_bytes(&vec![0u8; N_SECTIONS * 18 + table_pad]);
             let payload_base = sink.written();
             debug_assert_eq!(payload_base % 4, 0);
-            let mut table: Vec<(u16, u64, u64)> = Vec::with_capacity(n_sections);
+            let mut table: Vec<(u16, u64, u64)> = Vec::with_capacity(N_SECTIONS);
             // Pad the body to a multiple of 4 (the next section and the
             // embedding-table blocks inside it rely on the alignment) and
             // record the entry; lengths include the pad, like
-            // `save_sharded`.
+            // `save_with`.
             let mut seal = |sink: &mut FileSink, id: u16, start: usize| {
                 while !sink.written().is_multiple_of(4) {
                     sink.write_u8(0);
@@ -941,11 +866,6 @@ impl AutoFormula {
             start = sink.written();
             encode_index(&mut sink, index, opts.codec, self.cfg().fine_cell_dim);
             seal(&mut sink, SEC_INDEX, start);
-            if let Some(layout) = layout {
-                start = sink.written();
-                encode_shards(&mut sink, layout);
-                seal(&mut sink, SEC_SHARDS, start);
-            }
             sink.finish(&table).map_err(io_err)
         };
         match stream(&tmp) {
@@ -980,31 +900,14 @@ impl AutoFormula {
         AutoFormula::load_bytes_artifact(bytes)
     }
 
-    /// [`AutoFormula::load_mmap`] that also surfaces the serving
-    /// [`ShardLayout`] when the artifact carries one (v3 `SHARDS`
-    /// section); `None` for unsharded or pre-v3 artifacts.
-    pub fn load_mmap_sharded(
-        path: &Path,
-    ) -> Result<(AutoFormula, ReferenceIndex, Option<ShardLayout>), ArtifactError> {
-        let bytes = af_store::map_file(path).map_err(|e| ArtifactError::Io(e.to_string()))?;
-        AutoFormula::load_bytes_sharded(bytes)
-    }
-
     /// [`AutoFormula::load`] without the input copy: pass an owned
     /// [`Bytes`] (e.g. `Bytes::from(std::fs::read(path)?)` or an mmap via
     /// `af_store::map_file`) and sections are sliced out of it zero-copy.
+    /// Sections the loader does not ask for — a legacy `SHARDS` section
+    /// among them — are skipped.
     pub fn load_bytes_artifact(
         data: Bytes,
     ) -> Result<(AutoFormula, ReferenceIndex), ArtifactError> {
-        AutoFormula::load_bytes_sharded(data).map(|(af, index, _)| (af, index))
-    }
-
-    /// [`AutoFormula::load_bytes_artifact`] that also surfaces the serving
-    /// [`ShardLayout`] when the artifact carries one (v3 `SHARDS`
-    /// section); `None` for unsharded or pre-v3 artifacts.
-    pub fn load_bytes_sharded(
-        data: Bytes,
-    ) -> Result<(AutoFormula, ReferenceIndex, Option<ShardLayout>), ArtifactError> {
         crate::fail_point!("core::artifact_load", |e: crate::failpoint::Injected| Err(
             ArtifactError::Io(e.to_string())
         ));
@@ -1072,12 +975,7 @@ impl AutoFormula {
         let load_index = af_obs::span!("artifact::load_index");
         let index = decode_index(&mut index_bytes, &cfg)?;
         load_index.end();
-        let layout = if table.iter().any(|&(id, _, _)| id == SEC_SHARDS) {
-            Some(decode_shards(&mut section(SEC_SHARDS, "SHARDS")?, index.keys.len())?)
-        } else {
-            None
-        };
-        Ok((AutoFormula::from_model(model, featurizer), index, layout))
+        Ok((AutoFormula::from_model(model, featurizer), index))
     }
 }
 
@@ -1290,24 +1188,17 @@ mod tests {
     }
 
     #[test]
-    fn shard_layout_round_trips_and_plain_saves_carry_none() {
-        let (af, index, _) = small_system();
-        let n = index.n_sheets();
-        let layout =
-            ShardLayout { n_shards: 3, assignment: (0..n).map(|i| (i % 3) as u32).collect() };
-        let bytes = af.save_sharded(&index, StoreOptions::default(), Some(&layout)).unwrap();
-        let (_, idx2, loaded) = AutoFormula::load_bytes_sharded(bytes).unwrap();
-        assert_eq!(loaded.as_ref(), Some(&layout));
-        assert_eq!(idx2.n_sheets(), n);
-        // A plain save writes no SHARDS section and loads as unsharded.
-        let (_, _, none) = AutoFormula::load_bytes_sharded(af.save(&index)).unwrap();
-        assert!(none.is_none());
-        // A layout that disagrees with the sheet count is rejected up front.
-        let bad = ShardLayout { n_shards: 2, assignment: vec![0; n + 1] };
-        assert!(matches!(
-            af.save_sharded(&index, StoreOptions::default(), Some(&bad)),
-            Err(ArtifactError::Invalid(_))
-        ));
+    fn two_builds_from_the_same_inputs_save_identical_bytes() {
+        // A save is a function of the inputs alone: no clock, no address,
+        // no thread timing reaches the bytes, under either codec.
+        let (af_a, index_a, _) = small_system();
+        let (af_b, index_b, _) = small_system();
+        for codec in [Codec::F32, Codec::F16] {
+            let opts = StoreOptions { codec, ..StoreOptions::default() };
+            let a = af_a.save_with(&index_a, opts).unwrap();
+            let b = af_b.save_with(&index_b, opts).unwrap();
+            assert!(a == b, "{codec:?}: two builds saved different bytes");
+        }
     }
 
     #[test]

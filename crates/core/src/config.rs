@@ -93,31 +93,30 @@ pub struct AutoFormulaConfig {
     pub embed_threads: usize,
     /// ANN backend serving the sheet-level indexes (see [`AnnBackend`]).
     pub ann_backend: AnnBackend,
-    /// Serving shards (`af-serve`): the reference index is partitioned
-    /// into this many shards by a deterministic hash of each sheet's
-    /// provenance key, queries scatter-gather across them, and a write
-    /// clones only ~1/N of the corpus. `0` and `1` both mean unsharded.
-    /// Pick roughly `cores / 2` on a write-heavy box; `1` is right for
-    /// read-only serving of small corpora (no scatter overhead).
+    /// Ignored: serving keeps one partition. The field is still written
+    /// to and validated in the v3 `CONFIG` section, and stays only
+    /// because the benchmark (`benchmark/src/system.rs`,
+    /// `benchmark/src/trace.rs`) sets it; it goes with the benchmark's
+    /// next change.
     pub n_shards: usize,
-    /// Sheets a serving shard's mutable delta segment may accumulate
+    /// Sheets the serving layer's mutable delta segment may accumulate
     /// before the background compactor *seals* it: moves it, uncopied,
-    /// onto the end of the shard's list of immutable runs, then merges
+    /// onto the end of the list of immutable runs, then merges
     /// the last two runs while the newer has at least as many sheets as
     /// the older (a fixed size-tiered rule — each sheet is re-copied
     /// O(log n) times and the loaded base only once the additions rival
     /// it). This is also the size of the smallest run, so larger values
     /// mean fewer runs for a query to scan but a longer delta clone on
     /// every write. `0` disables delta segments entirely: every
-    /// `add_workbook` grows the shard's one run synchronously (the
-    /// pre-shard behavior — O(shard) per write).
+    /// `add_workbook` grows the last run synchronously (O(corpus) per
+    /// write).
     pub delta_max_sheets: usize,
-    /// Write-path backpressure: when a shard's delta reaches
+    /// Write-path backpressure: when the delta reaches
     /// `delta_max_sheets * backpressure_factor` sheets — the background
     /// compactor is wedged or can't keep up — `add_workbook` seals the
-    /// delta and applies the merge rule *inline*, under the shard's
-    /// writer lock, instead of letting the delta grow without bound and
-    /// regress every query on that shard toward the O(corpus) scan. The
+    /// delta and applies the merge rule *inline*, under the writer lock,
+    /// instead of letting the delta grow without bound and regress every
+    /// query toward the O(corpus) scan. The
     /// stall is the cost of the merges the rule asks for at that moment,
     /// usually a few deltas' worth of sheets. `0` disables the fallback
     /// (deltas may grow unboundedly while the compactor is down). Not

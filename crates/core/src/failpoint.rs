@@ -29,7 +29,7 @@
 //! |------|-------|------------------|
 //! | `serve::shard_scan` | af-core (`AutoFormula::funnel`) | panic/error/latency inside a per-segment S1 scan |
 //! | `serve::region_rank` | af-core (`AutoFormula::funnel`) | panic/error/latency inside per-candidate S2 ranking |
-//! | `serve::delta_publish` | af-serve | panic/latency before a shard state publish |
+//! | `serve::delta_publish` | af-serve | panic/latency before a serving state publish |
 //! | `serve::compact` | af-serve | panic/error/latency at compaction start |
 //! | `core::artifact_load` | af-core | injected error loading an artifact |
 //! | `core::artifact_save` | af-core | error halfway through an atomic save |
@@ -41,7 +41,7 @@ use std::time::Duration;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FailAction {
     /// Panic with a message naming the site (exercises `catch_unwind`
-    /// paths: shard quarantine, compactor supervision).
+    /// paths: quarantine, compactor supervision).
     Panic,
     /// Hand an [`Injected`] error to the call site (exercises typed-error
     /// returns: compaction failure, artifact load/save).

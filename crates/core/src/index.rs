@@ -27,7 +27,6 @@ use af_grid::{CellRef, Sheet, ViewWindow, Workbook};
 use af_nn::tensor::{l2_sq_normalized, l2_sq_normalized_many};
 use af_nn::Tensor;
 use af_store::{Codec, DenseStore, VectorStore};
-use std::time::Instant;
 
 /// Build a sheet-level ANN index over row-major `data` using the backend
 /// selected in the config. Every backend supports incremental
@@ -83,8 +82,9 @@ impl VecTable {
     }
 
     /// An empty table storing rows in `codec` (pushed vectors quantize).
-    /// Index splitting uses it so shards inherit the source's codec
-    /// instead of silently inflating a quantized corpus back to f32.
+    /// [`ReferenceIndex::empty_like`] uses it so a delta or a merge keeps
+    /// the source's codec instead of silently inflating a quantized
+    /// corpus back to f32.
     pub(crate) fn with_codec(dim: usize, codec: Codec) -> VecTable {
         VecTable { store: DenseStore::new(dim, codec) }
     }
@@ -224,7 +224,6 @@ pub struct ReferenceIndex {
     pub(crate) window: ViewWindow,
     pub(crate) coarse_region_vecs: Option<VecTable>,
     pub(crate) regions_by_sheet: Vec<Vec<usize>>,
-    pub build_seconds: f64,
 }
 
 impl Clone for ReferenceIndex {
@@ -241,7 +240,6 @@ impl Clone for ReferenceIndex {
             window: self.window,
             coarse_region_vecs: self.coarse_region_vecs.clone(),
             regions_by_sheet: self.regions_by_sheet.clone(),
-            build_seconds: self.build_seconds,
         }
     }
 }
@@ -254,7 +252,6 @@ impl ReferenceIndex {
         members: &[usize],
         opts: IndexOptions,
     ) -> ReferenceIndex {
-        let started = Instant::now();
         let mut keys = Vec::new();
         for &wi in members {
             for si in 0..workbooks[wi].sheets.len() {
@@ -315,7 +312,6 @@ impl ReferenceIndex {
             window: cfg.window,
             coarse_region_vecs: opts.coarse_regions.then(|| VecTable::new(cfg.coarse_dim)),
             regions_by_sheet: Vec::new(),
-            build_seconds: 0.0,
         };
         // Region provenance: every formula cell with its template
         // parameters; then the sheet's cells, kept as embedded.
@@ -326,7 +322,6 @@ impl ReferenceIndex {
             index.index_sheet_regions(embedder, emb, sheet, si);
         }
         index.keys = keys;
-        index.build_seconds = started.elapsed().as_secs_f64();
         index
     }
 
@@ -393,8 +388,8 @@ impl ReferenceIndex {
 
     /// Incrementally index a single sheet under a caller-chosen provenance
     /// key — the per-sheet granule of [`ReferenceIndex::add_workbook`],
-    /// exposed so the sharded serving layer can route each sheet of a
-    /// workbook to its own shard's delta segment. Options follow the
+    /// exposed so the serving layer can grow its delta segment one sheet
+    /// at a time. Options follow the
     /// structures present on `self`, exactly as in `add_workbook`.
     pub fn add_sheet(&mut self, embedder: &SheetEmbedder<'_>, sheet: &Sheet, key: SheetKey) {
         let sheet_idx = self.keys.len();
@@ -412,8 +407,8 @@ impl ReferenceIndex {
     /// An empty index with the same shape as `self`: same optional
     /// structures (fine-signature index, coarse-region table and its
     /// codec), same window and fine constants, and a fresh ANN index on
-    /// the backend `cfg` selects. The starting point for shards, delta
-    /// segments, and merges.
+    /// the backend `cfg` selects. The starting point for delta segments
+    /// and merges.
     pub fn empty_like(&self, cfg: &AutoFormulaConfig) -> ReferenceIndex {
         ReferenceIndex {
             keys: Vec::new(),
@@ -430,7 +425,6 @@ impl ReferenceIndex {
                 .as_ref()
                 .map(|v| VecTable::with_codec(v.dim(), v.codec())),
             regions_by_sheet: Vec::new(),
-            build_seconds: 0.0,
         }
     }
 
@@ -443,8 +437,8 @@ impl ReferenceIndex {
     /// dequantize/requantize round trip).
     ///
     /// This is the merge primitive: compaction merges a sealed run into
-    /// its older neighbour with it, and a sharded artifact is folded back
-    /// into one index by appending sheets in global order.
+    /// its older neighbour with it, and a server folds its runs back into
+    /// one index to save them.
     pub fn append_sheet_from(&mut self, src: &ReferenceIndex, src_sheet_idx: usize) {
         self.coarse.add(&src.coarse.vector_owned(src_sheet_idx));
         if let Some(fs) = self.fine_sheets.as_mut() {
@@ -483,70 +477,6 @@ impl ReferenceIndex {
         for si in 0..src.n_sheets() {
             self.append_sheet_from(src, si);
         }
-    }
-
-    /// Partition into `n_shards` indexes by the per-sheet `assignment`
-    /// (`assignment[si]` names the shard of sheet `si`; the caller owns
-    /// the routing function). Each shard's ANN indexes are batch-built
-    /// over its vectors (IVF trains its quantizer on the shard's vectors,
-    /// HNSW gets its deterministic batch construction), and sheets keep
-    /// their relative (global) order within a shard — the property that
-    /// makes a sharded Flat scatter-gather bit-identical to the unsharded
-    /// scan.
-    ///
-    /// Consumes `self`: keys, metadata, cells and regions are moved into
-    /// their shard, so a cold start never holds the loaded index *and* a
-    /// set of shard copies.
-    pub fn split(
-        self,
-        cfg: &AutoFormulaConfig,
-        assignment: &[usize],
-        n_shards: usize,
-    ) -> Vec<ReferenceIndex> {
-        assert_eq!(assignment.len(), self.n_sheets(), "one shard per sheet");
-        assert!(n_shards > 0, "at least one shard");
-        debug_assert!(assignment.iter().all(|&s| s < n_shards));
-        let mut parts: Vec<ReferenceIndex> = (0..n_shards).map(|_| self.empty_like(cfg)).collect();
-
-        let ann_parts = |src: &dyn VectorIndex| -> Vec<Box<dyn VectorIndex>> {
-            let mut data: Vec<Vec<f32>> = vec![Vec::new(); n_shards];
-            for (si, &s) in assignment.iter().enumerate() {
-                data[s].extend(src.vector_owned(si));
-            }
-            data.iter().map(|d| build_ann_index(cfg, src.dim(), d)).collect()
-        };
-        for (part, ann) in parts.iter_mut().zip(ann_parts(&*self.coarse)) {
-            part.coarse = ann;
-        }
-        if let Some(fs) = self.fine_sheets.as_deref() {
-            for (part, ann) in parts.iter_mut().zip(ann_parts(fs)) {
-                part.fine_sheets = Some(ann);
-            }
-        }
-
-        let mut regions: Vec<Option<RegionEntry>> = self.regions.into_iter().map(Some).collect();
-        let sheets = self.keys.into_iter().zip(self.meta).zip(self.fine_cells);
-        for (si, (((key, sheet_meta), cells), rids)) in
-            sheets.zip(&self.regions_by_sheet).enumerate()
-        {
-            let part = &mut parts[assignment[si]];
-            let new_si = part.keys.len();
-            part.keys.push(key);
-            part.meta.push(sheet_meta);
-            part.fine_cells.push(cells);
-            let mut local = Vec::with_capacity(rids.len());
-            for &rid in rids {
-                local.push(part.regions.len());
-                let entry = regions[rid].take().expect("each region belongs to one sheet");
-                part.regions.push(RegionEntry { sheet_idx: new_si, ..entry });
-                if let Some(src) = self.coarse_region_vecs.as_ref() {
-                    let dst = part.coarse_region_vecs.as_mut();
-                    dst.expect("empty_like mirrors the optional tables").push_row_of(src, rid);
-                }
-            }
-            part.regions_by_sheet.push(local);
-        }
-        parts
     }
 
     pub fn n_sheets(&self) -> usize {
@@ -752,7 +682,6 @@ mod tests {
         let expected_regions: usize =
             members.iter().map(|&w| corpus.workbooks[w].formula_count()).sum();
         assert_eq!(idx.n_regions(), expected_regions);
-        assert!(idx.build_seconds >= 0.0);
     }
 
     #[test]
@@ -1001,70 +930,24 @@ mod tests {
     }
 
     #[test]
-    fn split_scatter_gather_is_bit_identical_to_the_unsharded_scan() {
-        // The sharding correctness core: per-shard exhaustive top-k over a
-        // Flat backend, globalized and merged by (dist, id), must equal the
-        // unsharded scan exactly — ids AND score bits, ties included.
-        let (model, feat, corpus) = setup();
-        let embedder = SheetEmbedder::new(&model, &feat);
-        let members: Vec<usize> = (0..5).collect();
-        let idx =
-            ReferenceIndex::build(&embedder, &corpus.workbooks, &members, IndexOptions::default());
-        let cfg = &model.cfg;
-        for n_shards in [1usize, 2, 3, 4] {
-            let assignment: Vec<usize> =
-                (0..idx.n_sheets()).map(|si| (idx.keys[si].workbook + si) % n_shards).collect();
-            let shards = idx.clone().split(cfg, &assignment, n_shards);
-            // Per-shard list of global sheet ids, in shard-local order.
-            let mut globals: Vec<Vec<usize>> = vec![Vec::new(); n_shards];
-            for (si, &s) in assignment.iter().enumerate() {
-                globals[s].push(si);
-            }
-            for wb in corpus.workbooks.iter().take(5) {
-                let emb = embedder.embed_sheet(&wb.sheets[0], false);
-                let expect = idx.similar_sheets(&emb.coarse, 3);
-                let merged = af_ann::merge_neighbors(
-                    shards.iter().enumerate().map(|(s, shard)| {
-                        shard
-                            .similar_sheets(&emb.coarse, 3)
-                            .into_iter()
-                            .map(|n| af_ann::Neighbor::new(globals[s][n.id], n.dist))
-                            .collect::<Vec<_>>()
-                    }),
-                    3,
-                );
-                assert_eq!(expect.len(), merged.len(), "n_shards={n_shards}");
-                for (a, b) in expect.iter().zip(&merged) {
-                    assert_eq!(a.id, b.id, "n_shards={n_shards}");
-                    assert_eq!(a.dist.to_bits(), b.dist.to_bits(), "n_shards={n_shards}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn split_then_absorb_in_global_order_reproduces_the_original() {
-        // Merge primitive round trip: split into shards, fold the sheets
-        // back into one empty_like index in global order, and everything —
-        // keys, metadata, regions, every region and parameter window —
-        // must match.
+    fn absorb_into_an_empty_index_reproduces_the_original() {
+        // Merge primitive round trip, with every optional table: fold the
+        // sheets of two runs into one empty_like index, oldest first, and
+        // everything — keys, metadata, regions, every region and
+        // parameter window, both ANN indexes — must match the index built
+        // in one go.
         let (model, feat, corpus) = setup();
         let embedder = SheetEmbedder::new(&model, &feat);
         let members: Vec<usize> = (0..4).collect();
         let opts = IndexOptions { fine_sheet_signatures: true, coarse_regions: true };
         let idx = ReferenceIndex::build(&embedder, &corpus.workbooks, &members, opts);
-        let n_shards = 3usize;
-        let assignment: Vec<usize> = (0..idx.n_sheets()).map(|si| si % n_shards).collect();
-        let shards = idx.clone().split(&model.cfg, &assignment, n_shards);
-        assert_eq!(shards.iter().map(|s| s.n_sheets()).sum::<usize>(), idx.n_sheets());
-        assert_eq!(shards.iter().map(|s| s.n_regions()).sum::<usize>(), idx.n_regions());
+        let older = ReferenceIndex::build(&embedder, &corpus.workbooks, &members[..2], opts);
+        let newer = ReferenceIndex::build(&embedder, &corpus.workbooks, &members[2..], opts);
+        assert!(older.n_sheets() > 0 && newer.n_sheets() > 0);
 
         let mut merged = idx.empty_like(&model.cfg);
-        let mut cursor = vec![0usize; n_shards];
-        for &s in &assignment {
-            merged.append_sheet_from(&shards[s], cursor[s]);
-            cursor[s] += 1;
-        }
+        merged.absorb(&older);
+        merged.absorb(&newer);
         assert_eq!(merged.keys, idx.keys);
         assert_eq!(merged.n_regions(), idx.n_regions());
         for si in 0..idx.n_sheets() {

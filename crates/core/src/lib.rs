@@ -29,7 +29,7 @@ pub mod training;
 /// Storage codec for artifact embedding tables (re-exported from
 /// `af-store` so callers choosing [`StoreOptions`] need no extra dep).
 pub use af_store::Codec;
-pub use artifact::{ArtifactError, ShardLayout, StoreOptions};
+pub use artifact::{ArtifactError, StoreOptions};
 pub use config::{AnnBackend, AutoFormulaConfig};
 pub use embedder::{SheetEmbedder, SheetEmbedding};
 pub use index::{ReferenceIndex, SheetKey, SheetMeta};

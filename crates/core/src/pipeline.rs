@@ -82,32 +82,27 @@ pub struct Prediction {
 }
 
 /// One scannable slice of a reference corpus for [`AutoFormula::funnel`]:
-/// an index, the corpus-wide id of each of its sheets, and the owner (a
-/// shard, for a sharded server) whose exclusion flag covers it.
+/// an index and the global id of its first sheet. A corpus is a list of
+/// segments in ascending `offset` order, each numbering its sheets
+/// `offset..offset + n_sheets`, so a global sheet id is a position in
+/// that list.
 #[derive(Clone, Copy)]
 pub struct Segment<'a> {
     /// The segment's index; its sheet and region ids are local.
     pub index: &'a ReferenceIndex,
-    /// The global sheet id of each local sheet, strictly ascending — the
-    /// property the bit-identical S1 merge rests on. `None` is the
-    /// identity mapping (a lone, unsharded index).
-    pub globals: Option<&'a [usize]>,
-    /// Position of this segment's owner in the funnel's `excluded` flags.
-    pub owner: usize,
+    /// Global id of the segment's first sheet (0 for a lone index).
+    pub offset: usize,
 }
 
 impl Segment<'_> {
     /// The global id of local sheet `local`.
     pub fn global(&self, local: usize) -> usize {
-        self.globals.map_or(local, |g| g[local])
+        self.offset + local
     }
 
     /// The local id of global sheet `global`, if this segment holds it.
     pub fn local(&self, global: usize) -> Option<usize> {
-        match self.globals {
-            Some(g) => g.binary_search(&global).ok(),
-            None => (global < self.index.n_sheets()).then_some(global),
-        }
+        global.checked_sub(self.offset).filter(|&local| local < self.index.n_sheets())
     }
 }
 
@@ -117,11 +112,11 @@ pub struct FunnelResult {
     /// The prediction, if a region adapted, with
     /// [`Prediction::reference_sheet_idx`] in global numbering.
     pub prediction: Option<Prediction>,
-    /// The funnel's `excluded` flags, one per owner, as they stood when
-    /// this target finished.
-    pub excluded: Vec<bool>,
-    /// S1 candidates dropped without S2 ranking (unresolvable id, excluded
-    /// owner, or a failed rank).
+    /// The funnel's `excluded` flag as it stood when this target
+    /// finished: the corpus was skipped, so the prediction is `None`.
+    pub excluded: bool,
+    /// S1 candidates dropped without S2 ranking (unresolvable id,
+    /// exclusion, or a failed rank).
     pub candidates_dropped: usize,
     /// The deadline passed before this target's pass finished.
     pub deadline_exceeded: bool,
@@ -215,15 +210,14 @@ impl AutoFormula {
         target: CellRef,
         variant: PipelineVariant,
     ) -> Option<Prediction> {
-        let segment = Segment { index, globals: None, owner: 0 };
         self.funnel(
-            &[segment],
+            &[Segment { index, offset: 0 }],
             emb,
             sheet,
             &[target],
             PredictOptions::with_variant(variant),
-            &mut [false],
-            &mut |_, payload| resume_unwind(payload),
+            &mut false,
+            &mut |payload| resume_unwind(payload),
         )
         .pop()
         .and_then(|r| r.prediction)
@@ -233,8 +227,8 @@ impl AutoFormula {
     /// embedded query sheet, scattered over `segments`; one
     /// [`FunnelResult`] per target, in `targets` order. This is the only
     /// implementation of the online phase: the direct pipeline is its
-    /// one-segment, one-target call, and a sharded server passes every
-    /// sealed run and delta of every shard. A fill-down burst's targets on
+    /// one-segment, one-target call, and the server passes every sealed
+    /// run and its delta. A fill-down burst's targets on
     /// one sheet share one pass.
     ///
     /// What the targets share is what does not depend on the target. S1 is
@@ -248,11 +242,12 @@ impl AutoFormula {
     /// S1-rank, region-ordinal order gives — and runs its own S3.
     ///
     /// Degradation discipline: every per-segment scan, per-candidate rank,
-    /// and per-region adapt runs under `catch_unwind`. `excluded` (one flag
-    /// per owner) says which owners are skipped; an injected error excludes
-    /// the owner for this pass, a panic excludes it and hands the payload
-    /// to `on_panic` at once, and the pass continues over the survivors, so
-    /// every target after it reports the owner skipped. The deadline
+    /// and per-region adapt runs under `catch_unwind`. `excluded` says the
+    /// corpus is skipped; an injected error sets it for this pass, and a
+    /// panic sets it and hands the payload to `on_panic` at once. Either
+    /// way the pass stops answering — even hits already gathered are
+    /// retracted — so every target after it reports the corpus skipped.
+    /// The deadline
     /// ([`PredictOptions::deadline`]) is checked between segments, between
     /// candidates, and between adapt attempts, returning the best effort
     /// of whatever completed. On the healthy, deadline-free path nothing is
@@ -265,8 +260,8 @@ impl AutoFormula {
         sheet: &Sheet,
         targets: &[CellRef],
         opts: PredictOptions,
-        excluded: &mut [bool],
-        on_panic: &mut dyn FnMut(usize, Box<dyn Any + Send>),
+        excluded: &mut bool,
+        on_panic: &mut dyn FnMut(Box<dyn Any + Send>),
     ) -> Vec<FunnelResult> {
         if targets.is_empty() {
             return Vec::new();
@@ -281,22 +276,19 @@ impl AutoFormula {
         let mut dropped = 0usize;
         let mut deadline_hit = false;
 
-        // ---- S1: scatter, globalize, merge ----
-        // Results are collected per segment (tagged with the owner) so a
-        // panic in one segment can still retract its owner's other
-        // segments' hits before the merge — an excluded owner contributes nothing.
-        let mut per_seg: Vec<(usize, Vec<Neighbor>)> = Vec::with_capacity(segments.len());
+        // ---- S1: scan every segment, globalize, merge ----
+        let mut per_seg: Vec<Vec<Neighbor>> = Vec::with_capacity(segments.len());
         let s1 = af_obs::span!("serve::s1_scan");
-        for seg in segments {
-            if excluded[seg.owner] {
-                continue;
+        for (si, seg) in segments.iter().enumerate() {
+            if *excluded {
+                break;
             }
             if past(deadline) {
                 deadline_hit = true;
-                af_obs::event!("serve::deadline", "s1_scan", seg.owner);
+                af_obs::event!("serve::deadline", "s1_scan", si);
                 break;
             }
-            let _scan = af_obs::span!("serve::shard_scan", shard = seg.owner);
+            let _scan = af_obs::span!("serve::shard_scan");
             type ScanResult = Result<Vec<Neighbor>, crate::failpoint::Injected>;
             let scanned = catch_unwind(AssertUnwindSafe(|| -> ScanResult {
                 fail_point!("serve::shard_scan", Err);
@@ -313,24 +305,28 @@ impl AutoFormula {
                 Ok(hits.into_iter().map(|n| Neighbor::new(seg.global(n.id), n.dist)).collect())
             }));
             match scanned {
-                Ok(Ok(hits)) => per_seg.push((seg.owner, hits)),
-                // Injected error: transient — skip the owner this pass.
-                Ok(Err(_)) => excluded[seg.owner] = true,
+                Ok(Ok(hits)) => per_seg.push(hits),
+                // Injected error: transient — skip the corpus this pass.
+                Ok(Err(_)) => *excluded = true,
                 Err(payload) => {
-                    on_panic(seg.owner, payload);
-                    excluded[seg.owner] = true;
+                    on_panic(payload);
+                    *excluded = true;
                 }
             }
         }
-        per_seg.retain(|&(owner, _)| !excluded[owner]);
-        let candidates = merge_neighbors(per_seg.into_iter().map(|(_, hits)| hits), cfg.k_sheets);
+        // An excluded corpus contributes nothing, not even the segments
+        // scanned before the fault.
+        if *excluded {
+            per_seg.clear();
+        }
+        let candidates = merge_neighbors(per_seg, cfg.k_sheets);
         s1.end();
         if candidates.is_empty() {
             return targets
                 .iter()
                 .map(|_| FunnelResult {
                     prediction: None,
-                    excluded: excluded.to_vec(),
+                    excluded: *excluded,
                     candidates_dropped: dropped,
                     deadline_exceeded: deadline_hit,
                 })
@@ -369,11 +365,11 @@ impl AutoFormula {
                 dropped += 1;
                 continue;
             };
-            let seg = &segments[seg_idx];
-            if excluded[seg.owner] {
+            if *excluded {
                 dropped += 1;
                 continue;
             }
+            let seg = &segments[seg_idx];
             type RankResult = Result<usize, crate::failpoint::Injected>;
             let rank = catch_unwind(AssertUnwindSafe(|| -> RankResult {
                 fail_point!("serve::region_rank", Err);
@@ -399,15 +395,15 @@ impl AutoFormula {
                 Ok(Ok(n)) => regions += n,
                 Ok(Err(_)) => dropped += 1,
                 Err(payload) => {
-                    on_panic(seg.owner, payload);
-                    excluded[seg.owner] = true;
+                    on_panic(payload);
+                    *excluded = true;
                     dropped += 1;
                 }
             }
         }
-        // An owner excluded mid-S2 retracts the rows it already ranked.
-        for ranking in &mut ranked {
-            ranking.retain(|&(_, _, _, seg_idx, _)| !excluded[segments[seg_idx].owner]);
+        // An exclusion mid-S2 retracts the rows already ranked.
+        if *excluded {
+            ranked.iter_mut().for_each(Vec::clear);
         }
         s2.end();
         af_obs::observe!("serve::pass_regions", regions);
@@ -420,15 +416,15 @@ impl AutoFormula {
             let mut prediction = None;
             let mut late = deadline_hit;
             for &(dist, _, _, seg_idx, rid) in ranking.iter().take(8) {
-                let seg = &segments[seg_idx];
-                if excluded[seg.owner] {
-                    continue;
+                if *excluded {
+                    break;
                 }
                 if past(deadline) {
                     late = true;
-                    af_obs::event!("serve::deadline", "s3_adapt", seg.owner);
+                    af_obs::event!("serve::deadline", "s3_adapt", seg_idx);
                     break;
                 }
+                let seg = &segments[seg_idx];
                 let adapted = catch_unwind(AssertUnwindSafe(|| {
                     self.adapt_region(seg.index, emb, sheet, target, rid, dist, variant)
                 }));
@@ -442,14 +438,14 @@ impl AutoFormula {
                     }
                     Ok(None) => {}
                     Err(payload) => {
-                        on_panic(seg.owner, payload);
-                        excluded[seg.owner] = true;
+                        on_panic(payload);
+                        *excluded = true;
                     }
                 }
             }
             results.push(FunnelResult {
                 prediction,
-                excluded: excluded.to_vec(),
+                excluded: *excluded,
                 candidates_dropped: dropped,
                 deadline_exceeded: late,
             });
@@ -467,8 +463,8 @@ impl AutoFormula {
     /// ranking until a region adapts.
     ///
     /// This is the per-region granule of [`AutoFormula::funnel`], public so
-    /// a trace can recompose the pass: `rid` is local to `index` (one shard
-    /// or delta segment), and the returned
+    /// a trace can recompose the pass: `rid` is local to `index` (one sealed
+    /// run or delta segment), and the returned
     /// [`Prediction::reference_sheet_idx`] is local too — the funnel
     /// re-bases it to the global sheet numbering. The query sheet is read
     /// through `emb` alone (it holds every stored cell's fine vector).

@@ -1,4 +1,5 @@
-//! Removed artifact layouts are rejected with a typed error.
+//! Removed artifact layouts are rejected with a typed error, and a legacy
+//! section that is no longer read is skipped.
 //!
 //! Format v1, and the v2/v3 *fat* fine layout (one stored window per
 //! region and parameter), can be neither served — the index holds cells,
@@ -10,9 +11,20 @@
 //! The v1 fixtures under `tests/data/` were generated **once** from the
 //! PR-4 codebase (commit 4a79415, before the v2 writer landed), one per
 //! ANN backend: real files a deployment could still hold.
+//!
+//! `artifact_v3_sharded_tiny.afar` was generated **once** at commit
+//! e53c5c4, the last with hash-sharded serving: `AutoFormulaConfig::
+//! test_tiny()` with `n_shards: 2` and `SbertSim::new(16)`, an index over
+//! workbooks 0–2 of `OrgSpec::pge(Scale::Tiny)`, workbooks 3–5 added
+//! through the 2-shard `ServeHandle`, then `ServeHandle::to_artifact`. It
+//! carries a `SHARDS` section (id 5) beside its index, which the server
+//! had merged back into global sheet order. af-serve's
+//! `legacy_sharded_artifact_serves_like_the_library_load` checks that a
+//! server answers from it exactly as the library does.
 
 use af_core::artifact::SUPPORTED_VERSIONS;
 use af_core::index::IndexOptions;
+use af_core::index::SheetKey;
 use af_core::model::RepresentationModel;
 use af_core::pipeline::AutoFormula;
 use af_core::{ArtifactError, AutoFormulaConfig, Codec, StoreOptions};
@@ -112,4 +124,32 @@ fn removed_codec_tags_are_rejected_as_bad_codecs() {
             "coarse ANN tag {tag}"
         );
     }
+}
+
+#[test]
+fn a_legacy_shards_section_is_skipped_and_the_index_loads_in_saved_order() {
+    let path = format!("{}/tests/data/artifact_v3_sharded_tiny.afar", env!("CARGO_MANIFEST_DIR"));
+    let bytes = std::fs::read(&path).unwrap_or_else(|e| panic!("fixture {path}: {e}"));
+    // The section table (after magic, version, flags and the count):
+    // the four sections every save writes, then SHARDS.
+    let n_sections = u32::from_be_bytes(bytes[8..12].try_into().unwrap()) as usize;
+    let ids: Vec<u16> = (0..n_sections)
+        .map(|i| u16::from_be_bytes(bytes[12 + 18 * i..14 + 18 * i].try_into().unwrap()))
+        .collect();
+    assert_eq!(ids, [1, 2, 3, 4, 5]);
+
+    let (af, index) =
+        AutoFormula::load_bytes_artifact(bytes::Bytes::from(bytes)).expect("the fixture loads");
+    // Written and validated, never served.
+    assert_eq!(af.cfg().n_shards, 2);
+    // Workbooks 0-2 as built, then 3-5 as added: the saved global order.
+    let corpus = OrgSpec::pge(Scale::Tiny).generate();
+    let expected: Vec<SheetKey> = (0..6)
+        .flat_map(|wb| (0..corpus.workbooks[wb].sheets.len()).map(move |sheet| (wb, sheet)))
+        .map(|(workbook, sheet)| SheetKey { workbook, sheet })
+        .collect();
+    assert_eq!(index.keys, expected);
+    // And it saves back without the section.
+    let resaved = af.save(&index);
+    assert_eq!(u32::from_be_bytes(resaved[8..12].try_into().unwrap()), 4);
 }

@@ -1,4 +1,4 @@
-//! The serving layer's concurrency protocols, extracted from the shard
+//! The serving layer's concurrency protocols, extracted from the serving
 //! plumbing and parameterized over [`af_check::Family`] so the exact
 //! choreography that serves production traffic can run under the
 //! `af-check` model checker.
@@ -12,7 +12,7 @@
 //!   tokens; the model suite (`tests/model.rs`) instantiates it with
 //!   `CheckFamily` and shadow-table indices.
 //! * [`EpochCore`] — the handle-wide publish epoch (monotone counter).
-//! * [`HealthCore`] — the sticky shard-quarantine flag plus the epoch it
+//! * [`HealthCore`] — the sticky quarantine flag plus the epoch it
 //!   was imposed at.
 //!
 //! # Ordering discipline (the relaxation proof sketch)
@@ -251,7 +251,7 @@ impl<F: Family> EpochCore<F> {
 
 // ------------------------------------------------------------- health core
 
-/// Sticky shard quarantine: once imposed it stays until an explicit
+/// Sticky quarantine: once imposed it stays until an explicit
 /// recover, and an observer that sees the flag also sees the epoch it
 /// was imposed at.
 pub struct HealthCore<F: Family> {
@@ -263,7 +263,7 @@ pub struct HealthCore<F: Family> {
 }
 
 impl<F: Family> HealthCore<F> {
-    /// A new, healthy shard record.
+    /// A new, healthy record.
     pub fn new() -> Self {
         HealthCore { quarantined: F::AtomicBool::new(false), since_epoch: F::AtomicU64::new(0) }
     }
@@ -283,7 +283,7 @@ impl<F: Family> HealthCore<F> {
         !self.quarantined.swap(true, Ordering::AcqRel)
     }
 
-    /// Is the shard currently quarantined?
+    /// Is the index currently quarantined?
     pub fn is_quarantined(&self) -> bool {
         // ordering: Acquire — pairs with the imposition's release so
         // `since_epoch` is visible whenever the flag is.
@@ -314,7 +314,7 @@ impl<F: Family> Default for HealthCore<F> {
 
 // ---------------------------------------------------- delta-handoff policy
 
-/// What a write that grew a shard's delta should do next. Pure decision
+/// What a write that grew the delta should do next. Pure decision
 /// logic shared by `add_workbook` and modeled by the handoff suite.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeltaDisposition {
@@ -342,15 +342,15 @@ pub fn compact_warranted(delta_sheets: usize, delta_max: usize) -> bool {
     delta_sheets >= delta_max.max(1)
 }
 
-/// After a publish: should the compactor be signaled for this shard?
+/// After a publish: should the compactor be signaled?
 pub fn should_signal_compactor(delta_sheets: usize, delta_max: usize) -> bool {
     delta_max > 0 && delta_sheets >= delta_max.max(1)
 }
 
-/// The merge rule, applied to the last two sealed runs of a shard until
+/// The merge rule, applied to the last two sealed runs until
 /// it no longer holds: merge them while the newer (`last`) has at least
 /// as many sheets as the older (`prev`). This is the logarithmic method —
-/// run sizes end up strictly decreasing, so a shard holds O(log n) runs,
+/// run sizes end up strictly decreasing, so the list holds O(log n) runs,
 /// each sheet is re-copied O(log n) times, and a large base is copied
 /// only once the sheets added since rival it. A fixed function on
 /// purpose, not a knob.

@@ -3,10 +3,10 @@
 //!
 //! * every query returns a [`ServeOutcome`] or a typed error — a panic
 //!   never propagates to the caller;
-//! * a shard that panics is quarantined and stays quarantined until an
-//!   explicit `recover_shard`;
-//! * snapshots stay coherent (no torn shard states) and epochs monotone
-//!   under faults racing concurrent writes;
+//! * an index whose scan panics is quarantined and stays quarantined
+//!   until an explicit `recover`;
+//! * snapshots stay coherent (no torn states, no spent sheet ids) and
+//!   epochs monotone under faults racing concurrent writes;
 //! * a wedged compactor is restarted with backoff and the write path falls
 //!   back to sealing its delta inline instead of unbounded delta growth; a
 //!   compactor that panics leaves the published run list untouched;
@@ -97,6 +97,15 @@ fn burst_over(corpus: &af_corpus::OrgCorpus) -> Vec<(&Sheet, CellRef)> {
     [0, 4, 5].iter().flat_map(|&wb| query_targets(corpus, wb)).collect()
 }
 
+/// A handle over three workbooks plus one added: a sealed run and a
+/// delta, so a pass scans two segments.
+fn two_segments() -> (ServeHandle, af_corpus::OrgCorpus) {
+    let (handle, corpus) = handle_over(AutoFormulaConfig::test_tiny(), 3);
+    handle.add_workbook(&corpus.workbooks[3]);
+    assert_eq!(handle.stats().layout.delta_sheets, corpus.workbooks[3].sheets.len());
+    (handle, corpus)
+}
+
 /// One query through [`ServeHandle::query`], no deadline.
 fn one(handle: &ServeHandle, sheet: &Sheet, at: CellRef) -> ServeOutcome {
     handle.query(&[(sheet, at)], PredictOptions::default()).remove(0)
@@ -115,34 +124,31 @@ fn assert_bitwise_eq(a: &ServeOutcome, b: &ServeOutcome) {
 }
 
 #[test]
-fn scan_panics_quarantine_shards_and_recovery_restores_service() {
+fn scan_panics_quarantine_the_index_and_recovery_restores_service() {
     let _l = chaos_lock();
     let _g = ChaosGuard::quiet();
-    let cfg = AutoFormulaConfig { n_shards: 3, ..AutoFormulaConfig::test_tiny() };
-    let (handle, corpus) = handle_over(cfg, 4);
+    let (handle, corpus) = handle_over(AutoFormulaConfig::test_tiny(), 4);
     let queries: Vec<_> = query_targets(&corpus, 0).into_iter().take(4).collect();
     let baseline: Vec<ServeOutcome> = queries.iter().map(|&(s, at)| one(&handle, s, at)).collect();
     assert!(baseline.iter().all(|o| !o.degraded));
 
-    // Every segment scan panics: the query must still *return* — all three
-    // shards quarantined, no prediction, no propagated panic.
+    // The scan panics: the query must still *return* — the index
+    // quarantined, no prediction, no propagated panic.
     failpoint::arm("serve::shard_scan", FailAction::Panic);
     let o = one(&handle, queries[0].0, queries[0].1);
-    assert!(o.degraded && o.prediction.is_none());
-    assert_eq!(o.shards_skipped, 3);
-    assert_eq!(handle.quarantined().len(), 3);
-    assert_eq!(handle.stats().quarantined_shards, 3);
+    assert!(o.degraded && o.prediction.is_none() && o.index_skipped);
+    assert_eq!(handle.quarantined_since(), Some(0));
+    assert_eq!(handle.stats().quarantined_since, Some(0));
 
     // Disarming the fault does NOT lift quarantine — it is sticky until an
     // explicit recovery.
     failpoint::clear("serve::shard_scan");
     let still = one(&handle, queries[0].0, queries[0].1);
-    assert!(still.degraded && still.prediction.is_none());
-    assert_eq!(handle.quarantined().len(), 3);
+    assert!(still.degraded && still.prediction.is_none() && still.index_skipped);
+    assert_eq!(handle.quarantined_since(), Some(0));
 
-    for shard in 0..3 {
-        handle.recover_shard(shard);
-    }
+    handle.recover();
+    assert_eq!(handle.quarantined_since(), None);
     for (&(sheet, at), before) in queries.iter().zip(&baseline) {
         let after = one(&handle, sheet, at);
         assert!(!after.degraded, "recovered server must serve full fidelity");
@@ -154,25 +160,23 @@ fn scan_panics_quarantine_shards_and_recovery_restores_service() {
 fn injected_scan_errors_skip_without_quarantine() {
     let _l = chaos_lock();
     let _g = ChaosGuard::loud();
-    let cfg = AutoFormulaConfig { n_shards: 2, ..AutoFormulaConfig::test_tiny() };
-    let (handle, corpus) = handle_over(cfg, 3);
+    let (handle, corpus) = handle_over(AutoFormulaConfig::test_tiny(), 3);
     let (sheet, at) = query_targets(&corpus, 0)[0];
 
-    // A typed error is transient: the shard is skipped for this query only
-    // and is NOT quarantined.
+    // A typed error is transient: the index is skipped for this query
+    // only and is NOT quarantined.
     failpoint::arm("serve::shard_scan", FailAction::Error);
     let o = one(&handle, sheet, at);
-    assert!(o.degraded && o.prediction.is_none());
-    assert_eq!(o.shards_skipped, 2);
-    assert!(handle.quarantined().is_empty(), "errors must not quarantine");
+    assert!(o.degraded && o.prediction.is_none() && o.index_skipped);
+    assert_eq!(handle.quarantined_since(), None, "errors must not quarantine");
     failpoint::clear("serve::shard_scan");
     assert!(!one(&handle, sheet, at).degraded);
 
     // Same for per-candidate S2 errors: candidates drop, the query lives.
     failpoint::arm("serve::region_rank", FailAction::Error);
     let o = one(&handle, sheet, at);
-    assert!(o.degraded && o.candidates_dropped > 0);
-    assert!(handle.quarantined().is_empty());
+    assert!(o.degraded && o.candidates_dropped > 0 && !o.index_skipped);
+    assert_eq!(handle.quarantined_since(), None);
     failpoint::clear("serve::region_rank");
 }
 
@@ -180,8 +184,7 @@ fn injected_scan_errors_skip_without_quarantine() {
 fn injected_latency_trips_deadlines_without_degrading_results_otherwise() {
     let _l = chaos_lock();
     let _g = ChaosGuard::loud();
-    let cfg = AutoFormulaConfig { n_shards: 2, ..AutoFormulaConfig::test_tiny() };
-    let (handle, corpus) = handle_over(cfg, 3);
+    let (handle, corpus) = two_segments();
     let (sheet, at) = query_targets(&corpus, 0)[0];
 
     // 40 ms per segment scan against a 10 ms budget: S1 gets through the
@@ -190,7 +193,7 @@ fn injected_latency_trips_deadlines_without_degrading_results_otherwise() {
     let opts = PredictOptions::with_variant(PipelineVariant::Full).deadline_in_ms(10);
     let o = handle.query(&[(sheet, at)], opts).remove(0);
     assert!(o.deadline_exceeded && o.degraded, "latency must trip the deadline");
-    assert!(handle.quarantined().is_empty(), "slowness is not a quarantine offense");
+    assert_eq!(handle.quarantined_since(), None, "slowness is not a quarantine offense");
 
     // Without a deadline the same latency just makes the full answer slow.
     let slow = one(&handle, sheet, at);
@@ -205,7 +208,6 @@ fn wedged_compactor_restarts_and_backpressure_bounds_deltas() {
     let _l = chaos_lock();
     let _g = ChaosGuard::loud();
     let cfg = AutoFormulaConfig {
-        n_shards: 2,
         delta_max_sheets: 1,
         backpressure_factor: 3,
         ..AutoFormulaConfig::test_tiny()
@@ -218,19 +220,15 @@ fn wedged_compactor_restarts_and_backpressure_bounds_deltas() {
         handle.add_workbook(&corpus.workbooks[wb]);
     }
     // Writes kept landing, and with nobody else to do it the writer that
-    // brought a delta to the backpressure threshold (1 × 3) sealed it
-    // inline: every delta stays under the threshold instead of growing
+    // brought the delta to the backpressure threshold (1 × 3) sealed it
+    // inline: the delta stays under the threshold instead of growing
     // with every add, and no sheet went missing on the way into the runs.
     assert_eq!(handle.epoch(), 4);
     let stats = handle.stats();
     assert!(stats.inline_compactions > 0, "the wedge must end in an inline seal");
-    for shard in &stats.shards {
-        assert!(shard.delta_sheets < 3, "delta over the backpressure threshold: {shard:?}");
-    }
-    assert_eq!(
-        stats.shards.iter().map(|s| s.base_sheets + s.delta_sheets).sum::<usize>(),
-        handle.n_sheets()
-    );
+    let layout = stats.layout;
+    assert!(layout.delta_sheets < 3, "delta over the backpressure threshold: {layout:?}");
+    assert_eq!(layout.base_sheets + layout.delta_sheets, handle.n_sheets());
     // The supervisor counted at least one failed attempt (the compactor
     // may still be inside its first backoff, so don't demand more).
     let deadline = Instant::now() + Duration::from_secs(30);
@@ -266,7 +264,6 @@ fn publish_panic_aborts_the_write_without_tearing_state() {
     // Every write fills its delta and signals the compactor; with the
     // backpressure path off, only the compactor can change a run list.
     let cfg = AutoFormulaConfig {
-        n_shards: 2,
         delta_max_sheets: 1,
         backpressure_factor: 0,
         ..AutoFormulaConfig::test_tiny()
@@ -274,7 +271,7 @@ fn publish_panic_aborts_the_write_without_tearing_state() {
     let (handle, corpus) = handle_over(cfg, 2);
     let sheets_before = handle.n_sheets();
     let epoch_before = handle.epoch();
-    let layout_before = handle.stats().shards;
+    let layout_before = handle.stats().layout;
 
     failpoint::arm("serve::delta_publish", FailAction::Panic);
     let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -293,8 +290,8 @@ fn publish_panic_aborts_the_write_without_tearing_state() {
     // The same holds one step later. The compactor panics at its fail
     // point, before it seals or builds anything (a panic further in, mid-
     // merge, unwinds before the swap just the same): the published run
-    // lists stay exactly as loaded and the new sheets stay served from
-    // the deltas.
+    // list stays exactly as loaded and the new sheets stay served from
+    // the delta.
     failpoint::arm("serve::compact", FailAction::Panic);
     handle.add_workbook(&corpus.workbooks[2]);
     let added = handle.n_sheets() - sheets_before;
@@ -304,31 +301,59 @@ fn publish_panic_aborts_the_write_without_tearing_state() {
         assert!(Instant::now() < deadline, "the compactor never hit its fail point");
         std::thread::sleep(Duration::from_millis(5));
     }
-    let stats = handle.stats();
-    for (now, before) in stats.shards.iter().zip(&layout_before) {
-        assert_eq!((now.sealed_runs, now.base_sheets), (1, before.base_sheets), "{now:?}");
-    }
-    assert_eq!(stats.shards.iter().map(|s| s.delta_sheets).sum::<usize>(), added);
+    let now = handle.stats().layout;
+    assert_eq!((now.sealed_runs, now.base_sheets), (1, layout_before.base_sheets), "{now:?}");
+    assert_eq!(now.delta_sheets, added);
     assert!(!one(&handle, sheet, at).degraded);
 
     // Disarmed, the supervised retry seals what the panics left behind.
     failpoint::clear("serve::compact");
     while handle.snapshot().n_delta_sheets() > 0 {
-        assert!(Instant::now() < deadline, "compactor never sealed the deltas");
+        assert!(Instant::now() < deadline, "compactor never sealed the delta");
         std::thread::sleep(Duration::from_millis(5));
     }
-    assert_eq!(
-        handle.stats().shards.iter().map(|s| s.base_sheets).sum::<usize>(),
-        sheets_before + added
-    );
+    assert_eq!(handle.stats().layout.base_sheets, sheets_before + added);
+}
+
+/// A sheet's global id is its position in the run list, so a write that
+/// fails before its publish spends no id: after a failed publish and a
+/// successful add, every id below `n_sheets` names a sheet, and the new
+/// sheets took the next ids in order.
+#[test]
+fn a_failed_publish_spends_no_sheet_id() {
+    let _l = chaos_lock();
+    let _g = ChaosGuard::quiet();
+    let (handle, corpus) = handle_over(AutoFormulaConfig::test_tiny(), 2);
+    let sheets_before = handle.n_sheets();
+
+    failpoint::arm("serve::delta_publish", FailAction::Panic);
+    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        handle.add_workbook(&corpus.workbooks[2])
+    }));
+    assert!(r.is_err(), "the injected publish panic surfaces to the writer");
+    failpoint::clear("serve::delta_publish");
+    handle.add_workbook(&corpus.workbooks[3]);
+
+    let snap = handle.snapshot();
+    let added = &corpus.workbooks[3].sheets;
+    assert_eq!(snap.n_sheets(), sheets_before + added.len());
+    for g in 0..snap.n_sheets() {
+        assert!(snap.sheet_meta(g).is_some(), "sheet id {g} of {} names no sheet", snap.n_sheets());
+    }
+    assert!(snap.sheet_meta(snap.n_sheets()).is_none());
+    for (si, sheet) in added.iter().enumerate() {
+        assert_eq!(
+            snap.sheet_meta(sheets_before + si).map(|m| m.name.as_str()),
+            Some(sheet.name())
+        );
+    }
 }
 
 #[test]
 fn interrupted_artifact_save_leaves_the_previous_artifact_loadable() {
     let _l = chaos_lock();
     let _g = ChaosGuard::loud();
-    let cfg = AutoFormulaConfig { n_shards: 2, ..AutoFormulaConfig::test_tiny() };
-    let (handle, corpus) = handle_over(cfg, 2);
+    let (handle, corpus) = handle_over(AutoFormulaConfig::test_tiny(), 2);
     let mut path = std::env::temp_dir();
     path.push(format!("af_chaos_atomic_{}.afar", std::process::id()));
 
@@ -364,8 +389,7 @@ fn interrupted_artifact_save_leaves_the_previous_artifact_loadable() {
 fn artifact_load_faults_surface_as_typed_errors() {
     let _l = chaos_lock();
     let _g = ChaosGuard::loud();
-    let cfg = AutoFormulaConfig { n_shards: 2, ..AutoFormulaConfig::test_tiny() };
-    let (handle, _) = handle_over(cfg, 2);
+    let (handle, _) = handle_over(AutoFormulaConfig::test_tiny(), 2);
     let mut path = std::env::temp_dir();
     path.push(format!("af_chaos_load_{}.afar", std::process::id()));
     handle.to_artifact_path(&path).expect("save");
@@ -379,15 +403,14 @@ fn artifact_load_faults_surface_as_typed_errors() {
 
 /// A burst answers all targets of one sheet in one funnel pass, so a fault
 /// lands on every target of the pass at once. A panicking region rank
-/// quarantines its shard once — later passes of the burst start from the
+/// quarantines the index once — later passes of the burst start from the
 /// sticky flag instead of tripping it again — every outcome after it
-/// reports the shard, and after recovery the burst is what it was.
+/// reports the index skipped, and after recovery the burst is what it was.
 #[test]
 fn a_rank_panic_mid_burst_quarantines_once_and_recovery_restores_the_burst() {
     let _l = chaos_lock();
     let _g = ChaosGuard::quiet();
-    let cfg = AutoFormulaConfig { n_shards: 2, ..AutoFormulaConfig::test_tiny() };
-    let (handle, corpus) = handle_over(cfg, 4);
+    let (handle, corpus) = handle_over(AutoFormulaConfig::test_tiny(), 4);
     let burst = burst_over(&corpus);
     let mut sheets: Vec<&Sheet> = burst.iter().map(|&(sheet, _)| sheet).collect();
     sheets.dedup_by(|a, b| std::ptr::eq(*a, *b));
@@ -402,26 +425,20 @@ fn a_rank_panic_mid_burst_quarantines_once_and_recovery_restores_the_burst() {
     let faulted = handle.query(&burst, opts);
     failpoint::clear("serve::region_rank");
     assert_eq!(faulted.len(), burst.len(), "no panic escapes; every query is answered");
-    let quarantined = handle.quarantined();
-    assert!(!quarantined.is_empty());
+    assert_eq!(handle.quarantined_since(), Some(0));
     for o in &faulted {
-        assert!(o.degraded && o.shards_skipped >= 1, "{o:?}");
+        assert!(o.degraded && o.index_skipped && o.prediction.is_none(), "{o:?}");
     }
     #[cfg(feature = "obs")]
     {
-        let mut tripped: Vec<usize> = af_obs::events_since(mark)
+        let tripped = af_obs::events_since(mark)
             .into_iter()
             .filter(|e| e.site == "serve::quarantine")
-            .map(|e| e.value as usize)
-            .collect();
-        tripped.sort_unstable();
-        let shards: Vec<usize> = quarantined.iter().map(|q| q.shard).collect();
-        assert_eq!(tripped, shards, "one event per quarantined shard for the whole burst");
+            .count();
+        assert_eq!(tripped, 1, "one quarantine event for the whole burst");
     }
 
-    for q in &quarantined {
-        handle.recover_shard(q.shard);
-    }
+    handle.recover();
     let recovered = handle.query(&burst, opts);
     for (after, before) in recovered.iter().zip(&baseline) {
         assert!(!after.degraded, "recovered server must serve full fidelity");
@@ -430,11 +447,10 @@ fn a_rank_panic_mid_burst_quarantines_once_and_recovery_restores_the_burst() {
 }
 
 #[test]
-fn injected_scan_errors_skip_shards_for_one_burst_without_quarantine() {
+fn injected_scan_errors_skip_the_index_for_one_burst_without_quarantine() {
     let _l = chaos_lock();
     let _g = ChaosGuard::loud();
-    let cfg = AutoFormulaConfig { n_shards: 2, ..AutoFormulaConfig::test_tiny() };
-    let (handle, corpus) = handle_over(cfg, 3);
+    let (handle, corpus) = handle_over(AutoFormulaConfig::test_tiny(), 3);
     let burst = burst_over(&corpus);
     let opts = PredictOptions::with_variant(PipelineVariant::Full);
     let baseline = handle.query(&burst, opts);
@@ -443,10 +459,10 @@ fn injected_scan_errors_skip_shards_for_one_burst_without_quarantine() {
     let skipped = handle.query(&burst, opts);
     failpoint::clear("serve::shard_scan");
     for o in &skipped {
-        assert!(o.degraded && o.prediction.is_none() && o.shards_skipped == 2, "{o:?}");
+        assert!(o.degraded && o.prediction.is_none() && o.index_skipped, "{o:?}");
     }
-    assert!(handle.quarantined().is_empty(), "errors must not quarantine");
-    // The next burst scans every shard again.
+    assert_eq!(handle.quarantined_since(), None, "errors must not quarantine");
+    // The next burst scans the index again.
     for (after, before) in handle.query(&burst, opts).iter().zip(&baseline) {
         assert!(!after.degraded);
         assert_bitwise_eq(after, before);
@@ -457,8 +473,7 @@ fn injected_scan_errors_skip_shards_for_one_burst_without_quarantine() {
 fn an_expired_deadline_answers_every_query_of_a_burst_at_once() {
     let _l = chaos_lock();
     let _g = ChaosGuard::loud();
-    let cfg = AutoFormulaConfig { n_shards: 2, ..AutoFormulaConfig::test_tiny() };
-    let (handle, corpus) = handle_over(cfg, 3);
+    let (handle, corpus) = handle_over(AutoFormulaConfig::test_tiny(), 3);
     let burst = burst_over(&corpus);
     let before = handle.stats().deadline_exceeded;
     let expired = PredictOptions::with_variant(PipelineVariant::Full).deadline_in_ms(0);
@@ -471,15 +486,14 @@ fn an_expired_deadline_answers_every_query_of_a_burst_at_once() {
 }
 
 /// With `--features "failpoints obs"`, faults must leave a structured
-/// trace: a panicking scan's quarantine emits a `serve::quarantine`
-/// event naming the tripped shard.
+/// trace: a panicking scan's quarantine emits one `serve::quarantine`
+/// event carrying the epoch it was imposed at.
 #[cfg(feature = "obs")]
 #[test]
-fn quarantine_events_name_the_tripped_shards() {
+fn a_quarantine_emits_one_event_naming_its_epoch() {
     let _l = chaos_lock();
     let _g = ChaosGuard::quiet();
-    let cfg = AutoFormulaConfig { n_shards: 3, ..AutoFormulaConfig::test_tiny() };
-    let (handle, corpus) = handle_over(cfg, 4);
+    let (handle, corpus) = two_segments();
     let (sheet, at) = query_targets(&corpus, 0)[0];
 
     let mark = af_obs::event_watermark();
@@ -488,22 +502,19 @@ fn quarantine_events_name_the_tripped_shards() {
     failpoint::clear("serve::shard_scan");
     assert!(o.degraded);
 
-    let mut tripped: Vec<usize> = af_obs::events_since(mark)
+    let tripped: Vec<u64> = af_obs::events_since(mark)
         .into_iter()
         .filter(|e| e.site == "serve::quarantine")
         .map(|e| {
             assert_eq!(e.detail, "imposed");
-            e.value as usize
+            e.value
         })
         .collect();
-    tripped.sort_unstable();
-    let mut quarantined: Vec<usize> = handle.quarantined().iter().map(|q| q.shard).collect();
-    quarantined.sort_unstable();
-    assert_eq!(tripped, quarantined, "one event per quarantined shard, naming it");
-    assert_eq!(tripped.len(), 3);
+    assert_eq!(tripped, [1], "one event, naming the epoch of the imposition");
+    assert_eq!(handle.quarantined_since(), Some(1));
 
-    // Repeated degraded queries against already-quarantined shards must
-    // NOT re-emit: the event marks the transition, not the state.
+    // Repeated degraded queries against the quarantined index must NOT
+    // re-emit: the event marks the transition, not the state.
     let mark = af_obs::event_watermark();
     let _ = one(&handle, sheet, at);
     assert!(af_obs::events_since(mark).iter().all(|e| e.site != "serve::quarantine"));
@@ -516,8 +527,7 @@ fn quarantine_events_name_the_tripped_shards() {
 fn deadline_trips_emit_an_event_naming_the_stage() {
     let _l = chaos_lock();
     let _g = ChaosGuard::loud();
-    let cfg = AutoFormulaConfig { n_shards: 2, ..AutoFormulaConfig::test_tiny() };
-    let (handle, corpus) = handle_over(cfg, 3);
+    let (handle, corpus) = two_segments();
     let (sheet, at) = query_targets(&corpus, 0)[0];
 
     // Same recipe as the latency test above: 40 ms per segment scan
@@ -546,8 +556,7 @@ fn deadline_trips_emit_an_event_naming_the_stage() {
 fn randomized_faults_under_concurrent_load_never_break_the_contract() {
     let _l = chaos_lock();
     let _g = ChaosGuard::quiet();
-    let cfg =
-        AutoFormulaConfig { n_shards: 3, delta_max_sheets: 2, ..AutoFormulaConfig::test_tiny() };
+    let cfg = AutoFormulaConfig { delta_max_sheets: 2, ..AutoFormulaConfig::test_tiny() };
     let (handle, corpus) = handle_over(cfg, 2);
     let queries: Vec<(usize, usize, CellRef)> = corpus.workbooks[0]
         .sheets
@@ -611,12 +620,9 @@ fn randomized_faults_under_concurrent_load_never_break_the_contract() {
 
     failpoint::clear_all();
     assert_eq!(handle.epoch(), 4, "every write landed despite the storm");
-    // Quarantines only ever accumulated; recover whatever tripped and
-    // verify full service resumes.
-    let n_shards = handle.n_shards();
-    for shard in 0..n_shards {
-        handle.recover_shard(shard);
-    }
+    // A quarantine is sticky; recover whatever tripped and verify full
+    // service resumes.
+    handle.recover();
     for &(wb, si, at) in queries.iter().take(4) {
         let o = one(&handle, &corpus.workbooks[wb].sheets[si], at);
         assert!(!o.degraded);

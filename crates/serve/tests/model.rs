@@ -193,7 +193,7 @@ fn left_right_two_readers_two_publishes_explores_1k_interleavings() {
 }
 
 /// Writer-lock discipline: concurrent read-modify-publish transactions
-/// under the lock never lose an update. Tokens here encode the shard
+/// under the lock never lose an update. Tokens here encode the serving
 /// state's (base, delta) pair directly; mint/retire are value-only.
 #[test]
 fn handoff_under_writer_lock_loses_no_write() {
@@ -260,7 +260,7 @@ fn handoff_without_writer_lock_loses_writes() {
 // ------------------------------------------------------------ run lists
 //
 // The compactor's off-lock merge (`Shared::compact`) over model-world
-// shard states: a published state is a list of sealed runs — each an
+// serving states: a published state is a list of sealed runs — each an
 // identity (what `Arc::ptr_eq` compares in production) and a sheet
 // count — plus the delta's sheet count. Tokens index an append-only
 // table of such states (pure storage behind a std mutex, never held

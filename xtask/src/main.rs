@@ -13,7 +13,7 @@
 //!   `crates/core/src/pipeline.rs`, where the S1→S2→S3 funnel lives
 //!   (non-test): no `.unwrap()`, `.expect(`, `panic!`, `unreachable!`,
 //!   `todo!`, `unimplemented!`. A panic on the serve read path would
-//!   quarantine a healthy shard (the catch_unwind supervisor can't tell a
+//!   quarantine a healthy index (the catch_unwind supervisor can't tell a
 //!   bug from corruption), so the read path must degrade, not assert.
 //!   Write-path sites carry an explicit waiver naming why they're exempt.
 //! * `safety_comment` — every `unsafe` occurrence (block, impl, fn) in
@@ -509,7 +509,7 @@ mod tests {
             Some("serve::compact_backlog")
         );
         assert_eq!(
-            obs_site_name("af_obs::event!(\"serve::quarantine\", \"imposed\", shard);"),
+            obs_site_name("af_obs::event!(\"serve::quarantine\", \"imposed\", epoch);"),
             Some("serve::quarantine")
         );
         assert_eq!(obs_site_name("macro_rules! span {"), None);
