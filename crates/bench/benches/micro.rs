@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks for the performance-critical kernels behind
 //! the paper's latency claims (Fig. 8): formula parsing, window
-//! featurization, ANN queries, Mondrian's hand-crafted matching, and the
-//! full online prediction path.
+//! featurization, the model's dense kernels, ANN queries, Mondrian's
+//! hand-crafted matching, and the full online prediction path.
 
 use af_ann::{FlatIndex, HnswIndex, HnswParams, VectorIndex};
 use af_baselines::mondrian::{detect_regions, sheet_distance};
@@ -176,6 +176,39 @@ fn bench_fine_gather(c: &mut Criterion) {
     });
 }
 
+/// The dense kernels of the representation model (§4.4) at the default
+/// geometry. `matmul_xwt` at each per-cell layer shape over 88 rows (a
+/// sheet's worth of stored cells): ns per multiply-add is the figure ÷
+/// (88 · in · out). One coarse tower pass (two 3×3 convolutions, pooling,
+/// the projection) on a 40×8 window of reduced cells: ns per conv
+/// multiply-add is the figure ÷ 2 580 480 (320 px · 144 taps · 16 ch +
+/// 80 px · 144 taps · 32 ch). The lone-query S2 strip is
+/// `s2_sheet_strip` above.
+fn bench_dense(c: &mut Criterion) {
+    for (ni, no) in [(97, 32), (32, 16), (16, 16), (16, 8)] {
+        let rows = 88;
+        let x = random_vectors(rows, ni, 11);
+        let w = random_vectors(no, ni, 12);
+        let bias = random_vectors(1, no, 13);
+        let mut out = vec![0.0f32; rows * no];
+        c.bench_function(&format!("matmul_xwt_88x{ni}_to_{no}"), |b| {
+            b.iter(|| {
+                af_nn::kernel::matmul_xwt(black_box(&x), &w, &bias, rows, ni, no, &mut out);
+                black_box(out[0])
+            })
+        });
+    }
+    let cfg = AutoFormulaConfig::default();
+    let model = af_core::RepresentationModel::new(97, cfg);
+    let reduced = af_nn::Tensor::new(
+        vec![cfg.n_cells(), cfg.cell_dim],
+        random_vectors(cfg.n_cells(), cfg.cell_dim, 14),
+    );
+    c.bench_function("coarse_tower_40x8", |b| {
+        b.iter(|| black_box(model.coarse_from_reduced(black_box(reduced.clone()))))
+    });
+}
+
 fn config() -> Criterion {
     Criterion::default()
         .sample_size(20)
@@ -186,6 +219,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_parse, bench_featurize, bench_fine_gather, bench_ann, bench_mondrian, bench_predict
+    targets = bench_parse, bench_featurize, bench_dense, bench_fine_gather, bench_ann, bench_mondrian, bench_predict
 }
 criterion_main!(benches);

@@ -24,7 +24,7 @@ use crate::features::WindowOrigin;
 use af_ann::{FlatIndex, HnswIndex, IvfFlatIndex, VectorIndex};
 use af_formula::{parse_formula, Template};
 use af_grid::{CellRef, Sheet, ViewWindow, Workbook};
-use af_nn::tensor::{l2_sq_normalized, l2_sq_normalized_many};
+use af_nn::tensor::{l2_sq_normalized, l2_sq_normalized_each, l2_sq_normalized_many};
 use af_nn::Tensor;
 use af_store::{Codec, DenseStore, VectorStore};
 
@@ -568,7 +568,9 @@ impl ReferenceIndex {
     /// and because that strip is exactly one window wide, the window of
     /// the formula in row `r` is the *contiguous slice* of it starting
     /// `(r − first)` strip rows down: scored in place against every query
-    /// at once ([`l2_sq_normalized_many`]), nothing copied.
+    /// at once ([`l2_sq_normalized_many`]), nothing copied. A lone query
+    /// has no queries to block, so it blocks windows instead: a run's
+    /// windows are scored four at a time ([`l2_sq_normalized_each`]).
     ///
     /// `coarse` is the coarse-only ablation, one coarse window per query:
     /// when it is given and the index was built with coarse region
@@ -619,10 +621,26 @@ impl ReferenceIndex {
             let strip = &mut strip[..strip_rows * row_len];
             let origin = self.window.centered_origin(CellRef::new(first, col));
             gather.rect(origin, strip_rows, cols, strip);
-            for &(_, row, ordinal) in &run[..n] {
-                let at = (row - first) as usize * row_len;
-                let out = &mut distances[ordinal as usize * nq..][..nq];
-                l2_sq_normalized_many(queries, &strip[at..at + fine_dim], out);
+            let window = |row: u32| &strip[(row - first) as usize * row_len..][..fine_dim];
+            match queries {
+                // A lone query scores the run's windows four at a time.
+                [query] => {
+                    for group in run[..n].chunks(4) {
+                        let ws: [&[f32]; 4] =
+                            std::array::from_fn(|i| window(group[i.min(group.len() - 1)].1));
+                        let mut got = [0.0f32; 4];
+                        l2_sq_normalized_each(query, &ws[..group.len()], &mut got[..group.len()]);
+                        for (&(_, _, ordinal), d) in group.iter().zip(got) {
+                            distances[ordinal as usize] = d;
+                        }
+                    }
+                }
+                _ => {
+                    for &(_, row, ordinal) in &run[..n] {
+                        let out = &mut distances[ordinal as usize * nq..][..nq];
+                        l2_sq_normalized_many(queries, window(row), out);
+                    }
+                }
             }
             run = &run[n..];
         }

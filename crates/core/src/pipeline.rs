@@ -12,7 +12,7 @@ use af_ann::{merge_neighbors, Neighbor};
 use af_embed::CellFeaturizer;
 use af_formula::{parse_formula, Template};
 use af_grid::{CellRef, Sheet, Workbook};
-use af_nn::tensor::l2_sq_normalized;
+use af_nn::tensor::l2_sq_normalized_each;
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::time::Instant;
@@ -532,9 +532,12 @@ fn offset_map(ref_param: CellRef, ref_formula: CellRef, target: CellRef) -> Opti
 /// Neighbouring candidate windows share all but one row or column, so the
 /// `(rows+2d) × (cols+2d)` patch they jointly cover is gathered **once**;
 /// each candidate's window is then `rows` row segments of the patch,
-/// copied into one scratch buffer and scored against `ref_vec` with the
-/// fused normalize-and-distance kernel — the values and the summation
-/// order of gathering, normalizing and measuring each window on its own.
+/// copied into one of four scratch windows and scored against `ref_vec`
+/// with the fused normalize-and-distance kernel, four candidates per call
+/// ([`l2_sq_normalized_each`]) — the values and the summation order of
+/// gathering, normalizing and measuring each window on its own. The
+/// argmin then takes the four in candidate order, as a one-at-a-time scan
+/// would.
 /// `cfg` must be the config `target_emb` was embedded under: the
 /// embedding's constants are tiled for that `d`.
 pub fn search_parameter(
@@ -564,17 +567,27 @@ pub fn search_parameter(
     let (or, oc) = cfg.window.centered_origin(anchor);
     let mut patch = vec![0.0f32; patch_rows * patch_cols * f8];
     target_emb.gather().rect((or - d, oc - d), patch_rows, patch_cols, &mut patch);
-    let mut window = vec![0.0f32; rows * cols * f8];
+    let fine_dim = rows * cols * f8;
+    let candidates: Vec<(CellRef, i64, i64)> = (-d..=d)
+        .flat_map(|dr| (-d..=d).filter_map(move |dc| Some((anchor.offset(dr, dc)?, dr, dc))))
+        .collect();
+    // Four candidates' windows at a time, scored together, then compared
+    // in candidate order.
+    let mut windows = vec![0.0f32; 4 * fine_dim];
     let mut best: Option<(CellRef, f32)> = None;
-    for dr in -d..=d {
-        for dc in -d..=d {
-            let Some(cand) = anchor.offset(dr, dc) else { continue };
+    for group in candidates.chunks(4) {
+        for (&(_, dr, dc), window) in group.iter().zip(windows.chunks_exact_mut(fine_dim)) {
             let (top, left) = ((dr + d) as usize, (dc + d) as usize);
             for (i, row) in window.chunks_exact_mut(cols * f8).enumerate() {
                 row.copy_from_slice(&patch[((top + i) * patch_cols + left) * f8..][..cols * f8]);
             }
-            let dist = l2_sq_normalized(ref_vec, &window)
-                + cfg.s3_anchor_lambda * (dr.abs() + dc.abs()) as f32;
+        }
+        let n = group.len();
+        let ws: [&[f32]; 4] = std::array::from_fn(|i| &windows[i * fine_dim..][..fine_dim]);
+        let mut dists = [0.0f32; 4];
+        l2_sq_normalized_each(ref_vec, &ws[..n], &mut dists[..n]);
+        for (&(cand, dr, dc), dist) in group.iter().zip(dists) {
+            let dist = dist + cfg.s3_anchor_lambda * (dr.abs() + dc.abs()) as f32;
             if best.is_none_or(|(_, bd)| dist < bd) {
                 best = Some((cand, dist));
             }

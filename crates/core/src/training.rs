@@ -11,6 +11,15 @@
 //! only on the batch (never on the worker count), training is
 //! bit-identical for any [`TrainingOptions::workers`] setting — see the
 //! `parallel_determinism` integration test.
+//!
+//! **Worker lifetime.** The helper threads are spawned once per
+//! [`train_model`] call and live until it returns: the main thread works
+//! shard chunk 0 and helper `h` always works chunk `h`, so a shard's
+//! pooled buffers grow and are reused on one thread for the whole
+//! training. Threads spawned afresh for every phase each landed in
+//! whichever malloc arena was free, so which arena a shard's buffers grew
+//! in changed from step to step — and the process's peak RSS landed in
+//! one of two modes at random.
 
 use crate::config::AutoFormulaConfig;
 use crate::features::{raw_window_into, WindowOrigin};
@@ -25,6 +34,8 @@ use af_nn::Tensor;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::HashMap;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Pairs per gradient shard. Part of the arithmetic contract: changing it
@@ -227,11 +238,14 @@ impl ShardSlot {
     }
 }
 
-/// Reused step-level buffers.
+/// Reused step-level buffers. The weights and the embedding gradient are
+/// shared read-only with the helpers during a phase; every helper drops
+/// its handle before it hands its shards back, so between phases the main
+/// thread holds the only one and writes through [`Arc::get_mut`].
 struct TrainScratch {
-    weights: Vec<f32>,
+    weights: Arc<Vec<f32>>,
     emb_all: Tensor,
-    grad_all: Tensor,
+    grad_all: Arc<Tensor>,
     pairs: Vec<PairRows>,
     idxs: Vec<usize>,
     shifted_flags: Vec<bool>,
@@ -240,9 +254,9 @@ struct TrainScratch {
 impl TrainScratch {
     fn new() -> TrainScratch {
         TrainScratch {
-            weights: Vec::new(),
+            weights: Arc::new(Vec::new()),
             emb_all: Tensor::default(),
-            grad_all: Tensor::default(),
+            grad_all: Arc::new(Tensor::default()),
             pairs: Vec::new(),
             idxs: Vec::new(),
             shifted_flags: Vec::new(),
@@ -250,64 +264,153 @@ impl TrainScratch {
     }
 }
 
-/// Run `f` over every shard, on up to `workers` scoped threads. The shard
-/// decomposition is fixed before this call, so the thread count only
-/// affects scheduling, never arithmetic.
-fn for_each_shard(shards: &mut [ShardSlot], workers: usize, f: impl Fn(&mut ShardSlot) + Sync) {
-    if workers <= 1 || shards.len() <= 1 {
-        for s in shards.iter_mut() {
-            f(s);
-        }
-        return;
-    }
-    let per = shards.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        for chunk in shards.chunks_mut(per) {
-            let f = &f;
-            scope.spawn(move || {
-                for s in chunk.iter_mut() {
-                    f(s);
-                }
-            });
-        }
-    });
+/// One phase of a step, as a helper receives it.
+#[derive(Clone)]
+enum Phase {
+    /// [`ShardSlot::forward`] under these weights.
+    Forward(Branch, Arc<Vec<f32>>),
+    /// [`ShardSlot::backward`] from this step-global gradient of width
+    /// `usize`.
+    Backward(Branch, Arc<Tensor>, usize),
 }
 
-/// One data-parallel triplet step over `shards[..]` (already loaded with
-/// row specs). Returns the batch loss; gradients end up accumulated in
-/// `main_model`, ready for the optimizer.
-#[allow(clippy::too_many_arguments)]
+impl Phase {
+    fn run(&self, slot: &mut ShardSlot, ctx: &StepCtx<'_>) {
+        match self {
+            Phase::Forward(branch, weights) => slot.forward(*branch, ctx, weights),
+            Phase::Backward(branch, grad, dim) => slot.backward(*branch, grad, *dim),
+        }
+    }
+}
+
+/// A helper's work order: run `phase` over the first `n` of `slots` (its
+/// chunk, lent for the phase) and send the chunk back.
+struct Job {
+    phase: Phase,
+    slots: Vec<ShardSlot>,
+    n: usize,
+}
+
+/// One long-lived helper thread's two channels.
+struct Helper {
+    jobs: SyncSender<Job>,
+    done: Receiver<Vec<ShardSlot>>,
+}
+
+/// The gradient shards of one [`train_model`] call and the threads that
+/// work them. Shard `i` belongs to chunk `i / per`; chunk 0 is the main
+/// thread's and chunk `h` always goes to helper `h`. The decomposition is
+/// fixed before a step and reduced in shard order, so the worker count
+/// only affects scheduling, never arithmetic.
+struct ShardPool {
+    per: usize,
+    chunks: Vec<Vec<ShardSlot>>,
+    helpers: Vec<Helper>,
+}
+
+impl ShardPool {
+    /// Split `slots` into `workers` chunks (at most one per shard) and
+    /// spawn a helper on `scope` for every chunk but the first. The
+    /// helpers exit when the pool is dropped.
+    fn start<'scope, 'env: 'scope>(
+        scope: &'scope std::thread::Scope<'scope, 'env>,
+        ctx: &'env StepCtx<'env>,
+        mut slots: Vec<ShardSlot>,
+        workers: usize,
+    ) -> ShardPool {
+        let per = slots.len().div_ceil(workers.clamp(1, slots.len().max(1))).max(1);
+        let mut chunks = Vec::new();
+        while !slots.is_empty() {
+            let rest = slots.split_off(per.min(slots.len()));
+            chunks.push(std::mem::replace(&mut slots, rest));
+        }
+        let helpers = (1..chunks.len())
+            .map(|_| {
+                let (jobs, inbox) = sync_channel::<Job>(1);
+                let (outbox, done) = sync_channel(1);
+                scope.spawn(move || {
+                    while let Ok(Job { phase, mut slots, n }) = inbox.recv() {
+                        for slot in &mut slots[..n] {
+                            phase.run(slot, ctx);
+                        }
+                        drop(phase);
+                        if outbox.send(slots).is_err() {
+                            break;
+                        }
+                    }
+                });
+                Helper { jobs, done }
+            })
+            .collect();
+        ShardPool { per, chunks, helpers }
+    }
+
+    fn slot(&self, i: usize) -> &ShardSlot {
+        &self.chunks[i / self.per][i % self.per]
+    }
+
+    fn slot_mut(&mut self, i: usize) -> &mut ShardSlot {
+        &mut self.chunks[i / self.per][i % self.per]
+    }
+
+    /// Run `phase` over shards `0..used`: each helper its chunk, the main
+    /// thread chunk 0, then wait for every chunk to come back.
+    fn run(&mut self, used: usize, phase: &Phase, ctx: &StepCtx<'_>) {
+        let per = self.per;
+        let mut lent = 0;
+        for (h, helper) in self.helpers.iter().enumerate() {
+            let n = used.saturating_sub((h + 1) * per).min(per);
+            if n == 0 {
+                break;
+            }
+            let slots = std::mem::take(&mut self.chunks[h + 1]);
+            let job = Job { phase: phase.clone(), slots, n };
+            helper.jobs.send(job).expect("training helper exited early");
+            lent += 1;
+        }
+        for slot in &mut self.chunks[0][..used.min(per)] {
+            phase.run(slot, ctx);
+        }
+        for (h, helper) in self.helpers.iter().enumerate().take(lent) {
+            self.chunks[h + 1] = helper.done.recv().expect("training helper panicked");
+        }
+    }
+}
+
+/// One data-parallel triplet step over shards `0..used` (already loaded
+/// with row specs). Returns the batch loss; gradients end up accumulated
+/// in `main_model`, ready for the optimizer.
 fn run_step(
     branch: Branch,
     main_model: &mut RepresentationModel,
-    shards: &mut [ShardSlot],
+    pool: &mut ShardPool,
+    used: usize,
     margin: f32,
-    workers: usize,
     ctx: &StepCtx<'_>,
     scratch: &mut TrainScratch,
 ) -> f32 {
     let TrainScratch { weights, emb_all, grad_all, pairs, .. } = scratch;
-    main_model.export_weights_into(weights);
-    let w: &[f32] = weights;
-    for_each_shard(shards, workers, |s| s.forward(branch, ctx, w));
+    main_model.export_weights_into(Arc::get_mut(weights).expect("helpers hold no weights"));
+    pool.run(used, &Phase::Forward(branch, Arc::clone(weights)), ctx);
 
     // Gather shard embedding blocks into the step-global matrix.
-    let dim = shards[0].emb.features();
-    let total_rows: usize = shards.iter().map(|s| s.emb.batch()).sum();
+    let dim = pool.slot(0).emb.features();
+    let total_rows: usize = (0..used).map(|i| pool.slot(i).emb.batch()).sum();
     emb_all.reset_for_overwrite(&[total_rows, dim]);
-    for s in shards.iter() {
+    for i in 0..used {
+        let s = pool.slot(i);
         let lo = s.row_off * dim;
         emb_all.data[lo..lo + s.emb.len()].copy_from_slice(&s.emb.data);
     }
 
-    let loss = triplet_grad_into(emb_all, pairs, margin, grad_all);
+    let grad = Arc::get_mut(grad_all).expect("helpers hold no gradient");
+    let loss = triplet_grad_into(emb_all, pairs, margin, grad);
 
-    let g: &Tensor = grad_all;
-    for_each_shard(shards, workers, |s| s.backward(branch, g, dim));
+    pool.run(used, &Phase::Backward(branch, Arc::clone(grad_all), dim), ctx);
 
     // Deterministic reduction: fixed shard order, independent of workers.
-    for s in shards.iter_mut() {
-        main_model.accumulate_grads_from(&s.flat_grads);
+    for i in 0..used {
+        main_model.accumulate_grads_from(&pool.slot(i).flat_grads);
     }
     loss
 }
@@ -403,132 +506,128 @@ pub fn train_model(
     };
     let ctx = StepCtx { workbooks, featurizer, cfg, row_dim: cfg.n_cells() * featurizer.dim() };
     let n_shards_max = cfg.batch_size.div_ceil(PAIRS_PER_SHARD).max(1);
-    let mut shard_pool: Vec<ShardSlot> = (0..n_shards_max)
+    let shard_slots: Vec<ShardSlot> = (0..n_shards_max)
         .map(|_| ShardSlot::new(RepresentationModel::new(featurizer.dim(), cfg)))
         .collect();
     let mut scratch = TrainScratch::new();
 
-    // ---- Episodes (Algorithm 1) ----
-    for ep in 0..cfg.episodes {
-        // ---------------- coarse step ----------------
-        let bsz = cfg.batch_size.min(coarse_descs.len());
-        scratch.idxs.clear();
-        scratch.idxs.extend((0..bsz).map(|_| rng.random_range(0..coarse_descs.len())));
-        scratch.idxs.dedup();
-        scratch.pairs.clear();
-        let mut used = 0usize;
-        let mut row_off = 0usize;
-        for chunk in scratch.idxs.chunks(PAIRS_PER_SHARD) {
-            let shard = &mut shard_pool[used];
-            shard.row_specs.clear();
-            shard.row_off = row_off;
-            let len = chunk.len();
-            for &di in chunk {
-                shard.row_specs.push(RowSpec::Sheet(coarse_descs[di].a, None));
+    // ---- Episodes (Algorithm 1), on workers that live for all of them ----
+    std::thread::scope(|scope| {
+        let mut pool = ShardPool::start(scope, &ctx, shard_slots, workers);
+        for ep in 0..cfg.episodes {
+            // ---------------- coarse step ----------------
+            let bsz = cfg.batch_size.min(coarse_descs.len());
+            scratch.idxs.clear();
+            scratch.idxs.extend((0..bsz).map(|_| rng.random_range(0..coarse_descs.len())));
+            scratch.idxs.dedup();
+            scratch.pairs.clear();
+            let mut used = 0usize;
+            let mut row_off = 0usize;
+            for chunk in scratch.idxs.chunks(PAIRS_PER_SHARD) {
+                let shard = pool.slot_mut(used);
+                shard.row_specs.clear();
+                shard.row_off = row_off;
+                let len = chunk.len();
+                for &di in chunk {
+                    shard.row_specs.push(RowSpec::Sheet(coarse_descs[di].a, None));
+                }
+                for &di in chunk {
+                    let d = &coarse_descs[di];
+                    shard.row_specs.push(RowSpec::Sheet(d.b, d.aug_seed));
+                }
+                for (t, &di) in chunk.iter().enumerate() {
+                    scratch.pairs.push(PairRows {
+                        anchor: row_off + t,
+                        positive: row_off + len + t,
+                        shifted: None,
+                        identity: coarse_descs[di].group,
+                    });
+                }
+                row_off += 2 * len;
+                used += 1;
             }
-            for &di in chunk {
-                let d = &coarse_descs[di];
-                shard.row_specs.push(RowSpec::Sheet(d.b, d.aug_seed));
-            }
-            for (t, &di) in chunk.iter().enumerate() {
-                scratch.pairs.push(PairRows {
-                    anchor: row_off + t,
-                    positive: row_off + len + t,
-                    shifted: None,
-                    identity: coarse_descs[di].group,
-                });
-            }
-            row_off += 2 * len;
-            used += 1;
-        }
-        let step_c = af_obs::span!("train::step");
-        let loss_c = run_step(
-            Branch::Coarse,
-            &mut model,
-            &mut shard_pool[..used],
-            cfg.margin,
-            workers,
-            &ctx,
-            &mut scratch,
-        );
-        step_c.end();
-        adam_coarse.step(&mut model.coarse_head);
-        adam_reduce.step(&mut model.reduce);
+            let step_c = af_obs::span!("train::step");
+            let loss_c = run_step(
+                Branch::Coarse,
+                &mut model,
+                &mut pool,
+                used,
+                cfg.margin,
+                &ctx,
+                &mut scratch,
+            );
+            step_c.end();
+            adam_coarse.step(&mut model.coarse_head);
+            adam_reduce.step(&mut model.reduce);
 
-        // ---------------- fine step ----------------
-        let bsz = cfg.batch_size.min(fine_descs.len());
-        scratch.idxs.clear();
-        scratch.idxs.extend((0..bsz).map(|_| rng.random_range(0..fine_descs.len())));
-        scratch.idxs.dedup();
-        // Shifted-negative decisions, in pair order (fixed RNG sequence).
-        scratch.shifted_flags.clear();
-        for &di in &scratch.idxs {
-            let take =
-                fine_descs[di].shifted_neg.is_some() && rng.random_bool(opts.shifted_negative_rate);
-            scratch.shifted_flags.push(take);
-        }
-        scratch.pairs.clear();
-        let mut used = 0usize;
-        let mut row_off = 0usize;
-        let mut pair_at = 0usize;
-        for chunk in scratch.idxs.chunks(PAIRS_PER_SHARD) {
-            let shard = &mut shard_pool[used];
-            shard.row_specs.clear();
-            shard.row_off = row_off;
-            let len = chunk.len();
-            for &di in chunk {
-                let d = &fine_descs[di];
-                shard.row_specs.push(RowSpec::Region(d.a.0, d.a.1, None));
+            // ---------------- fine step ----------------
+            let bsz = cfg.batch_size.min(fine_descs.len());
+            scratch.idxs.clear();
+            scratch.idxs.extend((0..bsz).map(|_| rng.random_range(0..fine_descs.len())));
+            scratch.idxs.dedup();
+            // Shifted-negative decisions, in pair order (fixed RNG sequence).
+            scratch.shifted_flags.clear();
+            for &di in &scratch.idxs {
+                let take = fine_descs[di].shifted_neg.is_some()
+                    && rng.random_bool(opts.shifted_negative_rate);
+                scratch.shifted_flags.push(take);
             }
-            for &di in chunk {
-                let d = &fine_descs[di];
-                shard.row_specs.push(RowSpec::Region(d.b.0, d.b.1, d.aug_seed));
+            scratch.pairs.clear();
+            let mut used = 0usize;
+            let mut row_off = 0usize;
+            let mut pair_at = 0usize;
+            for chunk in scratch.idxs.chunks(PAIRS_PER_SHARD) {
+                let shard = pool.slot_mut(used);
+                shard.row_specs.clear();
+                shard.row_off = row_off;
+                let len = chunk.len();
+                for &di in chunk {
+                    let d = &fine_descs[di];
+                    shard.row_specs.push(RowSpec::Region(d.a.0, d.a.1, None));
+                }
+                for &di in chunk {
+                    let d = &fine_descs[di];
+                    shard.row_specs.push(RowSpec::Region(d.b.0, d.b.1, d.aug_seed));
+                }
+                let mut n_shift = 0usize;
+                for (t, &di) in chunk.iter().enumerate() {
+                    let d = &fine_descs[di];
+                    let shifted = if scratch.shifted_flags[pair_at + t] {
+                        let neg = d.shifted_neg.expect("flag set only when present");
+                        shard.row_specs.push(RowSpec::Region(neg.0, neg.1, None));
+                        let row = row_off + 2 * len + n_shift;
+                        n_shift += 1;
+                        Some(row)
+                    } else {
+                        None
+                    };
+                    scratch.pairs.push(PairRows {
+                        anchor: row_off + t,
+                        positive: row_off + len + t,
+                        shifted,
+                        identity: d.identity,
+                    });
+                }
+                pair_at += len;
+                row_off += 2 * len + n_shift;
+                used += 1;
             }
-            let mut n_shift = 0usize;
-            for (t, &di) in chunk.iter().enumerate() {
-                let d = &fine_descs[di];
-                let shifted = if scratch.shifted_flags[pair_at + t] {
-                    let neg = d.shifted_neg.expect("flag set only when present");
-                    shard.row_specs.push(RowSpec::Region(neg.0, neg.1, None));
-                    let row = row_off + 2 * len + n_shift;
-                    n_shift += 1;
-                    Some(row)
-                } else {
-                    None
-                };
-                scratch.pairs.push(PairRows {
-                    anchor: row_off + t,
-                    positive: row_off + len + t,
-                    shifted,
-                    identity: d.identity,
-                });
-            }
-            pair_at += len;
-            row_off += 2 * len + n_shift;
-            used += 1;
-        }
-        let step_f = af_obs::span!("train::step");
-        let loss_f = run_step(
-            Branch::Fine,
-            &mut model,
-            &mut shard_pool[..used],
-            cfg.margin,
-            workers,
-            &ctx,
-            &mut scratch,
-        );
-        step_f.end();
-        adam_fine.step(&mut model.fine_head);
-        adam_reduce.step(&mut model.reduce);
+            let step_f = af_obs::span!("train::step");
+            let loss_f =
+                run_step(Branch::Fine, &mut model, &mut pool, used, cfg.margin, &ctx, &mut scratch);
+            step_f.end();
+            adam_fine.step(&mut model.fine_head);
+            adam_reduce.step(&mut model.reduce);
 
-        if ep == 0 {
-            report.first_coarse_loss = loss_c;
-            report.first_fine_loss = loss_f;
+            if ep == 0 {
+                report.first_coarse_loss = loss_c;
+                report.first_fine_loss = loss_f;
+            }
+            report.final_coarse_loss = loss_c;
+            report.final_fine_loss = loss_f;
+            report.episodes = ep + 1;
         }
-        report.final_coarse_loss = loss_c;
-        report.final_fine_loss = loss_f;
-        report.episodes = ep + 1;
-    }
+    });
     report.seconds = started.elapsed().as_secs_f64();
     (model, report)
 }

@@ -11,6 +11,24 @@
 //! bit-deterministic run-to-run (they differ from a strictly sequential
 //! sum only by the usual f32 rounding, within ~1e-4 relative — see the
 //! property tests in `tests/kernel_properties.rs`).
+//!
+//! **Output-blocked kernels.** [`matmul_xwt`], [`matmul_xwt_acc`],
+//! [`matmul_wx`], [`norms_sq4`] and [`l2_sq_scaled4`] compute a block of
+//! outputs per pass over their shared operand. The contract is that every
+//! output keeps the arithmetic of the one-output kernel it replaces: its
+//! own eight lanes, its own sequential tail, the fixed `reduce_lanes`
+//! tree, and a `mul` then an `add` per term — never a fused multiply-add,
+//! which rounds once where the one-output kernel rounds twice. So a
+//! blocked result has the bits of the one-output composition, whatever the
+//! block, the tile or the instruction set. Each has a portable body in
+//! [`portable`] (the fallback, and the oracle the property tests hold the
+//! AVX2 body to) and, on x86-64, an AVX2 body in `avx2`, picked at run
+//! time by CPU detection — not by a build flag, so one binary runs
+//! everywhere.
+
+#[cfg(target_arch = "x86_64")]
+pub mod avx2;
+pub mod portable;
 
 /// Unroll width of the reduction kernels.
 pub const LANES: usize = 8;
@@ -288,10 +306,11 @@ pub fn shifted_plane_copy(x: &[f32], out: &mut [f32], h: usize, w: usize, r: isi
     for_each_wrapped(&span, w, r, s, |d, _| out[d] = 0.0);
 }
 
-/// `out[b, o] = bias[o] + Σ_i x[b, i] · w[o, i]` — the dense-layer kernel.
-/// `w` is `[out_dim, in_dim]` row-major; the inner product streams both
-/// operands contiguously through [`dot`]. Handles `batch == 0` and
-/// `in_dim == 0` (output rows are then just the bias).
+/// `out[b, o] = bias[o] + Σ_i x[b, i] · w[o, i]` — the dense-layer kernel,
+/// with the bits of `bias[o] + dot(x[b], w[o])`. `w` is `[out_dim,
+/// in_dim]` row-major. Handles `batch == 0` and `in_dim == 0` (output rows
+/// are then just the bias). Each output row starts as the bias and takes
+/// [`matmul_xwt_acc`]; `bias + d` and `d + bias` are the same IEEE sum.
 pub fn matmul_xwt(
     x: &[f32],
     w: &[f32],
@@ -301,17 +320,74 @@ pub fn matmul_xwt(
     out_dim: usize,
     out: &mut [f32],
 ) {
-    debug_assert_eq!(x.len(), batch * in_dim);
-    debug_assert_eq!(w.len(), out_dim * in_dim);
-    debug_assert_eq!(bias.len(), out_dim);
-    debug_assert_eq!(out.len(), batch * out_dim);
-    for b in 0..batch {
-        let xr = &x[b * in_dim..(b + 1) * in_dim];
-        let or = &mut out[b * out_dim..(b + 1) * out_dim];
-        for (o, ov) in or.iter_mut().enumerate() {
-            *ov = bias[o] + dot(xr, &w[o * in_dim..(o + 1) * in_dim]);
-        }
+    assert_eq!(bias.len(), out_dim, "matmul_xwt: one bias per output");
+    assert_eq!(out.len(), batch * out_dim, "matmul_xwt: out is [batch, out_dim]");
+    for row in out.chunks_exact_mut(out_dim.max(1)) {
+        row.copy_from_slice(bias);
     }
+    matmul_xwt_acc(x, w, batch, in_dim, out_dim, out);
+}
+
+/// `out[b, o] += dot(x[b], w[o])`, bit for bit, eight outputs per pass
+/// over an input row ([`portable::matmul_xwt_acc`]). With `x` a layer's
+/// input batch it is the dense forward; with `x` the channel-major output
+/// gradient of a convolution and `w` its im2col rows it accumulates the
+/// weight gradient.
+pub fn matmul_xwt_acc(
+    x: &[f32],
+    w: &[f32],
+    batch: usize,
+    in_dim: usize,
+    out_dim: usize,
+    out: &mut [f32],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if avx2::available() {
+        return avx2::matmul_xwt_acc(x, w, batch, in_dim, out_dim, out);
+    }
+    portable::matmul_xwt_acc(x, w, batch, in_dim, out_dim, out)
+}
+
+/// `out[i, p] = init[i] + Σ_j w[i, j] · x[j, p]`, summed in `j` order with
+/// the bits of filling `out[i]` with `init[i]` and then one [`axpy`] of
+/// `x[j]` per `j` ([`portable::matmul_wx`]). With `x` an im2col matrix it
+/// is the convolution forward (`init` = bias); with `x` the channel-major
+/// output gradient and `w` the transposed filter, the col-space input
+/// gradient (`init` = 0).
+pub fn matmul_wx(
+    w: &[f32],
+    init: &[f32],
+    x: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    out: &mut [f32],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if avx2::available() {
+        return avx2::matmul_wx(w, init, x, m, k, n, out);
+    }
+    portable::matmul_wx(w, init, x, m, k, n, out)
+}
+
+/// `[dot(b, b) for b in bs]`, bit for bit, four windows in one pass
+/// ([`portable::norms_sq4`]).
+pub fn norms_sq4(bs: [&[f32]; 4]) -> [f32; 4] {
+    #[cfg(target_arch = "x86_64")]
+    if avx2::available() {
+        return avx2::norms_sq4(bs);
+    }
+    portable::norms_sq4(bs)
+}
+
+/// `[l2_sq_scaled(a, bs[i], scales[i]) for i in 0..4]`, bit for bit, `a`
+/// read once for the four ([`portable::l2_sq_scaled4`]).
+pub fn l2_sq_scaled4(a: &[f32], bs: [&[f32]; 4], scales: [f32; 4]) -> [f32; 4] {
+    #[cfg(target_arch = "x86_64")]
+    if avx2::available() {
+        return avx2::l2_sq_scaled4(a, bs, scales);
+    }
+    portable::l2_sq_scaled4(a, bs, scales)
 }
 
 #[cfg(test)]

@@ -16,7 +16,9 @@
 //! its high-water capacity. `infer` never touches the pools.
 
 use crate::init::{he_uniform, xavier_uniform};
-use crate::kernel::{axpy, dot, matmul_xwt, shifted_plane_axpy, shifted_plane_copy, sum};
+use crate::kernel::{
+    axpy, dot, matmul_wx, matmul_xwt, matmul_xwt_acc, shifted_plane_axpy, shifted_plane_copy, sum,
+};
 use crate::tensor::{l2_normalize, Tensor};
 use rand::rngs::StdRng;
 
@@ -243,13 +245,17 @@ impl Layer for Relu {
 /// Both passes run over a **tap-major im2col matrix**: `cols[t]` (one row
 /// per kernel tap `t = (ci, di, dj)`) is the whole input batch shifted by
 /// the tap offset ([`shifted_plane_copy`]), so the forward pass is
-/// `out[co] = bias[co] + Σ_t w[co, t] · cols[t]` — a handful of
-/// `B·H·W`-long [`axpy`]/[`dot`] streams instead of millions of short
-/// row segments. The sheet windows this workspace convolves are only 8–10
-/// columns wide, which makes long streams the difference between scalar
-/// and SIMD throughput. The col matrix is cached for the backward pass
-/// (weight gradients are `dot(gradᵀ[co], cols[t])`; input gradients reuse
-/// the col rows in place, then scatter back with [`shifted_plane_axpy`]).
+/// `out[co] = bias[co] + Σ_t w[co, t] · cols[t]` over `B·H·W`-long rows
+/// instead of millions of short row segments — the sheet windows this
+/// workspace convolves are only 5–8 columns wide. [`matmul_wx`] computes it
+/// in register tiles of 4 channels × 16 pixels, each pixel summed over the
+/// taps in order, with the bits of one [`axpy`] per tap. The col matrix is
+/// cached for the backward pass: weight gradients are
+/// `dot(gradᵀ[co], cols[t])`, eight taps per pass over a gradient row
+/// ([`matmul_xwt_acc`]); the col-space input gradient
+/// `Σ_co w[co, t] · gradᵀ[co]` overwrites the col rows (tiled again by
+/// [`matmul_wx`] over the transposed filter) and is scattered back tap by
+/// tap with [`shifted_plane_axpy`].
 pub struct Conv2d {
     pub in_ch: usize,
     pub out_ch: usize,
@@ -267,6 +273,10 @@ pub struct Conv2d {
     /// Channel-major staging `[max(out_ch, ...), B·H·W]`: output rows in
     /// forward, transposed upstream gradient in backward.
     chan: Tensor,
+    /// The filter transposed to `[cin·k², out_ch]`, and one zero per tap:
+    /// the operands of the col-space input gradient.
+    wt: Vec<f32>,
+    zeros: Vec<f32>,
     wrap_scratch: Vec<f32>,
 }
 
@@ -287,6 +297,8 @@ impl Conv2d {
             gx_pool: Tensor::default(),
             cols: Tensor::default(),
             chan: Tensor::default(),
+            wt: Vec::new(),
+            zeros: Vec::new(),
             wrap_scratch: Vec::new(),
         }
     }
@@ -321,19 +333,18 @@ impl Conv2d {
     }
 
     /// Forward from a built col matrix into `out` (`[bsz, out_ch, h, w]`),
-    /// staging channel-major rows in `chan`.
+    /// staging channel-major rows in `chan` when the batch has more than
+    /// one image (one image's `[out_ch, h·w]` rows already are its planes).
     fn forward_from_cols(&self, cols: &Tensor, chan: &mut Tensor, out: &mut Tensor) {
         let [bsz, out_ch, h, w] = dims4(out);
         let n_px = bsz * h * w;
         let t_dim = self.in_ch * self.kernel * self.kernel;
-        chan.reset_for_overwrite(&[out_ch, n_px]);
-        for co in 0..out_ch {
-            let arow = &mut chan.data[co * n_px..][..n_px];
-            arow.fill(self.b[co]);
-            for t in 0..t_dim {
-                axpy(self.w[co * t_dim + t], &cols.data[t * n_px..][..n_px], arow);
-            }
+        if bsz == 1 {
+            matmul_wx(&self.w, &self.b, &cols.data, out_ch, t_dim, n_px, &mut out.data);
+            return;
         }
+        chan.reset_for_overwrite(&[out_ch, n_px]);
+        matmul_wx(&self.w, &self.b, &cols.data, out_ch, t_dim, n_px, &mut chan.data);
         // Scatter channel-major rows into [b, co, h, w] planes.
         for b in 0..bsz {
             for co in 0..out_ch {
@@ -390,21 +401,20 @@ impl Layer for Conv2d {
         for co in 0..out_ch {
             self.gb[co] += sum(&gt.data[co * n_px..][..n_px]);
         }
-        // Per tap: weight gradients from the cached cols, then reuse the
-        // col row in place as the col-space input gradient and scatter it.
+        // Weight gradients from the cached cols, then the col-space input
+        // gradient written over them, then each tap scattered back in tap
+        // order: per value, the sums of a tap-at-a-time loop.
         let mut cols = std::mem::take(&mut self.cols);
+        matmul_xwt_acc(&gt.data, &cols.data, out_ch, n_px, t_dim, &mut self.gw);
+        self.wt.resize(t_dim * out_ch, 0.0);
+        for co in 0..out_ch {
+            for t in 0..t_dim {
+                self.wt[t * out_ch + co] = self.w[co * t_dim + t];
+            }
+        }
+        self.zeros.resize(t_dim, 0.0);
+        matmul_wx(&self.wt, &self.zeros, &gt.data, t_dim, out_ch, n_px, &mut cols.data);
         for t in 0..t_dim {
-            {
-                let colrow = &cols.data[t * n_px..][..n_px];
-                for co in 0..out_ch {
-                    self.gw[co * t_dim + t] += dot(&gt.data[co * n_px..][..n_px], colrow);
-                }
-            }
-            let colrow = &mut cols.data[t * n_px..][..n_px];
-            colrow.fill(0.0);
-            for co in 0..out_ch {
-                axpy(self.w[co * t_dim + t], &gt.data[co * n_px..][..n_px], colrow);
-            }
             // col2im: scatter through the transposed tap shift.
             let ci = t / (k * k);
             let (r, s) = self.tap_shift(t);

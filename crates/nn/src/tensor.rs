@@ -7,7 +7,7 @@
 use std::fmt;
 
 pub use crate::kernel::{dot, l2_sq, matmul_xwt};
-use crate::kernel::{l2_sq_scaled, l2_sq_scaled_many};
+use crate::kernel::{l2_sq_scaled, l2_sq_scaled4, l2_sq_scaled_many, norms_sq4};
 
 /// A dense row-major tensor. Shapes follow the usual conventions:
 /// `[batch, features]` for dense layers and `[batch, channels, height,
@@ -148,6 +148,41 @@ pub fn l2_sq_normalized(a: &[f32], b: &[f32]) -> f32 {
         l2_sq_scaled(a, b, 1.0 / norm)
     } else {
         l2_sq(a, b)
+    }
+}
+
+/// `out[i] = l2_sq_normalized(a, windows[i])` for every window, bit for
+/// bit, four windows per pass: the four norms in one pass ([`norms_sq4`]),
+/// then the four scaled distances in one pass over `a`
+/// ([`l2_sq_scaled4`]). A window at or under the norm threshold is scored
+/// with scale `1.0`, and `y · 1.0` is `y`, so that is [`l2_sq`]'s
+/// arithmetic. The left-overs (and any block holding a window not of
+/// `a`'s length) go one by one. The lone query's S2 strip and S3
+/// neighbourhood score their windows this way.
+pub fn l2_sq_normalized_each(a: &[f32], windows: &[&[f32]], out: &mut [f32]) {
+    assert_eq!(windows.len(), out.len(), "one distance per window");
+    let mut blocks = windows.chunks_exact(4);
+    let mut outs = out.chunks_exact_mut(4);
+    for (bs, os) in (&mut blocks).zip(&mut outs) {
+        if bs.iter().all(|b| b.len() == a.len()) {
+            let bs = [bs[0], bs[1], bs[2], bs[3]];
+            let scales = norms_sq4(bs).map(|sq| {
+                let norm = sq.sqrt();
+                if norm > NORMALIZE_EPS {
+                    1.0 / norm
+                } else {
+                    1.0
+                }
+            });
+            os.copy_from_slice(&l2_sq_scaled4(a, bs, scales));
+        } else {
+            for (b, o) in bs.iter().zip(os) {
+                *o = l2_sq_normalized(a, b);
+            }
+        }
+    }
+    for (b, o) in blocks.remainder().iter().zip(outs.into_remainder()) {
+        *o = l2_sq_normalized(a, b);
     }
 }
 

@@ -2,12 +2,20 @@
 //! straightforward scalar reference implementations for arbitrary shapes —
 //! including remainder lanes (`len % 8 != 0`) and the degenerate
 //! `batch == 0` / `in_dim == 0` matmul shapes.
+//!
+//! The output-blocked kernels are held to bits, not tolerances: each
+//! dispatched entry, its portable body (`kernel::portable`) and, where the
+//! host has it, its AVX2 body (`kernel::avx2`) must equal the one-output
+//! composition it replaced — `bias + dot` per output, `fill` then one
+//! `axpy` per term, `l2_sq_normalized` per window — `to_bits` for
+//! `to_bits`. The AVX2 entry is called explicitly, so a host without AVX2
+//! still checks the portable body against the composition.
 
 use af_nn::kernel::{
-    axpy, dot, l2_sq, l2_sq_scaled, l2_sq_scaled_many, matmul_xwt, shifted_plane_axpy,
-    shifted_plane_copy, sum, LANES,
+    axpy, dot, l2_sq, l2_sq_scaled, l2_sq_scaled4, l2_sq_scaled_many, matmul_wx, matmul_xwt,
+    matmul_xwt_acc, norms_sq4, portable, shifted_plane_axpy, shifted_plane_copy, sum, LANES,
 };
-use af_nn::tensor::{l2_normalize, l2_sq_normalized, l2_sq_normalized_many};
+use af_nn::tensor::{l2_normalize, l2_sq_normalized, l2_sq_normalized_each, l2_sq_normalized_many};
 use proptest::prelude::*;
 
 const TOL: f32 = 1e-4;
@@ -192,6 +200,177 @@ proptest! {
                 // axpy is exact (save/restore), copy overwrites fully.
                 prop_assert_eq!(got[i * w + j], base[i * w + j] + alpha * sh);
                 prop_assert_eq!(copied[i * w + j], sh);
+            }
+        }
+    }
+}
+
+// ------------------------------------------------ output-blocked kernels
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// The AVX2 bodies this host can run, as `(name, matmul_xwt_acc,
+/// matmul_wx, norms_sq4, l2_sq_scaled4)`; empty without AVX2.
+type XwtAcc = fn(&[f32], &[f32], usize, usize, usize, &mut [f32]);
+type Wx = fn(&[f32], &[f32], &[f32], usize, usize, usize, &mut [f32]);
+type Norms4 = fn([&[f32]; 4]) -> [f32; 4];
+type Scaled4 = fn(&[f32], [&[f32]; 4], [f32; 4]) -> [f32; 4];
+
+fn bodies() -> Vec<(&'static str, XwtAcc, Wx, Norms4, Scaled4)> {
+    let mut v: Vec<(&'static str, XwtAcc, Wx, Norms4, Scaled4)> = vec![(
+        "portable",
+        portable::matmul_xwt_acc,
+        portable::matmul_wx,
+        portable::norms_sq4,
+        portable::l2_sq_scaled4,
+    )];
+    #[cfg(target_arch = "x86_64")]
+    if af_nn::kernel::avx2::available() {
+        use af_nn::kernel::avx2;
+        v.push((
+            "avx2",
+            avx2::matmul_xwt_acc,
+            avx2::matmul_wx,
+            avx2::norms_sq4,
+            avx2::l2_sq_scaled4,
+        ));
+    }
+    v
+}
+
+/// `n` floats, one in `zero_every` (if non-zero) a signed zero, so the
+/// `0.0 + (−0.0)` sums of the one-output kernels are exercised too.
+fn gen_with_zeros(n: usize, seed: u64, zero_every: usize) -> Vec<f32> {
+    let mut v = gen_vec(n, seed);
+    if zero_every > 0 {
+        for (i, x) in v.iter_mut().enumerate().filter(|(i, _)| i % zero_every == 0) {
+            *x = if i % 2 == 0 { 0.0 } else { -0.0 };
+        }
+    }
+    v
+}
+
+proptest! {
+    #[test]
+    fn blocked_matmul_has_the_bits_of_one_dot_per_output(
+        batch in 0usize..4,
+        chunks in 0usize..14,
+        rem in 0usize..LANES,
+        out_dim in 0usize..27,
+        zero_every in 0usize..4,
+        seed in 0u64..1000,
+    ) {
+        // in_dim: every remainder 0–7 over 0–13 whole chunks (up to 97+
+        // wide, the featurizer's width); out_dim: whole blocks of eight
+        // plus 0–7 left-over outputs.
+        let in_dim = chunks * LANES + rem;
+        let x = gen_with_zeros(batch * in_dim, seed, zero_every);
+        let w = gen_with_zeros(out_dim * in_dim, seed ^ 1, zero_every);
+        let bias = gen_with_zeros(out_dim, seed ^ 2, zero_every);
+        let mut want = vec![0.0f32; batch * out_dim];
+        for b in 0..batch {
+            for o in 0..out_dim {
+                let xr = &x[b * in_dim..][..in_dim];
+                want[b * out_dim + o] = bias[o] + dot(xr, &w[o * in_dim..][..in_dim]);
+            }
+        }
+        let mut got = vec![f32::NAN; batch * out_dim];
+        matmul_xwt(&x, &w, &bias, batch, in_dim, out_dim, &mut got);
+        prop_assert_eq!(bits(&got), bits(&want), "dispatched matmul_xwt");
+
+        // The accumulating form on top of arbitrary values.
+        let base = gen_with_zeros(batch * out_dim, seed ^ 3, zero_every);
+        let mut want_acc = base.clone();
+        for b in 0..batch {
+            for o in 0..out_dim {
+                let xr = &x[b * in_dim..][..in_dim];
+                want_acc[b * out_dim + o] += dot(xr, &w[o * in_dim..][..in_dim]);
+            }
+        }
+        let mut got = base.clone();
+        matmul_xwt_acc(&x, &w, batch, in_dim, out_dim, &mut got);
+        prop_assert_eq!(bits(&got), bits(&want_acc), "dispatched matmul_xwt_acc");
+        for (name, xwt_acc, ..) in bodies() {
+            let mut got = base.clone();
+            xwt_acc(&x, &w, batch, in_dim, out_dim, &mut got);
+            prop_assert_eq!(bits(&got), bits(&want_acc), "{} matmul_xwt_acc", name);
+        }
+    }
+
+    #[test]
+    fn tiled_conv_sum_has_the_bits_of_one_axpy_per_term(
+        m in 0usize..11,
+        k in 0usize..20,
+        tiles in 0usize..4,
+        rem in 0usize..16,
+        zero_every in 0usize..4,
+        seed in 0u64..1000,
+    ) {
+        // m: whole tiles of four rows plus 0–3 left-over rows; n: whole
+        // 16-pixel tiles plus 0–15 left-over pixels (an 8-pixel tile and
+        // a scalar tail), and n = 0 (a batch of no images).
+        let n = tiles * 16 + rem;
+        let w = gen_with_zeros(m * k, seed, zero_every);
+        let init = gen_with_zeros(m, seed ^ 1, zero_every);
+        let x = gen_with_zeros(k * n, seed ^ 2, zero_every);
+        let mut want = vec![0.0f32; m * n];
+        for i in 0..m {
+            let row = &mut want[i * n..][..n];
+            row.fill(init[i]);
+            for j in 0..k {
+                axpy(w[i * k + j], &x[j * n..][..n], row);
+            }
+        }
+        let mut got = vec![f32::NAN; m * n];
+        matmul_wx(&w, &init, &x, m, k, n, &mut got);
+        prop_assert_eq!(bits(&got), bits(&want), "dispatched matmul_wx");
+        for (name, _, wx, ..) in bodies() {
+            let mut got = vec![f32::NAN; m * n];
+            wx(&w, &init, &x, m, k, n, &mut got);
+            prop_assert_eq!(bits(&got), bits(&want), "{} matmul_wx", name);
+        }
+    }
+
+    #[test]
+    fn four_window_distance_has_the_bits_of_one_call_per_window(
+        n in (len_with_remainders(), 0usize..5).prop_map(|(n, wide)| if wide == 0 { 2560 } else { n }),
+        n_windows in 0usize..10,
+        tiny_mask in 0u32..16,
+        seed in 0u64..1000,
+    ) {
+        // Every remainder mod 8 plus the default 2 560-float window; 0–9
+        // windows (whole blocks of four and 0–3 left-overs); each of the
+        // first four windows independently shrunk under the norm
+        // threshold, so blocks mix the scaled and the `l2_sq` branch.
+        let a = gen_vec(n, seed);
+        let windows: Vec<Vec<f32>> = (0..n_windows as u64)
+            .map(|i| {
+                let mut b = gen_vec(n, seed ^ ((i + 1) << 20));
+                if i < 4 && tiny_mask & (1 << i) != 0 {
+                    b.iter_mut().for_each(|x| *x *= 1e-14);
+                }
+                b
+            })
+            .collect();
+        let refs: Vec<&[f32]> = windows.iter().map(Vec::as_slice).collect();
+        let want: Vec<f32> = refs.iter().map(|b| l2_sq_normalized(&a, b)).collect();
+        let mut got = vec![f32::NAN; n_windows];
+        l2_sq_normalized_each(&a, &refs, &mut got);
+        prop_assert_eq!(bits(&got), bits(&want), "n={} windows={}", n, n_windows);
+
+        for four in refs.chunks_exact(4) {
+            let bs = [four[0], four[1], four[2], four[3]];
+            let norms: Vec<f32> = bs.iter().map(|b| dot(b, b)).collect();
+            let scales = [0.37f32, 1.0, 2.5, 1e-3];
+            let scaled: Vec<f32> =
+                bs.iter().zip(scales).map(|(b, s)| l2_sq_scaled(&a, b, s)).collect();
+            prop_assert_eq!(bits(&norms_sq4(bs)), bits(&norms));
+            prop_assert_eq!(bits(&l2_sq_scaled4(&a, bs, scales)), bits(&scaled));
+            for (name, _, _, norms4, scaled4) in bodies() {
+                prop_assert_eq!(bits(&norms4(bs)), bits(&norms), "{} norms_sq4", name);
+                prop_assert_eq!(bits(&scaled4(&a, bs, scales)), bits(&scaled), "{} l2_sq_scaled4", name);
             }
         }
     }
