@@ -1,7 +1,7 @@
 //! `cargo run --release -p af-bench --bin serve` — measure the serving
 //! layer at the current `AF_SCALE`: artifact size, cold-start load vs full
 //! index rebuild, and concurrent/micro-batched query latency through the
-//! lock-free `ServeHandle`. Results land in `BENCH_serve.json` (pass an
+//! shared `ServeHandle`. Results land in `BENCH_serve.json` (pass an
 //! output path as the first argument to write elsewhere).
 //!
 //! Built with `--features obs`, the run additionally measures the cost of

@@ -9,7 +9,7 @@
 //!   persistence layer: a serving process restarts in milliseconds instead
 //!   of re-running the embedding model over every reference sheet;
 //! * **concurrent query latency** — p50/p99 of `ServeHandle` predictions
-//!   under multi-threaded load (readers are lock-free), plus the
+//!   under multi-threaded load (one shared handle), plus the
 //!   micro-batched `predict_batch` throughput.
 //!
 //! Results are written to `BENCH_serve.json`. The committed file is a
@@ -412,7 +412,7 @@ pub fn measure_full() -> ServeBenchRun {
     seq_ms.sort_by(|a, b| a.total_cmp(b));
 
     // Concurrent latency: READER_THREADS threads replay the query list
-    // against the lock-free handle.
+    // against one shared handle.
     let started = Instant::now();
     let mut all_ms: Vec<f64> = Vec::new();
     std::thread::scope(|scope| {

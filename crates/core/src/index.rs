@@ -258,6 +258,7 @@ impl ReferenceIndex {
                 keys.push(SheetKey { workbook: wi, sheet: si });
             }
         }
+        let _build = af_obs::span!("index::build", n = keys.len());
         // Parallel embedding across sheets; width follows the config knob
         // (0 = every available core) instead of a hard-coded cap.
         let n_threads = crate::config::resolve_threads(embedder.cfg().embed_threads);

@@ -1,5 +1,5 @@
-//! `af-serve` — lock-free concurrent serving of self-contained
-//! recommendation artifacts.
+//! `af-serve` — concurrent serving of self-contained recommendation
+//! artifacts.
 //!
 //! The paper's online pipeline (Algorithm 2) is train-once / predict-many;
 //! this crate is the predict-many half as a production component:
@@ -17,11 +17,11 @@
 //!   O(log n) times, the base only once additions rival it). Merges are
 //!   built off the writer lock. Queries scan every run plus the delta and
 //!   merge, so writes are cheap and reads never miss fresh sheets.
-//! * **A left-right epoch, lock-free readers.** The serving state sits in
-//!   a two-slot left-right structure: readers acquire it with two atomic
-//!   counter operations and *never block* — not on other readers, not on
-//!   writers, not on the compactor. Readers holding a [`Snapshot`] keep
-//!   serving that exact state until they drop it.
+//! * **One snapshot cell.** The serving state is one immutable `State`
+//!   behind a mutex that is held only to clone or swap its `Arc`: a
+//!   reader never waits on an embedding, a table copy or a merge build,
+//!   which all happen under a separate writer lock. Readers holding a
+//!   [`Snapshot`] keep serving that exact state until they drop it.
 //! * **One funnel, one entry point.** [`ServeHandle::query`] embeds a
 //!   burst's distinct query sheets through the representation model in
 //!   one tensor pass, then answers all targets of a sheet in one pass of
@@ -54,8 +54,8 @@
 //!   (`af_core::failpoint`).
 //!
 //! See `ARCHITECTURE.md` at the repository root for the full design,
-//! including the epoch-swap protocol, why there is one partition, and
-//! the failure model (quarantine state machine, deadline semantics,
+//! including the snapshot cell, why there is one partition, and the
+//! failure model (quarantine state machine, deadline semantics,
 //! compactor backoff).
 //!
 //! # Examples
@@ -77,23 +77,15 @@
 //! let handle = ServeHandle::new(af, index);
 //! let sheet = &corpus.workbooks[3].sheets[0];
 //! let (target, _) = sheet.formulas().next().unwrap();
-//! let prediction = handle.predict(sheet, target); // lock-free
+//! let prediction = handle.predict(sheet, target); // any thread
 //! handle.add_workbook(&corpus.workbooks[3]); // grows the delta
 //! let bytes = handle.to_artifact(); // runs and delta merged into one index
 //! # let _ = (prediction, bytes);
 //! ```
 #![warn(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
-#![warn(clippy::undocumented_unsafe_blocks)]
+#![forbid(unsafe_code)]
 
-pub mod protocol;
-
-use crate::protocol::{
-    compact_warranted, delta_disposition, should_merge, should_signal_compactor, DeltaDisposition,
-    EpochCore, HealthCore, LeftRightCore,
-};
 use af_ann::{merge_neighbors, Neighbor};
-use af_check::StdFamily;
 use af_core::artifact::{write_atomic, ArtifactError};
 use af_core::config::{AnnBackend, AutoFormulaConfig};
 use af_core::fail_point;
@@ -103,7 +95,7 @@ use af_core::pipeline::{
 };
 use af_grid::{CellRef, Sheet, Workbook};
 use bytes::Bytes;
-use std::marker::PhantomData;
+use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -112,84 +104,49 @@ use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-// Memory-ordering discipline: the left-right publish/acquire choreography
-// lives in [`protocol`], model-checked by `af-check` (tests/model.rs) with
-// SeqCst kept only on the four store-buffering-critical operations; see
-// the proof sketch in the module docs and ARCHITECTURE.md §Verification.
-// Every atomic access in this file carries its own `// ordering:` note.
-// ------------------------------------------------------- left-right cell
+// ---------------------------------------------------------- write policy
 
-/// A two-slot left-right cell: lock-free wait-free-in-practice reads, and
-/// epoch-style publishes that wait out stragglers instead of blocking
-/// readers. The serving state lives in one.
-///
-/// The choreography — slots, announce/confirm, drain-then-swap — lives in
-/// [`protocol::LeftRightCore`], model-checked over `af-check`'s shims;
-/// this wrapper instantiates it with [`StdFamily`] (plain `std` atomics,
-/// zero cost) and raw `Arc<T>` pointers as the payload tokens.
-struct LeftRight<T> {
-    core: LeftRightCore<StdFamily>,
-    /// The cell owns one `Arc<T>` strong count per slot token.
-    _owns: PhantomData<Arc<T>>,
+/// What a write that grew the delta should do next.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum DeltaDisposition {
+    /// Publish the grown delta as-is.
+    Grow,
+    /// The delta reached the backpressure threshold: seal it and merge
+    /// runs inline before publishing (one synchronous compaction beats
+    /// every query degrading toward O(corpus)).
+    CompactInline,
 }
 
-impl<T> LeftRight<T> {
-    fn new(v: Arc<T>) -> LeftRight<T> {
-        let slot0 = Arc::into_raw(Arc::clone(&v)) as usize;
-        let slot1 = Arc::into_raw(v) as usize;
-        LeftRight { core: LeftRightCore::new(slot0, slot1), _owns: PhantomData }
-    }
-
-    /// Acquire the current value. Lock-free; at most a couple of retries
-    /// when a publish races past.
-    fn read(&self) -> Arc<T> {
-        self.core.read(|token| {
-            let p = token as *const T;
-            // SAFETY: `token` round-trips a pointer minted by
-            // `Arc::into_raw` (in `new` or `publish`), and the core's
-            // announce/confirm protocol pins the slot until the `pin`
-            // closure returns: the publisher drains this slot's reader
-            // count to zero before swapping out and retiring the token,
-            // so the slot's strong count is alive for the whole closure.
-            // Incrementing before `from_raw` keeps the slot's own count
-            // intact while handing the caller an owned clone.
-            unsafe {
-                Arc::increment_strong_count(p);
-                Arc::from_raw(p)
-            }
-        })
-    }
-
-    /// Take the publisher lock; `publish` must be called under it.
-    fn write_lock(&self) -> impl Drop + '_ {
-        self.core.write_lock()
-    }
-
-    /// Replace both slots with `new`. The caller must hold
-    /// [`Self::write_lock`].
-    fn publish(&self, new: Arc<T>) {
-        self.core.publish(
-            || Arc::into_raw(Arc::clone(&new)) as usize,
-            |old| {
-                // SAFETY: every retired token is a pointer this cell
-                // minted via `Arc::into_raw` with its own strong count,
-                // displaced from its slot after the core drained the
-                // slot's readers — nothing observes it after this drop.
-                unsafe { drop(Arc::from_raw(old as *const T)) }
-            },
-        );
+/// Decide a grown delta's fate against the backpressure threshold.
+fn delta_disposition(delta_sheets: usize, backpressure_at: Option<usize>) -> DeltaDisposition {
+    match backpressure_at {
+        Some(at) if delta_sheets >= at => DeltaDisposition::CompactInline,
+        _ => DeltaDisposition::Grow,
     }
 }
 
-impl<T> Drop for LeftRight<T> {
-    fn drop(&mut self) {
-        for token in self.core.payloads_mut() {
-            // SAFETY: `&mut self` means no readers or publishers are
-            // live; each slot still owns the strong count its token was
-            // minted with, released exactly once here.
-            unsafe { drop(Arc::from_raw(token as *const T)) };
-        }
-    }
+/// The compactor's re-check under the writer lock: a racing compaction
+/// (inline or a previous signal) may already have sealed the delta, in
+/// which case the seal is a no-op. `delta_max` of zero behaves as one
+/// (a compactor signaled at all means deltas are enabled).
+fn compact_warranted(delta_sheets: usize, delta_max: usize) -> bool {
+    delta_sheets >= delta_max.max(1)
+}
+
+/// After a publish: should the compactor be signaled?
+fn should_signal_compactor(delta_sheets: usize, delta_max: usize) -> bool {
+    delta_max > 0 && delta_sheets >= delta_max.max(1)
+}
+
+/// The merge rule, applied to the last two sealed runs until
+/// it no longer holds: merge them while the newer (`last`) has at least
+/// as many sheets as the older (`prev`). This is the logarithmic method —
+/// run sizes end up strictly decreasing, so the list holds O(log n) runs,
+/// each sheet is re-copied O(log n) times, and a large base is copied
+/// only once the sheets added since rival it. A fixed function on
+/// purpose, not a knob.
+fn should_merge(last_sheets: usize, prev_sheets: usize) -> bool {
+    last_sheets >= prev_sheets
 }
 
 // ----------------------------------------------------------- serving state
@@ -208,6 +165,7 @@ fn merged(older: &ReferenceIndex, newer: &ReferenceIndex) -> ReferenceIndex {
 /// a write appends to the delta, a seal moves the delta onto the end of
 /// the runs and a merge joins two neighbouring runs in order, so no
 /// sheet's position ever changes.
+#[derive(Clone)]
 struct State {
     /// Sealed runs, oldest first; never empty. Run 0 is the loaded base
     /// (possibly HNSW/IVF) until the merge rule folds it. `Arc`-shared
@@ -217,6 +175,9 @@ struct State {
     /// Mutable segment, always `Flat`-backed (exact). Cloned — O(delta) —
     /// on every write; sealing moves the `Arc` onto `runs`.
     delta: Arc<ReferenceIndex>,
+    /// The number of workbooks whose every sheet this state holds: set by
+    /// each workbook's last publish, copied unchanged by compaction.
+    epoch: u64,
     /// When this state was published (drives
     /// [`ServeStats::snapshot_age`]).
     published_at: Instant,
@@ -232,7 +193,7 @@ impl State {
     fn sealed(&self, empty_delta: &Arc<ReferenceIndex>) -> State {
         let mut runs = self.runs.clone();
         runs.push(Arc::clone(&self.delta));
-        State { runs, delta: Arc::clone(empty_delta), published_at: Instant::now() }
+        State { runs, delta: Arc::clone(empty_delta), published_at: Instant::now(), ..*self }
     }
 
     /// Where the merge rule ([`should_merge`]) wants the next merge: the
@@ -247,7 +208,7 @@ impl State {
     fn with_merged(&self, at: usize, merged: ReferenceIndex) -> State {
         let mut runs = self.runs.clone();
         runs.splice(at..at + 2, [Arc::new(merged)]);
-        State { runs, delta: Arc::clone(&self.delta), published_at: Instant::now() }
+        State { runs, delta: Arc::clone(&self.delta), published_at: Instant::now(), ..*self }
     }
 
     /// Seal the delta and merge until the rule holds, synchronously — the
@@ -260,20 +221,75 @@ impl State {
         }
         state
     }
+
+    /// Build the merge of runs `at` and `at + 1` — the part of a
+    /// compaction that copies tables, done off the writer lock.
+    fn plan_merge(&self, at: usize) -> MergePlan {
+        let (older, newer) = (Arc::clone(&self.runs[at]), Arc::clone(&self.runs[at + 1]));
+        let run = merged(&older, &newer);
+        MergePlan { at, older, newer, run }
+    }
 }
 
-/// The index's health, shared between the handle and every snapshot. The
-/// flag is sticky: once a query (or an operator) quarantines the index,
-/// it stays excluded from the read path until an explicit
-/// [`ServeHandle::recover`] — automatic un-quarantine would re-expose
-/// readers to an index that just proved it can panic. While quarantined,
-/// queries answer nothing and report [`ServeOutcome::index_skipped`];
-/// writes and compaction still proceed — the data is intact, it is the
-/// *scan* that misbehaved.
-///
-/// The flag/epoch choreography lives in [`protocol::HealthCore`]
-/// (model-checked sticky-quarantine invariant).
-type Health = HealthCore<StdFamily>;
+/// A merge built off the writer lock from the state it was read in: the
+/// two runs it joins, by identity, and their merge.
+struct MergePlan {
+    at: usize,
+    older: Arc<ReferenceIndex>,
+    newer: Arc<ReferenceIndex>,
+    run: ReferenceIndex,
+}
+
+/// The index's health, shared between the handle and every snapshot: one
+/// word holding either [`Health::HEALTHY`] or the epoch quarantine was
+/// imposed at, so the flag and its epoch are always read together. It is
+/// sticky: once a query (or an operator) quarantines the index, it stays
+/// excluded from the read path until an explicit [`ServeHandle::recover`]
+/// — automatic un-quarantine would re-expose readers to an index that
+/// just proved it can panic. While quarantined, queries answer nothing
+/// and report [`ServeOutcome::index_skipped`]; writes and compaction
+/// still proceed — the data is intact, it is the *scan* that misbehaved.
+struct Health(AtomicU64);
+
+impl Health {
+    const HEALTHY: u64 = u64::MAX;
+
+    fn new() -> Health {
+        Health(AtomicU64::new(Health::HEALTHY))
+    }
+
+    /// Impose quarantine at `epoch`. Idempotent: `true` only for the
+    /// imposition that flipped the index from healthy, which alone records
+    /// an event; a later one keeps the first epoch.
+    fn impose(&self, epoch: u64) -> bool {
+        // ordering: AcqRel on success — pairs with `since`'s Acquire and
+        // with `recover`'s Release; Acquire on failure orders a losing
+        // imposition after the winning one.
+        let won = self
+            .0
+            .compare_exchange(Health::HEALTHY, epoch, Ordering::AcqRel, Ordering::Acquire)
+            .is_ok();
+        if won {
+            af_obs::event!("serve::quarantine", "imposed", epoch);
+        }
+        won
+    }
+
+    /// The epoch quarantine was imposed at; `None` when healthy.
+    fn since(&self) -> Option<u64> {
+        // ordering: Acquire — pairs with `impose` and `recover`, so a
+        // query that sees the recovery also sees what preceded it.
+        let v = self.0.load(Ordering::Acquire);
+        (v != Health::HEALTHY).then_some(v)
+    }
+
+    /// Lift the quarantine (operator action; never automatic).
+    fn recover(&self) {
+        // ordering: Release — a reader that observes the recovery also
+        // observes whatever repair preceded it.
+        self.0.store(Health::HEALTHY, Ordering::Release);
+    }
+}
 
 /// Monotonic serving counters, all updated with relaxed atomics — they
 /// are observability, not synchronization.
@@ -381,12 +397,16 @@ pub struct ServeOutcome {
 
 struct Shared {
     system: Arc<AutoFormula>,
-    state: LeftRight<State>,
+    /// The published serving state. The lock is held only to clone or
+    /// swap the `Arc` ([`Shared::current`], [`Shared::publish`]), never
+    /// while a state is built.
+    state: Mutex<Arc<State>>,
+    /// Serializes publishers: every read-check-build-publish sequence of
+    /// a write, a seal or a merge swap runs under it, so none of them
+    /// publishes a state derived from one another has replaced. Readers
+    /// never take it.
+    writer: Mutex<()>,
     health: Arc<Health>,
-    /// Monotonic epoch: the number of `add_workbook` publishes. Compaction
-    /// republishes the state but does not bump the epoch — it changes
-    /// layout, not content.
-    epoch: EpochCore<StdFamily>,
     /// Provenance id the next added workbook receives.
     next_workbook_id: AtomicUsize,
     /// Shared with every snapshot so degradation/deadline accounting
@@ -410,6 +430,19 @@ struct Shared {
 }
 
 impl Shared {
+    /// The published state, pinned.
+    fn current(&self) -> Arc<State> {
+        Arc::clone(&self.state.lock())
+    }
+
+    /// Replace the published state. The caller must hold `writer`. The
+    /// old state is dropped after the lock is released, so a reader never
+    /// waits on the last reference to a run being freed.
+    fn publish(&self, new: State) {
+        let old = std::mem::replace(&mut *self.state.lock(), Arc::new(new));
+        drop(old);
+    }
+
     /// Seal the delta if it is full, then merge runs until the rule
     /// holds. Runs on the compactor thread. An `Err` is only ever an
     /// injected fault (the `serve::compact` failpoint); the supervisor
@@ -428,16 +461,15 @@ impl Shared {
     /// Move the delta onto the end of the run list if it has reached
     /// `delta_max`. Copies nothing; holds the writer lock for one publish.
     fn seal_full_delta(&self) {
-        let cell = &self.state;
-        let _guard = cell.write_lock();
-        let cur = cell.read();
+        let _guard = self.writer.lock();
+        let cur = self.current();
         // Re-check under the lock: a racing signal or an inline
         // compaction may already have sealed this delta.
         if compact_warranted(cur.delta.n_sheets(), self.delta_max) {
             // How deep the delta got before it was sealed — the backlog
             // gauge a wedged compactor shows up in first.
             af_obs::observe!("serve::compact_backlog", cur.delta.n_sheets());
-            cell.publish(Arc::new(cur.sealed(&self.empty_delta)));
+            self.publish(cur.sealed(&self.empty_delta));
         }
     }
 
@@ -445,34 +477,29 @@ impl Shared {
     /// is built off the writer lock from the immutable `Arc`s and swapped
     /// in under it, so an `add_workbook` never waits on a table copy.
     fn merge_once(&self) -> bool {
-        let cell = &self.state;
-        let cur = cell.read();
+        let cur = self.current();
         let Some(at) = cur.merge_due() else { return false };
         let _merging = af_obs::span!("serve::compact");
-        let (older, newer) = (&cur.runs[at], &cur.runs[at + 1]);
-        let run = merged(older, newer);
-        let _guard = cell.write_lock();
-        let now = cell.read();
-        // Writers only replace the delta, so the runs read off the lock
-        // are normally still in place; an inline compaction may have
-        // merged them itself, in which case this build is dropped and the
-        // caller evaluates the rule afresh.
-        let in_place = matches!(
-            now.runs.get(at..at + 2),
-            Some([a, b]) if Arc::ptr_eq(a, older) && Arc::ptr_eq(b, newer)
-        );
-        if in_place {
-            cell.publish(Arc::new(now.with_merged(at, run)));
-        }
+        self.swap_merged(cur.plan_merge(at));
         true
     }
-}
 
-/// Impose quarantine on the index (idempotent; only the first imposition
-/// records an event).
-fn quarantine(health: &Health, epoch: u64) {
-    if health.quarantine(epoch) {
-        af_obs::event!("serve::quarantine", "imposed", epoch);
+    /// Publish a merge built off the lock, if the two runs it joins are
+    /// still where it read them; `false` drops it. Writers only replace
+    /// the delta, so the runs are normally still in place, but an inline
+    /// compaction may have merged them itself — splicing the plan in then
+    /// would lose or duplicate the runs that compaction produced.
+    fn swap_merged(&self, plan: MergePlan) -> bool {
+        let _guard = self.writer.lock();
+        let now = self.current();
+        let in_place = matches!(
+            now.runs.get(plan.at..plan.at + 2),
+            Some([a, b]) if Arc::ptr_eq(a, &plan.older) && Arc::ptr_eq(b, &plan.newer)
+        );
+        if in_place {
+            self.publish(now.with_merged(plan.at, plan.run));
+        }
+        in_place
     }
 }
 
@@ -486,7 +513,8 @@ pub struct Snapshot {
     /// The trained system (model + featurizer), shared across epochs —
     /// incremental indexing never retrains.
     pub system: Arc<AutoFormula>,
-    /// Epoch at acquisition (the number of `add_workbook` publishes).
+    /// The number of added workbooks whose every sheet this snapshot
+    /// holds.
     pub epoch: u64,
     state: Arc<State>,
     /// Live health flag, shared with the handle: a quarantine imposed
@@ -629,7 +657,7 @@ impl Snapshot {
             let targets: Vec<CellRef> = members.iter().map(|&qi| queries[qi].1).collect();
             // Per-pass exclusion, seeded from the sticky quarantine flag;
             // a mid-pass panic sets it (and the shared flag).
-            let mut excluded = self.health.is_quarantined();
+            let mut excluded = self.health.since().is_some();
             let results = self.system.funnel(
                 &segments,
                 emb,
@@ -637,7 +665,9 @@ impl Snapshot {
                 &targets,
                 opts,
                 &mut excluded,
-                &mut |_| quarantine(&self.health, self.epoch),
+                &mut |_| {
+                    self.health.impose(self.epoch);
+                },
             );
             for (&qi, result) in members.iter().zip(results) {
                 outcomes[qi] = Some(self.outcome(result));
@@ -699,6 +729,7 @@ impl ServeHandle {
         let state = State {
             runs: vec![Arc::new(index)],
             delta: Arc::clone(&empty_delta),
+            epoch: 0,
             published_at: Instant::now(),
         };
 
@@ -710,9 +741,9 @@ impl ServeHandle {
         };
         let shared = Arc::new(Shared {
             system: Arc::new(system),
-            state: LeftRight::new(Arc::new(state)),
+            state: Mutex::new(Arc::new(state)),
+            writer: Mutex::new(()),
             health: Arc::new(Health::new()),
-            epoch: EpochCore::new(0),
             next_workbook_id: AtomicUsize::new(next_workbook_id),
             counters: Arc::new(Counters::default()),
             delta_max: cfg.delta_max_sheets,
@@ -798,20 +829,19 @@ impl ServeHandle {
         write_atomic(path, &self.to_artifact())
     }
 
-    /// Acquire the current snapshot: the epoch counter plus the current
-    /// state, pinned. Lock-free — a couple of atomic ops; the returned
-    /// snapshot stays valid (and immutable) for as long as the caller
-    /// holds it, regardless of concurrent writes.
+    /// Acquire the current snapshot: the published state, pinned by
+    /// cloning its `Arc` under the state lock — never behind a write, a
+    /// seal or a merge build. The returned snapshot stays valid (and
+    /// immutable) for as long as the caller holds it, regardless of
+    /// concurrent writes.
     pub fn snapshot(&self) -> Snapshot {
         // ordering: Relaxed — independent stats counter, publishes nothing.
         self.shared.counters.snapshots.fetch_add(1, Ordering::Relaxed);
-        // Epoch first: concurrent publishes can only make the data *newer*
-        // than the reported epoch, keeping per-reader epochs monotone.
-        let epoch = self.shared.epoch.current();
+        let state = self.shared.current();
         Snapshot {
             system: Arc::clone(&self.shared.system),
-            epoch,
-            state: self.shared.state.read(),
+            epoch: state.epoch,
+            state,
             health: Arc::clone(&self.shared.health),
             counters: Arc::clone(&self.shared.counters),
         }
@@ -819,7 +849,7 @@ impl ServeHandle {
 
     /// Current epoch (0 until the first [`ServeHandle::add_workbook`]).
     pub fn epoch(&self) -> u64 {
-        self.shared.epoch.current()
+        self.shared.current().epoch
     }
 
     /// Serving counters and snapshot age — the numbers an operator (or a
@@ -865,7 +895,7 @@ impl ServeHandle {
     /// The same imposition a caught panic performs — useful for operator
     /// drills and for draining an index suspected of bad data.
     pub fn quarantine(&self) {
-        quarantine(&self.shared.health, self.shared.epoch.current());
+        self.shared.health.impose(self.epoch());
     }
 
     /// Lift the quarantine, returning the index to the read path.
@@ -879,8 +909,7 @@ impl ServeHandle {
     /// The epoch at which the index was quarantined; `None` on a healthy
     /// server.
     pub fn quarantined_since(&self) -> Option<u64> {
-        let health = &self.shared.health;
-        health.is_quarantined().then(|| health.since_epoch())
+        self.shared.health.since()
     }
 
     /// Sheets currently indexed.
@@ -894,7 +923,7 @@ impl ServeHandle {
     }
 
     /// Predict with the confidence threshold applied (the serving
-    /// entry point). Lock-free: runs entirely against one snapshot.
+    /// entry point). Runs entirely against one snapshot.
     pub fn predict(&self, sheet: &Sheet, target: CellRef) -> Option<Prediction> {
         self.snapshot().predict(sheet, target)
     }
@@ -949,27 +978,27 @@ impl ServeHandle {
 
     /// Incrementally index one more workbook: each sheet is appended to
     /// the delta segment — the write clones O(delta), not O(corpus) — and
-    /// the new state is published left-right, so the sheet's global id is
-    /// the number of sheets before it. Readers never block; queries in
-    /// flight keep their snapshot, new queries see the new sheets. A full
-    /// delta is handed to the background compactor. Returns the new
-    /// epoch.
+    /// published as a new state, so the sheet's global id is the number of
+    /// sheets before it. Readers never wait on the write; queries in
+    /// flight keep their snapshot, new queries see the new sheets. The
+    /// workbook's last publish advances the epoch. A full delta is handed
+    /// to the background compactor. Returns the new epoch.
     pub fn add_workbook(&self, workbook: &Workbook) -> u64 {
         let shared = &*self.shared;
         // ordering: Relaxed — a unique-id allocator; nothing is published
         // through it (the sheets become visible via the state publish).
         let id = shared.next_workbook_id.fetch_add(1, Ordering::Relaxed);
         let embedder = shared.system.embedder();
-        let cell = &shared.state;
+        let mut epoch = 0;
         for (si, sheet) in workbook.sheets.iter().enumerate() {
             let key = SheetKey { workbook: id, sheet: si };
             // Time spent queued behind another writer or a compactor swap
             // is its own site, so `serve::delta_publish` is the work only.
             let waiting = af_obs::span!("serve::write_lock_wait");
-            let guard = cell.write_lock();
+            let guard = shared.writer.lock();
             waiting.end();
             let publish = af_obs::span!("serve::delta_publish");
-            let cur = cell.read();
+            let cur = shared.current();
             let mut runs = cur.runs.clone();
             let mut delta = Arc::clone(&cur.delta);
             match runs.last_mut() {
@@ -986,7 +1015,8 @@ impl ServeHandle {
                     delta = Arc::new(run);
                 }
             }
-            let mut new = State { runs, delta, published_at: Instant::now() };
+            epoch = cur.epoch + u64::from(si + 1 == workbook.sheets.len());
+            let mut new = State { runs, delta, epoch, published_at: Instant::now() };
             if delta_disposition(new.delta.n_sheets(), shared.backpressure_at)
                 == DeltaDisposition::CompactInline
             {
@@ -1005,7 +1035,7 @@ impl ServeHandle {
             // state — no torn state, and no id spent on a sheet that never
             // landed.
             fail_point!("serve::delta_publish");
-            cell.publish(Arc::new(new));
+            shared.publish(new);
             drop(guard);
             publish.end();
             if signal {
@@ -1014,9 +1044,17 @@ impl ServeHandle {
                 }
             }
         }
+        if workbook.sheets.is_empty() {
+            // No sheet publish to carry the epoch: republish the same data
+            // at the next one.
+            let _guard = shared.writer.lock();
+            let cur = shared.current();
+            epoch = cur.epoch + 1;
+            shared.publish(State { epoch, published_at: Instant::now(), ..State::clone(&cur) });
+        }
         // ordering: Relaxed — independent stats counter, publishes nothing.
         shared.counters.adds.fetch_add(1, Ordering::Relaxed);
-        shared.epoch.advance()
+        epoch
     }
 }
 
@@ -1060,6 +1098,53 @@ mod tests {
 
     fn handle_over(n_workbooks: usize) -> (ServeHandle, af_corpus::OrgCorpus) {
         handle_over_with(AutoFormulaConfig::test_tiny(), n_workbooks)
+    }
+
+    /// Seal a run of `sealed` sheets onto `runs` and merge until the rule
+    /// holds, exactly as the compactor does.
+    fn seal_sizes(mut runs: Vec<usize>, sealed: usize) -> Vec<usize> {
+        runs.push(sealed);
+        while let [.., prev, last] = runs[..] {
+            if !should_merge(last, prev) {
+                break;
+            }
+            runs.truncate(runs.len() - 2);
+            runs.push(prev + last);
+        }
+        runs
+    }
+
+    #[test]
+    fn equal_runs_merge_and_a_large_base_is_left_alone() {
+        assert_eq!(seal_sizes(vec![16], 16), [32]);
+        assert_eq!(seal_sizes(vec![284, 32, 16], 16), [284, 64]);
+        assert_eq!(seal_sizes(vec![284, 64], 16), [284, 64, 16]);
+    }
+
+    #[test]
+    fn an_empty_base_is_merged_away_by_the_first_seal() {
+        assert_eq!(seal_sizes(vec![0], 16), [16]);
+    }
+
+    #[test]
+    fn the_base_is_copied_only_once_additions_rival_it() {
+        let mut runs = vec![284];
+        for added in (16..=512).step_by(16) {
+            runs = seal_sizes(runs, 16);
+            assert!(runs.windows(2).all(|w| w[0] > w[1]), "sizes strictly decreasing: {runs:?}");
+            assert_eq!(runs[0] == 284, added < 512, "after {added} added sheets: {runs:?}");
+        }
+        assert_eq!(runs, [284 + 512]);
+    }
+
+    #[test]
+    fn thresholds_gate_the_seal_and_the_signal() {
+        assert!(compact_warranted(16, 16) && !compact_warranted(15, 16));
+        assert!(compact_warranted(1, 0), "delta_max 0 behaves as 1");
+        assert!(should_signal_compactor(16, 16) && !should_signal_compactor(16, 0));
+        assert_eq!(delta_disposition(63, Some(64)), DeltaDisposition::Grow);
+        assert_eq!(delta_disposition(64, Some(64)), DeltaDisposition::CompactInline);
+        assert_eq!(delta_disposition(1 << 20, None), DeltaDisposition::Grow);
     }
 
     fn query_targets(corpus: &af_corpus::OrgCorpus, wb: usize) -> Vec<(&Sheet, CellRef)> {
@@ -1147,9 +1232,9 @@ mod tests {
 
     /// Seal the delta by hand, as the compactor would.
     fn seal(handle: &ServeHandle) {
-        let cell = &handle.shared.state;
-        let _guard = cell.write_lock();
-        cell.publish(Arc::new(cell.read().sealed(&handle.shared.empty_delta)));
+        let shared = &handle.shared;
+        let _guard = shared.writer.lock();
+        shared.publish(shared.current().sealed(&shared.empty_delta));
     }
 
     #[test]
@@ -1270,6 +1355,138 @@ mod tests {
         while handle.shared.merge_once() {}
         assert!(run_sizes(&handle.snapshot()).len() < 3);
         still_resolve("after a merge");
+    }
+
+    /// A merge planned off the lock is published only if its two runs are
+    /// still in place. Here an inline compaction merges them first and a
+    /// later seal puts a new run where they were, so a swap without the
+    /// identity re-check would splice over two runs it never read and
+    /// lose their sheets; this one must drop the plan instead.
+    #[test]
+    fn a_merge_planned_before_an_inline_compaction_is_dropped() {
+        const INLINE_AT: usize = 4;
+        // Backpressure at INLINE_AT sheets: the write that fills the delta
+        // seals and merges it inline. No publish leaves a full delta, so
+        // the compactor is never signalled and the test is deterministic.
+        let cfg = AutoFormulaConfig {
+            delta_max_sheets: INLINE_AT,
+            backpressure_factor: 1,
+            ..AutoFormulaConfig::test_tiny()
+        };
+        let never_seals =
+            AutoFormulaConfig { delta_max_sheets: 1 << 20, ..AutoFormulaConfig::test_tiny() };
+        let (handle, corpus) = handle_over_with(cfg, 8);
+        let (plain, _) = handle_over_with(never_seals, 8);
+        let base = handle.n_sheets();
+        assert!(base > 2 * INLINE_AT, "no merge may reach the base");
+        // One-sheet workbooks, so the test sets every run's size.
+        let singles: Vec<Workbook> = corpus.workbooks[8..]
+            .iter()
+            .flat_map(|wb| &wb.sheets)
+            .map(|sheet| Workbook { name: "one".into(), sheets: vec![sheet.clone()], timestamp: 0 })
+            .take(INLINE_AT + 3)
+            .collect();
+        let mut singles = singles.iter();
+        let mut add = |n: usize| {
+            for wb in singles.by_ref().take(n) {
+                handle.add_workbook(wb);
+                plain.add_workbook(wb);
+            }
+        };
+        add(1);
+        seal(&handle);
+        add(1);
+        seal(&handle);
+        let cur = handle.shared.current();
+        let plan = cur.plan_merge(cur.merge_due().expect("two equal runs are due a merge"));
+        assert_eq!((plan.at, run_sizes(&handle.snapshot())), (1, vec![base, 1, 1]));
+        add(INLINE_AT);
+        assert_eq!(run_sizes(&handle.snapshot()), [base, 2 + INLINE_AT], "merged inline");
+        add(1);
+        seal(&handle);
+        assert_eq!(run_sizes(&handle.snapshot()), [base, 2 + INLINE_AT, 1]);
+
+        assert!(!handle.shared.swap_merged(plan), "the planned runs are gone");
+        let snap = handle.snapshot();
+        assert_eq!(snap.n_sheets(), base + INLINE_AT + 3, "a sheet was lost");
+        let runs = &snap.state.runs;
+        for (i, a) in runs.iter().enumerate() {
+            assert!(runs[i + 1..].iter().all(|b| !Arc::ptr_eq(a, b)), "run {i} appears twice");
+        }
+        let keys: std::collections::HashSet<SheetKey> = snap.keys().into_iter().collect();
+        assert_eq!(keys.len(), snap.n_sheets(), "a sheet appears twice");
+        let queries: Vec<_> = query_targets(&corpus, 0).into_iter().take(8).collect();
+        assert_snapshots_agree(&plain.snapshot(), &snap, &queries, "after the dropped plan");
+    }
+
+    /// Two writers and the compactor on real threads: every sheet lands
+    /// exactly once, whatever order the writer lock serves them in.
+    #[test]
+    fn two_writers_and_the_compactor_lose_no_sheet() {
+        let cfg = AutoFormulaConfig { delta_max_sheets: 2, ..AutoFormulaConfig::test_tiny() };
+        let (handle, corpus) = handle_over_with(cfg, 2);
+        let base = handle.n_sheets();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for share in [&corpus.workbooks[2..8], &corpus.workbooks[8..14]] {
+                let (handle, start) = (&handle, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for wb in share {
+                        handle.add_workbook(wb);
+                    }
+                });
+            }
+        });
+        let added: usize = corpus.workbooks[2..14].iter().map(|wb| wb.sheets.len()).sum();
+        let snap = handle.snapshot();
+        assert_coherent(&snap);
+        assert_eq!(snap.epoch, 12);
+        assert_eq!(snap.n_sheets(), base + added, "a sheet was lost");
+        let keys: std::collections::HashSet<SheetKey> = snap.keys().into_iter().collect();
+        assert_eq!(keys.len(), base + added, "a sheet appears twice");
+    }
+
+    /// Impositions racing from many threads: exactly one wins, its epoch
+    /// is the one recorded (and, with `obs`, the one event), a later one
+    /// changes nothing, and recovery clears it.
+    #[test]
+    fn concurrent_quarantines_have_one_winner() {
+        const N: u64 = 8;
+        // Epochs no other test imposes at, to pick this test's events out.
+        const FIRST: u64 = 1000;
+        let (handle, _) = handle_over(2);
+        let health = &handle.shared.health;
+        #[cfg(feature = "obs")]
+        let mark = af_obs::event_watermark();
+        let start = std::sync::Barrier::new(N as usize);
+        let wins: Vec<u64> = std::thread::scope(|scope| {
+            let imposers: Vec<_> = (FIRST..FIRST + N)
+                .map(|epoch| {
+                    let start = &start;
+                    scope.spawn(move || {
+                        start.wait();
+                        health.impose(epoch).then_some(epoch)
+                    })
+                })
+                .collect();
+            imposers.into_iter().filter_map(|t| t.join().expect("imposer")).collect()
+        });
+        assert_eq!(wins.len(), 1, "exactly one imposition wins: {wins:?}");
+        assert_eq!(handle.quarantined_since(), Some(wins[0]));
+        #[cfg(feature = "obs")]
+        {
+            let events: Vec<u64> = af_obs::events_since(mark)
+                .into_iter()
+                .filter(|e| e.site == "serve::quarantine" && (FIRST..FIRST + N).contains(&e.value))
+                .map(|e| e.value)
+                .collect();
+            assert_eq!(events, wins, "one event, naming the winner's epoch");
+        }
+        assert!(!health.impose(FIRST + N));
+        assert_eq!(handle.quarantined_since(), Some(wins[0]), "quarantine is sticky");
+        handle.recover();
+        assert_eq!(handle.quarantined_since(), None);
     }
 
     #[test]
@@ -1422,6 +1639,10 @@ mod tests {
         assert_eq!(handle.add_workbook(&corpus.workbooks[4]), 2);
         let keys = handle.snapshot().keys();
         assert!(keys.iter().any(|k| k.workbook == 4));
+        // A workbook without sheets is still one add.
+        let empty = Workbook { name: "empty".into(), sheets: Vec::new(), timestamp: 0 };
+        assert_eq!(handle.add_workbook(&empty), 3);
+        assert_eq!((handle.epoch(), handle.n_sheets()), (3, keys.len()));
     }
 
     #[test]
@@ -1608,6 +1829,13 @@ mod tests {
             .collect();
         assert!(!queries.is_empty());
         let stop = std::sync::atomic::AtomicBool::new(false);
+        // The writer's workbooks, and the sheet count once the first `e`
+        // of them have landed.
+        let writes: Vec<&Workbook> = (0..6).map(|round| &corpus.workbooks[2 + round % 3]).collect();
+        let mut after = vec![handle.n_sheets()];
+        for wb in &writes {
+            after.push(after[after.len() - 1] + wb.sheets.len());
+        }
 
         std::thread::scope(|scope| {
             // Readers hammer predict + snapshot invariants.
@@ -1616,6 +1844,7 @@ mod tests {
                 let corpus = &corpus;
                 let queries = &queries;
                 let stop = &stop;
+                let after = &after;
                 scope.spawn(move || {
                     let mut served = 0usize;
                     let mut last_epoch = 0u64;
@@ -1624,6 +1853,13 @@ mod tests {
                         // Epochs are monotone per reader.
                         assert!(snap.epoch >= last_epoch, "epoch went backwards");
                         last_epoch = snap.epoch;
+                        // The epoch names the data: every sheet of the
+                        // first `epoch` workbooks, and not all of the next.
+                        let (n, e) = (snap.n_sheets(), snap.epoch as usize);
+                        assert!(n >= after[e], "epoch {e} with {n} sheets, not {}", after[e]);
+                        if let Some(&next) = after.get(e + 1) {
+                            assert!(n < next, "epoch {e} already holds workbook {e}");
+                        }
                         // Internal consistency of whatever state we got:
                         // no torn state — segments tile the ids, no
                         // duplicated or missing sheets.
@@ -1642,11 +1878,10 @@ mod tests {
             // One writer keeps publishing new epochs while the compactor
             // folds deltas behind it.
             let writer = handle.clone();
-            let corpus_ref = &corpus;
+            let writes = &writes;
             let stop_ref = &stop;
             scope.spawn(move || {
-                for round in 0..6 {
-                    let wb = &corpus_ref.workbooks[2 + (round % 3)];
+                for wb in writes {
                     writer.add_workbook(wb);
                 }
                 stop_ref.store(true, Ordering::Relaxed);

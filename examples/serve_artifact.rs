@@ -41,7 +41,7 @@ fn main() {
     let handle = ServeHandle::from_artifact(&artifact).expect("artifact loads");
     println!("cold start from artifact: {:.1} ms", t.elapsed().as_secs_f64() * 1e3);
 
-    // Lock-free predictions, from any number of threads.
+    // Predictions, from any number of threads.
     let query_wb = &org.workbooks[org.workbooks.len() - 1];
     let mut queries = Vec::new();
     for sheet in &query_wb.sheets {

@@ -197,7 +197,7 @@ fn compact_and_mmap_artifacts_stay_bit_identical_on_every_backend() {
 #[test]
 fn served_artifact_answers_like_the_library_pipeline() {
     // Facade-level smoke of the full serving story: save → ServeHandle →
-    // lock-free predict + incremental add_workbook, no workbook borrows.
+    // predict + incremental add_workbook, no workbook borrows.
     let universe = OrgSpec::web_crawl(Scale::Tiny).generate();
     let org = OrgSpec::pge(Scale::Tiny).generate();
     let af = tiny_system(&universe);
