@@ -7,7 +7,7 @@ use af_ann::{FlatIndex, HnswIndex, HnswParams, VectorIndex};
 use af_baselines::mondrian::{detect_regions, sheet_distance};
 use af_core::features::{raw_window, WindowOrigin};
 use af_core::index::{IndexOptions, StripScratch};
-use af_core::pipeline::{search_parameter, AutoFormula, PipelineVariant};
+use af_core::pipeline::{search_parameter, AutoFormula, PipelineVariant, S3Scratch};
 use af_core::{AutoFormulaConfig, TrainingOptions};
 use af_corpus::organization::{OrgSpec, Scale};
 use af_corpus::split::{split, SplitKind};
@@ -121,6 +121,7 @@ fn bench_fine_gather(c: &mut Criterion) {
     // Parameter and formula cell coincide: the search is anchored on the
     // target itself.
     let ref_formula = target.offset(2, 1).expect("in bounds");
+    let mut s3 = S3Scratch::default();
     c.bench_function("s3_search_parameter_d3", |b| {
         b.iter(|| {
             black_box(search_parameter(
@@ -130,6 +131,7 @@ fn bench_fine_gather(c: &mut Criterion) {
                 ref_formula,
                 ref_formula,
                 target,
+                &mut s3,
             ))
         })
     });

@@ -492,15 +492,22 @@ impl AutoFormula {
         let key = index.keys[entry.sheet_idx];
 
         let mut mapped: Vec<CellRef> = Vec::with_capacity(ref_params.len());
+        let mut scratch = S3Scratch::default();
         for (pi, &cr) in ref_params.iter().enumerate() {
             let m = match variant {
                 PipelineVariant::CoarseOnly => offset_map(cr, entry.cell, target),
                 // The parameter's reference-side window is gathered from
                 // its sheet's cells here, once per parameter.
-                _ => {
-                    search_parameter(cfg, emb, &index.param_window(rid, pi), cr, entry.cell, target)
-                        .map(|(cell, _)| cell)
-                }
+                _ => search_parameter(
+                    cfg,
+                    emb,
+                    &index.param_window(rid, pi),
+                    cr,
+                    entry.cell,
+                    target,
+                    &mut scratch,
+                )
+                .map(|(cell, _)| cell),
             };
             mapped.push(m?);
         }
@@ -524,16 +531,30 @@ fn offset_map(ref_param: CellRef, ref_formula: CellRef, target: CellRef) -> Opti
     target.offset(dr, dc)
 }
 
+/// The buffers [`search_parameter`] works in. [`AutoFormula::adapt_region`]
+/// makes one per region and passes it to every parameter's search, so an
+/// answer's parameters share one patch and one set of strips.
+#[derive(Default)]
+pub struct S3Scratch {
+    /// The gathered `(rows+2d) × (cols+2d)` patch.
+    patch: Vec<f32>,
+    /// The patch cut into `2d+1` column strips, each `cols` wide.
+    strips: Vec<f32>,
+}
+
 /// S3 local search: score the `(2d+1)²` cells around the offset-mapped
 /// location by fine-region similarity to the reference parameter's region
 /// `ref_vec`, and return the best with its score (Algorithm 2 lines
 /// 26–32; `d` is [`AutoFormulaConfig::neighborhood_d`]).
 ///
 /// Neighbouring candidate windows share all but one row or column, so the
-/// `(rows+2d) × (cols+2d)` patch they jointly cover is gathered **once**;
-/// each candidate's window is then `rows` row segments of the patch,
-/// copied into one of four scratch windows and scored against `ref_vec`
-/// with the fused normalize-and-distance kernel, four candidates per call
+/// `(rows+2d) × (cols+2d)` patch they jointly cover is gathered **once**
+/// and cut into `2d+1` column strips, strip `k` holding patch columns
+/// `k..k + cols` over every patch row. Each strip is exactly one window
+/// wide, so the window of candidate `(dr, dc)` is the *contiguous slice*
+/// of strip `dc + d` starting `dr + d` rows down — S2's strip trick. Those
+/// slices are scored in place against `ref_vec` with the fused
+/// normalize-and-distance kernel, four candidates per call
 /// ([`l2_sq_normalized_each`]) — the values and the summation order of
 /// gathering, normalizing and measuring each window on its own. The
 /// argmin then takes the four in candidate order, as a one-at-a-time scan
@@ -547,6 +568,7 @@ pub fn search_parameter(
     ref_param: CellRef,
     ref_formula: CellRef,
     target: CellRef,
+    scratch: &mut S3Scratch,
 ) -> Option<(CellRef, f32)> {
     let d = cfg.neighborhood_d;
     if d < 0 {
@@ -565,25 +587,33 @@ pub fn search_parameter(
     let (patch_rows, patch_cols) = (rows + 2 * d as usize, cols + 2 * d as usize);
     let f8 = cfg.fine_cell_dim;
     let (or, oc) = cfg.window.centered_origin(anchor);
-    let mut patch = vec![0.0f32; patch_rows * patch_cols * f8];
-    target_emb.gather().rect((or - d, oc - d), patch_rows, patch_cols, &mut patch);
-    let fine_dim = rows * cols * f8;
+    let S3Scratch { patch, strips } = scratch;
+    patch.resize(patch_rows * patch_cols * f8, 0.0);
+    target_emb.gather().rect((or - d, oc - d), patch_rows, patch_cols, patch);
+    let (row_len, strip_len) = (cols * f8, patch_rows * cols * f8);
+    strips.resize((2 * d as usize + 1) * strip_len, 0.0);
+    for (left, strip) in strips.chunks_exact_mut(strip_len).enumerate() {
+        for (row, out) in patch.chunks_exact(patch_cols * f8).zip(strip.chunks_exact_mut(row_len)) {
+            out.copy_from_slice(&row[left * f8..][..row_len]);
+        }
+    }
+    let fine_dim = rows * row_len;
+    let window = |dr: i64, dc: i64| {
+        let (top, left) = ((dr + d) as usize, (dc + d) as usize);
+        &strips[left * strip_len + top * row_len..][..fine_dim]
+    };
     let candidates: Vec<(CellRef, i64, i64)> = (-d..=d)
         .flat_map(|dr| (-d..=d).filter_map(move |dc| Some((anchor.offset(dr, dc)?, dr, dc))))
         .collect();
     // Four candidates' windows at a time, scored together, then compared
     // in candidate order.
-    let mut windows = vec![0.0f32; 4 * fine_dim];
     let mut best: Option<(CellRef, f32)> = None;
     for group in candidates.chunks(4) {
-        for (&(_, dr, dc), window) in group.iter().zip(windows.chunks_exact_mut(fine_dim)) {
-            let (top, left) = ((dr + d) as usize, (dc + d) as usize);
-            for (i, row) in window.chunks_exact_mut(cols * f8).enumerate() {
-                row.copy_from_slice(&patch[((top + i) * patch_cols + left) * f8..][..cols * f8]);
-            }
-        }
         let n = group.len();
-        let ws: [&[f32]; 4] = std::array::from_fn(|i| &windows[i * fine_dim..][..fine_dim]);
+        let ws: [&[f32]; 4] = std::array::from_fn(|i| {
+            let (_, dr, dc) = group[i.min(n - 1)];
+            window(dr, dc)
+        });
         let mut dists = [0.0f32; 4];
         l2_sq_normalized_each(ref_vec, &ws[..n], &mut dists[..n]);
         for (&(cand, dr, dc), dist) in group.iter().zip(dists) {
@@ -887,7 +917,15 @@ mod tests {
                 (target.row as i64 + ref_param.row as i64 - ref_formula.row as i64).max(0) as u32,
                 (target.col as i64 + ref_param.col as i64 - ref_formula.col as i64).max(0) as u32,
             );
-            let got = search_parameter(&cfg, &emb, &ref_vec, ref_param, ref_formula, target);
+            let got = search_parameter(
+                &cfg,
+                &emb,
+                &ref_vec,
+                ref_param,
+                ref_formula,
+                target,
+                &mut S3Scratch::default(),
+            );
             let want = naive_search(&embedder, &cfg, &emb, &sheet, &ref_vec, anchor);
             prop_assert_eq!(
                 got.map(|(c, dist)| (c, dist.to_bits())),

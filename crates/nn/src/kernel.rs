@@ -13,8 +13,9 @@
 //! property tests in `tests/kernel_properties.rs`).
 //!
 //! **Output-blocked kernels.** [`matmul_xwt`], [`matmul_xwt_acc`],
-//! [`matmul_wx`], [`norms_sq4`] and [`l2_sq_scaled4`] compute a block of
-//! outputs per pass over their shared operand. The contract is that every
+//! [`matmul_wx`], [`norms_sq4`], [`l2_sq_scaled4`] and
+//! [`l2_sq_scaled_many`] compute a block of outputs per pass over their
+//! shared operand. The contract is that every
 //! output keeps the arithmetic of the one-output kernel it replaces: its
 //! own eight lanes, its own sequential tail, the fixed `reduce_lanes`
 //! tree, and a `mul` then an `add` per term — never a fused multiply-add,
@@ -109,57 +110,36 @@ pub fn l2_sq_scaled(a: &[f32], b: &[f32], scale: f32) -> f32 {
     reduce_lanes(lanes) + tail
 }
 
-/// Queries [`l2_sq_scaled_many`] scores in one pass over `b`.
-const QUERY_BLOCK: usize = 4;
-
 /// `out[q] = l2_sq_scaled(queries[q], b, scale)` for every query, bit for
-/// bit, reading `b` once per block of four queries: each `b[i]·scale` is
-/// rounded once and shared by the block, while every query keeps its own
-/// eight lanes in [`l2_sq_scaled`]'s order, its own sequential tail and
-/// its own `reduce_lanes`. Rust never contracts the `mul` and the `sub`
-/// into an FMA, so a shared rounded product is the product each query
-/// would have rounded itself. Left-over queries (and any block with a
-/// query whose length is not `b`'s) go through [`l2_sq_scaled`] itself.
+/// bit, reading `b` once per block of four queries
+/// ([`portable::l2_sq_scaled_q4`]). Left-over queries (and any block with
+/// a query whose length is not `b`'s) go through [`l2_sq_scaled`] itself.
 pub fn l2_sq_scaled_many(queries: &[&[f32]], b: &[f32], scale: f32, out: &mut [f32]) {
     debug_assert_eq!(queries.len(), out.len());
-    let body = b.len() / LANES * LANES;
-    let (b_body, b_tail) = b.split_at(body);
-    let mut blocks = queries.chunks_exact(QUERY_BLOCK);
-    let mut outs = out.chunks_exact_mut(QUERY_BLOCK);
+    let mut blocks = queries.chunks_exact(4);
+    let mut outs = out.chunks_exact_mut(4);
     for (qs, os) in (&mut blocks).zip(&mut outs) {
-        if qs.iter().any(|q| q.len() != b.len()) {
+        if qs.iter().all(|q| q.len() == b.len()) {
+            os.copy_from_slice(&l2_sq_scaled_q4([qs[0], qs[1], qs[2], qs[3]], b, scale));
+        } else {
             for (q, o) in qs.iter().zip(os) {
                 *o = l2_sq_scaled(q, b, scale);
             }
-            continue;
-        }
-        let q = [&qs[0][..body], &qs[1][..body], &qs[2][..body], &qs[3][..body]];
-        let mut lanes = [[0.0f32; LANES]; QUERY_BLOCK];
-        for (c, xb) in b_body.chunks_exact(LANES).enumerate() {
-            let mut sb = [0.0f32; LANES];
-            for k in 0..LANES {
-                sb[k] = xb[k] * scale;
-            }
-            for (lanes, qj) in lanes.iter_mut().zip(q) {
-                let xa = &qj[c * LANES..(c + 1) * LANES];
-                for k in 0..LANES {
-                    let d = xa[k] - sb[k];
-                    lanes[k] += d * d;
-                }
-            }
-        }
-        for ((o, lanes), qj) in os.iter_mut().zip(lanes).zip(qs) {
-            let mut tail = 0.0f32;
-            for (x, y) in qj[body..].iter().zip(b_tail) {
-                let d = x - y * scale;
-                tail += d * d;
-            }
-            *o = reduce_lanes(lanes) + tail;
         }
     }
     for (q, o) in blocks.remainder().iter().zip(outs.into_remainder()) {
         *o = l2_sq_scaled(q, b, scale);
     }
+}
+
+/// One block of [`l2_sq_scaled_many`], dispatched to the AVX2 body where
+/// the host has it.
+fn l2_sq_scaled_q4(queries: [&[f32]; 4], b: &[f32], scale: f32) -> [f32; 4] {
+    #[cfg(target_arch = "x86_64")]
+    if avx2::available() {
+        return avx2::l2_sq_scaled_q4(queries, b, scale);
+    }
+    portable::l2_sq_scaled_q4(queries, b, scale)
 }
 
 /// Horizontal sum of a slice.

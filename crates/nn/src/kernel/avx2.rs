@@ -74,6 +74,15 @@ pub fn l2_sq_scaled4(a: &[f32], bs: [&[f32]; 4], scales: [f32; 4]) -> [f32; 4] {
     unsafe { scaled4(a, bs, scales) }
 }
 
+/// AVX2 body of [`portable::l2_sq_scaled_q4`]. Panics if [`available`]
+/// is false.
+pub fn l2_sq_scaled_q4(queries: [&[f32]; 4], b: &[f32], scale: f32) -> [f32; 4] {
+    assert!(available(), "AVX2 kernel called on a host without AVX2");
+    assert!(queries.iter().all(|q| q.len() == b.len()), "l2_sq_scaled_q4: queries of b's length");
+    // SAFETY: the assert above established that the CPU supports AVX2.
+    unsafe { scaled_q4(queries, b, scale) }
+}
+
 /// Eight floats from the front of `s`.
 #[inline]
 #[target_feature(enable = "avx2")]
@@ -284,6 +293,35 @@ fn scaled4(a: &[f32], bs: [&[f32]; 4], scales: [f32; 4]) -> [f32; 4] {
         let mut tail = 0.0f32;
         for (x, y) in a[body..].iter().zip(&bs[i][body..]) {
             let d = x - y * scales[i];
+            tail += d * d;
+        }
+        sums[i] + tail
+    })
+}
+
+/// One `b·scale` product per eight lanes, shared by the four queries; each
+/// query subtracts it, squares and accumulates in its own register.
+#[target_feature(enable = "avx2")]
+fn scaled_q4(queries: [&[f32]; 4], b: &[f32], scale: f32) -> [f32; 4] {
+    let body = b.len() / LANES * LANES;
+    let s = _mm256_set1_ps(scale);
+    let qp = queries.map(|q| q.as_ptr());
+    let mut acc = [_mm256_setzero_ps(); 4];
+    for c in (0..body).step_by(LANES) {
+        let sb = _mm256_mul_ps(load(&b[c..]), s);
+        for (acc, p) in acc.iter_mut().zip(qp) {
+            // SAFETY: every query has `b`'s length (checked by the entry)
+            // and `c + 8 <= body <= b.len()`; `loadu` needs no alignment.
+            let qv = unsafe { _mm256_loadu_ps(p.add(c)) };
+            let d = _mm256_sub_ps(qv, sb);
+            *acc = mul_add(*acc, d, d);
+        }
+    }
+    let sums = reduce4(acc);
+    std::array::from_fn(|i| {
+        let mut tail = 0.0f32;
+        for (x, y) in queries[i][body..].iter().zip(&b[body..]) {
+            let d = x - y * scale;
             tail += d * d;
         }
         sums[i] + tail

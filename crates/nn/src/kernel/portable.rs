@@ -188,6 +188,39 @@ pub fn l2_sq_scaled4(a: &[f32], bs: [&[f32]; 4], scales: [f32; 4]) -> [f32; 4] {
     })
 }
 
+/// `[l2_sq_scaled(q, b, scale) for q in queries]` with
+/// [`super::l2_sq_scaled`]'s bits, `b` read once for the four queries —
+/// the block of [`super::l2_sq_scaled_many`]. Each `b[i]·scale` is rounded
+/// once and shared by the block, while every query keeps its own eight
+/// lanes, its own sequential tail and its own `reduce_lanes`. Rust never
+/// contracts the `mul` and the `sub` into an FMA, so a shared rounded
+/// product is the product each query would have rounded itself. Every
+/// query must have `b`'s length.
+pub fn l2_sq_scaled_q4(queries: [&[f32]; 4], b: &[f32], scale: f32) -> [f32; 4] {
+    assert!(queries.iter().all(|q| q.len() == b.len()), "l2_sq_scaled_q4: queries of b's length");
+    let body = b.len() / LANES * LANES;
+    let mut lanes = [[0.0f32; LANES]; 4];
+    for c in (0..body).step_by(LANES) {
+        let xb = &b[c..c + LANES];
+        let sb: [f32; LANES] = std::array::from_fn(|k| xb[k] * scale);
+        for (l, q) in lanes.iter_mut().zip(queries) {
+            let xa = &q[c..c + LANES];
+            for k in 0..LANES {
+                let d = xa[k] - sb[k];
+                l[k] += d * d;
+            }
+        }
+    }
+    std::array::from_fn(|i| {
+        let mut tail = 0.0f32;
+        for (x, y) in queries[i][body..].iter().zip(&b[body..]) {
+            let d = x - y * scale;
+            tail += d * d;
+        }
+        reduce_lanes(lanes[i]) + tail
+    })
+}
+
 /// Shape checks shared by the portable and AVX2 bodies of
 /// [`matmul_xwt_acc`]: hard asserts, so a bad shape panics the same way
 /// whichever body runs.

@@ -202,10 +202,11 @@ impl Relu {
 
 impl Layer for Relu {
     fn forward(&mut self, mut x: Tensor) -> Tensor {
+        // Mask, then clamp, in two plain passes: one loop that pushes per
+        // element cannot vectorise. A NaN is masked out and passes through.
         self.mask.clear();
-        self.mask.reserve(x.data.len());
+        self.mask.extend(x.data.iter().map(|v| *v > 0.0));
         for v in x.data.iter_mut() {
-            self.mask.push(*v > 0.0);
             if *v <= 0.0 {
                 *v = 0.0;
             }

@@ -211,20 +211,25 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// The AVX2 bodies this host can run, as `(name, matmul_xwt_acc,
-/// matmul_wx, norms_sq4, l2_sq_scaled4)`; empty without AVX2.
+/// The bodies this host can run, as `(name, matmul_xwt_acc, matmul_wx,
+/// norms_sq4, l2_sq_scaled4, l2_sq_scaled_q4)`: the portable bodies, and
+/// the AVX2 bodies where the host has AVX2.
 type XwtAcc = fn(&[f32], &[f32], usize, usize, usize, &mut [f32]);
 type Wx = fn(&[f32], &[f32], &[f32], usize, usize, usize, &mut [f32]);
 type Norms4 = fn([&[f32]; 4]) -> [f32; 4];
 type Scaled4 = fn(&[f32], [&[f32]; 4], [f32; 4]) -> [f32; 4];
+type ScaledQ4 = fn([&[f32]; 4], &[f32], f32) -> [f32; 4];
 
-fn bodies() -> Vec<(&'static str, XwtAcc, Wx, Norms4, Scaled4)> {
-    let mut v: Vec<(&'static str, XwtAcc, Wx, Norms4, Scaled4)> = vec![(
+type Bodies = (&'static str, XwtAcc, Wx, Norms4, Scaled4, ScaledQ4);
+
+fn bodies() -> Vec<Bodies> {
+    let mut v: Vec<Bodies> = vec![(
         "portable",
         portable::matmul_xwt_acc,
         portable::matmul_wx,
         portable::norms_sq4,
         portable::l2_sq_scaled4,
+        portable::l2_sq_scaled_q4,
     )];
     #[cfg(target_arch = "x86_64")]
     if af_nn::kernel::avx2::available() {
@@ -235,6 +240,7 @@ fn bodies() -> Vec<(&'static str, XwtAcc, Wx, Norms4, Scaled4)> {
             avx2::matmul_wx,
             avx2::norms_sq4,
             avx2::l2_sq_scaled4,
+            avx2::l2_sq_scaled_q4,
         ));
     }
     v
@@ -368,10 +374,57 @@ proptest! {
                 bs.iter().zip(scales).map(|(b, s)| l2_sq_scaled(&a, b, s)).collect();
             prop_assert_eq!(bits(&norms_sq4(bs)), bits(&norms));
             prop_assert_eq!(bits(&l2_sq_scaled4(&a, bs, scales)), bits(&scaled));
-            for (name, _, _, norms4, scaled4) in bodies() {
+            for (name, _, _, norms4, scaled4, _) in bodies() {
                 prop_assert_eq!(bits(&norms4(bs)), bits(&norms), "{} norms_sq4", name);
                 prop_assert_eq!(bits(&scaled4(&a, bs, scales)), bits(&scaled), "{} l2_sq_scaled4", name);
             }
+        }
+    }
+
+    #[test]
+    fn four_query_block_has_the_bits_of_one_call_per_query(
+        n in (len_with_remainders(), 0usize..5).prop_map(|(n, wide)| if wide == 0 { 2560 } else { n }),
+        zero_every in 0usize..4,
+        unit in any::<bool>(),
+        seed in 0u64..1000,
+    ) {
+        // Every remainder mod 8 plus the default 2 560-float window; signed
+        // zeros in `b` and the queries; and half the time scale 1.0, the
+        // scale of a window at or under the norm threshold.
+        let b = gen_with_zeros(n, seed, zero_every);
+        let queries: Vec<Vec<f32>> =
+            (0..4u64).map(|q| gen_with_zeros(n, seed ^ ((q + 1) << 20), zero_every)).collect();
+        let qs: [&[f32]; 4] = std::array::from_fn(|q| queries[q].as_slice());
+        let scale = if unit { 1.0 } else { 0.37 };
+        let want: Vec<f32> = qs.iter().map(|q| l2_sq_scaled(q, &b, scale)).collect();
+        let mut got = [f32::NAN; 4];
+        l2_sq_scaled_many(&qs, &b, scale, &mut got);
+        prop_assert_eq!(bits(&got), bits(&want), "dispatched l2_sq_scaled_many");
+        for (name, .., q4) in bodies() {
+            prop_assert_eq!(bits(&q4(qs, &b, scale)), bits(&want), "{} l2_sq_scaled_q4", name);
+        }
+    }
+}
+
+/// A block holding one query of another length is never scored by a
+/// four-query body — it panics, whichever body runs — and
+/// `l2_sq_scaled_many` hands it to `l2_sq_scaled` query by query (whose
+/// length check is a debug assertion, so that half runs in release).
+#[test]
+fn a_block_of_mixed_lengths_goes_query_by_query() {
+    for n in [0, 5, 2560] {
+        let b = gen_vec(n, 1);
+        let queries: Vec<Vec<f32>> = (0..4).map(|q| gen_vec(n + usize::from(q == 2), q)).collect();
+        let qs: [&[f32]; 4] = std::array::from_fn(|q| queries[q].as_slice());
+        for (name, .., q4) in bodies() {
+            let run = std::panic::catch_unwind(|| q4(qs, &b, 0.37));
+            assert!(run.is_err(), "{name} scored a block of mixed lengths, n={n}");
+        }
+        if !cfg!(debug_assertions) {
+            let want: Vec<f32> = qs.iter().map(|q| l2_sq_scaled(q, &b, 0.37)).collect();
+            let mut got = [f32::NAN; 4];
+            l2_sq_scaled_many(&qs, &b, 0.37, &mut got);
+            assert_eq!(bits(&got), bits(&want), "n={n}");
         }
     }
 }

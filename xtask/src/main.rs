@@ -31,6 +31,11 @@
 //!   telemetry surface is always documented. `crates/obs/src` is
 //!   exempt: it defines the macros, and its docs/tests use sample
 //!   names.
+//! * `kernel_twin` — every `pub fn` of `crates/nn/src/kernel/avx2.rs`
+//!   but `available` has a same-named `pub fn` in `kernel/portable.rs`
+//!   (its fallback and oracle), and `crates/nn/tests/kernel_properties.rs`
+//!   names it as `avx2::<name>`, so the property tests hold the AVX2 body
+//!   to the bits of its portable twin.
 //!
 //! The scanner is line-based: trailing `//` comments are stripped before
 //! code matching, doc/comment-only lines are skipped, `#[cfg(test)]`
@@ -80,6 +85,16 @@ fn lint() -> ExitCode {
             }
         };
         lint_file(file, &src, &arch, &mut violations);
+    }
+    let kernel = root.join("crates/nn/src/kernel");
+    let avx2 = kernel.join("avx2.rs");
+    if let Ok(avx2_src) = std::fs::read_to_string(&avx2) {
+        let read = |p: PathBuf| std::fs::read_to_string(p).unwrap_or_default();
+        let portable = read(kernel.join("portable.rs"));
+        let tests = read(root.join("crates/nn/tests/kernel_properties.rs"));
+        for (line, message) in kernel_twins(&avx2_src, &portable, &tests) {
+            violations.push(Violation { file: avx2.clone(), line, rule: "kernel_twin", message });
+        }
     }
     if violations.is_empty() {
         println!("xtask lint: {} files clean", files.len());
@@ -151,12 +166,7 @@ fn lint_file(file: &Path, src: &str, arch: &str, out: &mut Vec<Violation>) {
     let on_read_path = on_read_path(&path_str);
     let in_obs = path_str.contains("crates/obs/src");
 
-    let mut lines: Vec<Line<'_>> = Vec::new();
-    let mut in_block_comment = false;
-    for raw in src.lines() {
-        let code = code_part(raw, &mut in_block_comment);
-        lines.push(Line { raw, code });
-    }
+    let lines = lex(src);
     let test_mask = test_regions(&lines);
 
     for (i, line) in lines.iter().enumerate() {
@@ -261,7 +271,58 @@ fn lint_file(file: &Path, src: &str, arch: &str, out: &mut Vec<Violation>) {
     }
 }
 
+/// R6 `kernel_twin`: `(line, message)` for every `pub fn` of the AVX2
+/// kernel source, bar `available`, that lacks a same-named `pub fn` in the
+/// portable source or is not named as `avx2::<name>` in the property
+/// tests' code.
+fn kernel_twins(avx2: &str, portable: &str, tests: &str) -> Vec<(usize, String)> {
+    let portable = lex(portable);
+    let mask = test_regions(&portable);
+    let twins: Vec<&str> = portable
+        .iter()
+        .zip(mask)
+        .filter(|(_, t)| !t)
+        .filter_map(|(l, _)| pub_fn_name(l.code))
+        .collect();
+    let tests = lex(tests);
+    let lines = lex(avx2);
+    let mask = test_regions(&lines);
+    let mut out = Vec::new();
+    for (i, line) in lines.iter().enumerate() {
+        let Some(name) = pub_fn_name(line.code).filter(|&n| n != "available" && !mask[i]) else {
+            continue;
+        };
+        if waived(&lines, i, "kernel_twin") {
+            continue;
+        }
+        if !twins.contains(&name) {
+            out.push((
+                i + 1,
+                format!("AVX2 kernel `{name}` has no `pub fn {name}` in portable.rs"),
+            ));
+        }
+        let tested = format!("avx2::{name}");
+        if !tests.iter().any(|l| has_word(l.code, &tested)) {
+            out.push((i + 1, format!("AVX2 kernel `{name}` is not named in kernel_properties.rs")));
+        }
+    }
+    out
+}
+
+/// The name of the `pub fn` a line of code declares, if it declares one.
+fn pub_fn_name(code: &str) -> Option<&str> {
+    let rest = code.trim_start().strip_prefix("pub fn ")?;
+    let end = rest.find(|c: char| !(c.is_alphanumeric() || c == '_')).unwrap_or(rest.len());
+    (end > 0).then(|| &rest[..end])
+}
+
 // --------------------------------------------------------- line lexing
+
+/// Every line of `src` with its code part.
+fn lex(src: &str) -> Vec<Line<'_>> {
+    let mut in_block_comment = false;
+    src.lines().map(|raw| Line { raw, code: code_part(raw, &mut in_block_comment) }).collect()
+}
 
 /// The code part of a line: block comments and the trailing `//` comment
 /// removed, with just enough string-literal tracking that a `//` inside
@@ -518,6 +579,31 @@ mod tests {
         assert!(on_read_path("/repo/crates/core/src/pipeline.rs"));
         assert!(!on_read_path("/repo/crates/core/src/artifact.rs"));
         assert!(!on_read_path("/repo/crates/core/src/pipeline.rs.bak"));
+    }
+
+    #[test]
+    fn kernel_twin_wants_a_portable_twin_and_a_test_for_each_avx2_entry() {
+        let avx2 = "pub fn available() -> bool {}\n\
+                    pub fn dot4(a: &[f32]) {}\n\
+                    pub fn lone(a: &[f32]) {}\n\
+                    pub fn untested(a: &[f32]) {}\n\
+                    \n\
+                    // lint: allow(kernel_twin) — exercised elsewhere\n\
+                    pub fn waived(a: &[f32]) {}\n\
+                    fn private(a: &[f32]) {}\n";
+        let portable = "pub fn dot4(a: &[f32]) {}\npub fn untested(a: &[f32]) {}\n";
+        let tests = "v.push(avx2::dot4);\nv.push(avx2::lone);\n// avx2::untested\n";
+        let got = kernel_twins(avx2, portable, tests);
+        let lines: Vec<usize> = got.iter().map(|(l, _)| *l).collect();
+        assert_eq!(lines, [3, 4], "{got:?}");
+        assert!(got[0].1.contains("no `pub fn lone` in portable.rs"));
+        // A name in a comment is not a test.
+        assert!(got[1].1.contains("`untested` is not named"));
+        assert_eq!(
+            pub_fn_name("    pub fn l2_sq_scaled_q4(q: [&[f32]; 4])"),
+            Some("l2_sq_scaled_q4")
+        );
+        assert_eq!(pub_fn_name("pub(crate) fn hidden()"), None);
     }
 
     #[test]
